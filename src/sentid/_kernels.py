@@ -19,7 +19,6 @@ NEG_INF = -np.inf
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
 _MIX_C = 0x94D049BB133111EB
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _numba_enabled() -> bool:
@@ -211,31 +210,42 @@ def _window_indices_impl(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash):
 
 
 def _window_indices_numpy(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash):
-    parts = []
+    if n == 0:
+        return np.empty(0, np.int64), np.zeros(1, np.int64)
+    # Segment s covers position t = lo + s (s = 0 .. n-1+hi-lo): one pad entry
+    # outside [0, n), else token t's hashes.  Row i is the contiguous run of
+    # segments i .. i+hi-lo, so every row is one slice of the segment entries.
+    t = np.arange(lo, n + hi, dtype=np.int64)
+    inside = (t >= 0) & (t < n)
+    tc = np.clip(t, 0, n - 1)
+    seg_len = np.where(inside, tok_indptr[tc + 1] - tok_indptr[tc], 1)
+    seg_ptr = np.zeros(t.shape[0] + 1, np.int64)
+    np.cumsum(seg_len, out=seg_ptr[1:])
+    width = hi - lo + 1
     indptr = np.zeros(n + 1, np.int64)
-    for i in range(n):
-        row = []
-        for t in range(i + lo, i + hi + 1):
-            salt = np.uint64(((t - i - lo + 1) * _MIX_A) & _U64)
-            if t < 0 or t >= n:
-                h = np.array([pad_hash], np.uint64)
-            else:
-                h = tok_hashes[tok_indptr[t] : tok_indptr[t + 1]]
-            x = h ^ salt
-            x = x ^ (x >> np.uint64(30))
-            x = x * np.uint64(_MIX_B)
-            x = x ^ (x >> np.uint64(27))
-            x = x * np.uint64(_MIX_C)
-            x = x ^ (x >> np.uint64(31))
-            row.append(x & dim_mask)
-        block = np.concatenate(row) if row else np.empty(0, np.uint64)
-        indptr[i + 1] = indptr[i] + block.shape[0]
-        parts.append(block.astype(np.int64))
-    if parts:
-        indices = np.concatenate(parts)
-    else:
-        indices = np.empty(0, np.int64)
-    return indices, indptr
+    np.cumsum(seg_ptr[width : width + n] - seg_ptr[:n], out=indptr[1:])
+    row_len = np.diff(indptr)
+
+    # hash of every segment entry; the pad hash sits in the slot after the tokens'
+    seg_id = np.repeat(np.arange(t.shape[0], dtype=np.int64), seg_len)
+    seg_src = np.where(inside, tok_indptr[tc], tok_hashes.shape[0])
+    entry_src = seg_src[seg_id] + (np.arange(seg_id.shape[0], dtype=np.int64) - seg_ptr[seg_id])
+    seg_vals = np.append(tok_hashes, np.uint64(pad_hash))[entry_src]
+
+    # gather each row's slice; the salt is segment number - row number + 1
+    pos = np.arange(indptr[n], dtype=np.int64) + np.repeat(seg_ptr[:n] - indptr[:-1], row_len)
+    rel = seg_id[pos] - np.repeat(np.arange(n, dtype=np.int64), row_len) + 1
+    x = seg_vals[pos]
+
+    # splitmix64 finalizer, in place (uint64 products wrap)
+    x ^= rel.astype(np.uint64) * np.uint64(_MIX_A)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX_B)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX_C)
+    x ^= x >> np.uint64(31)
+    x &= np.uint64(dim_mask)
+    return x.view(np.int64), indptr
 
 
 if _numba_enabled():

@@ -10,7 +10,7 @@ non-sentential unit.
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import labels as labels_mod
 
@@ -277,16 +277,20 @@ class Corpus:
             base += len(u.text) + 1
         return spans
 
+    def records(self) -> Iterator[str]:
+        """One JSON line per unit, as written by save()."""
+        for u in self.units:
+            rec = {
+                "text": u.text,
+                "words": list(u.words),
+                "char_offsets": [list(o) for o in u.char_offsets],
+                "is_su": u.is_su,
+            }
+            yield json.dumps(rec, ensure_ascii=False) + "\n"
+
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            for u in self.units:
-                rec = {
-                    "text": u.text,
-                    "words": list(u.words),
-                    "char_offsets": [list(o) for o in u.char_offsets],
-                    "is_su": u.is_su,
-                }
-                f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            f.writelines(self.records())
 
     @classmethod
     def load(cls, path, split: str = "train") -> "Corpus":

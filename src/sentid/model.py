@@ -50,8 +50,9 @@ class ProbMatrix:
             object.__setattr__(self, name, v)
             if v.ndim != 1 or v.shape[0] != self.p_bos.shape[0]:
                 raise ValueError(f"{name} must be a vector of length {self.p_bos.shape[0]}")
-            if v.size and (v.min() < 0.0 or v.max() > 1.0):
-                raise ValueError(f"{name} has entries outside [0, 1]")
+            # written so that NaN fails too: every comparison with NaN is false
+            if not np.all((v >= 0.0) & (v <= 1.0)):
+                raise ValueError(f"{name} has entries outside [0, 1] or not finite")
         if (self.p_bos_uni is None) != (self.p_eos_uni is None):
             raise ValueError("unidirectional vectors must come in pairs")
 
@@ -200,16 +201,27 @@ def _side_window(side: str, radius: int) -> tuple[int, int]:
     return lo * radius, hi * radius
 
 
+def _side_indices(
+    hashes: np.ndarray, tok_ptr: np.ndarray, sides: Iterable[str], cfg: ModelConfig
+) -> dict:
+    """CSR feature indices of every position, mixed once per distinct side."""
+    n = tok_ptr.shape[0] - 1
+    mask = np.uint64(cfg.hash_dim - 1)
+    out = {}
+    for side in sides:
+        if side not in out:
+            lo, hi = _side_window(side, cfg.window_radius)
+            out[side] = _kernels.window_indices(hashes, tok_ptr, n, lo, hi, mask, _PAD_HASH)
+    return out
+
+
 def position_indices(
     words: Sequence[str], side: str, cfg: ModelConfig, hasher: Optional[_TokenHasher] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR feature indices for every position of one document."""
     hasher = hasher or _TokenHasher(cfg)
     hashes, indptr = hasher.csr(words)
-    lo, hi = _side_window(side, cfg.window_radius)
-    return _kernels.window_indices(
-        hashes, indptr, len(words), lo, hi, np.uint64(cfg.hash_dim - 1), _PAD_HASH
-    )
+    return _side_indices(hashes, indptr, (side,), cfg)[side]
 
 
 def featurize(
@@ -262,17 +274,16 @@ def train(
     epochs = model_cfg.epochs if epochs is None else epochs
     model = ClassifierModel.zeros(model_cfg, seed)
     hasher = _TokenHasher(model_cfg)
-    mask = np.uint64(model_cfg.hash_dim - 1)
+    sides = [HEAD_SIDES[name] for name in model.head_names]
     for epoch in range(epochs):
         lr = model_cfg.learning_rate * model_cfg.lr_decay**epoch
         for ex in example_stream(corpus, augment_cfg, seed, epoch):
             hashes, tok_ptr = hasher.csr(ex.words)
-            n = len(ex.words)
+            rows = _side_indices(hashes, tok_ptr, sides, model_cfg)
             bos_t = ex.gold.bos_flags.astype(np.float64)
             eos_t = ex.gold.eos_flags.astype(np.float64)
             for name in model.head_names:
-                lo, hi = _side_window(HEAD_SIDES[name], model_cfg.window_radius)
-                idx, ptr = _kernels.window_indices(hashes, tok_ptr, n, lo, hi, mask, _PAD_HASH)
+                idx, ptr = rows[HEAD_SIDES[name]]
                 targets = bos_t if name.startswith("bos") else eos_t
                 _kernels.sgd_rows(model.weights[name], idx, ptr, targets, lr)
     return model
@@ -287,14 +298,12 @@ def predict(model: ClassifierModel, words: Sequence[str], include_uni: bool = Fa
         empty = np.empty(0, dtype=np.float64)
         return ProbMatrix(empty, empty, *((empty, empty) if include_uni else (None, None)))
     cfg = model.config
-    hasher = _TokenHasher(cfg)
-    hashes, tok_ptr = hasher.csr(words)
-    mask = np.uint64(cfg.hash_dim - 1)
-    scores = {}
+    hashes, tok_ptr = _TokenHasher(cfg).csr(words)
     names = HEAD_NAMES if include_uni else HEAD_NAMES[:2]
+    rows = _side_indices(hashes, tok_ptr, [HEAD_SIDES[name] for name in names], cfg)
+    scores = {}
     for name in names:
-        lo, hi = _side_window(HEAD_SIDES[name], cfg.window_radius)
-        idx, ptr = _kernels.window_indices(hashes, tok_ptr, n, lo, hi, mask, _PAD_HASH)
+        idx, ptr = rows[HEAD_SIDES[name]]
         scores[name] = _kernels.score_rows(model.weights[name], idx, ptr)
     return ProbMatrix(
         p_bos=scores["bos_bi"],

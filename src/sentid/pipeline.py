@@ -169,15 +169,17 @@ def load_config(path) -> PipelineConfig:
     return config_from_dict(data)
 
 
-def _fingerprint(corpus_path: str, cfg: PipelineConfig, seed: int) -> str:
+def _fingerprint(corpus: Corpus, cfg: PipelineConfig, seed: int) -> str:
+    """Model cache key: training corpus content, training config, seed, model version."""
     h = hashlib.sha256()
-    with open(corpus_path, "rb") as f:
-        h.update(f.read())
+    for rec in corpus.records():
+        h.update(rec.encode("utf-8"))
     key = {
         "augment": [cfg.augment.p_cc, cfg.augment.p_da, cfg.augment.p_tr, cfg.augment.max_tokens,
                     cfg.augment.punct_set, cfg.augment.end_punct_set],
         "model": cfg.model.to_dict(),
         "seed": seed,
+        "version": model_mod.MODEL_VERSION,
     }
     h.update(json.dumps(key, sort_keys=True).encode("utf-8"))
     return h.hexdigest()[:12]
@@ -236,7 +238,7 @@ def _run_seed(cfg: PipelineConfig, seed: int) -> dict:
         return _run_seed_external_probs(cfg, seed, eval_corpus)
 
     try:
-        fp = _fingerprint(cfg.paths.train_corpus, cfg, seed) if cfg.paths.train_corpus else "mem"
+        fp = _fingerprint(train_corpus, cfg, seed)
         model_path = os.path.join(out_dir, f"model_seed{seed}_{fp}.bin")
         if os.path.exists(model_path):
             model = model_mod.load_model(model_path)

@@ -93,18 +93,23 @@ class TestWindowIndicesParity:
     def test_identical_indices(self):
         rng = np.random.default_rng(32)
         mask, pad = np.uint64(2**14 - 1), np.uint64(12345)
-        for _ in range(30):
-            n_tok = int(rng.integers(1, 20))
+        windows = ((-3, 3), (0, 3), (-3, 0), (-5, 5), (0, 5), (-5, 0), (0, 0), (-1, 2))
+        for trial in range(40):
+            # n = 0 and tokens without hashes are where a flat gather can slip
+            n_tok = 0 if trial == 0 else int(rng.integers(1, 20))
             counts = rng.integers(1, 8, n_tok)
+            if trial % 2 and n_tok:
+                counts[rng.integers(0, n_tok, 2)] = 0
             indptr = np.zeros(n_tok + 1, np.int64)
             np.cumsum(counts, out=indptr[1:])
             hashes = rng.integers(0, 2**32, indptr[-1], dtype=np.uint64)
-            for lo, hi in ((-3, 3), (0, 3), (-3, 0)):
+            for lo, hi in windows:
                 # the loop twin's uint64 scalar multiplies wrap by design
                 with np.errstate(over="ignore"):
                     ref = _window_indices_impl(hashes, indptr, n_tok, lo, hi, mask, pad)
                 for fn in (_kernels.window_indices, _window_indices_numpy):
                     got = fn(hashes, indptr, n_tok, lo, hi, mask, pad)
+                    assert got[0].dtype == np.int64 and got[1].dtype == np.int64
                     assert np.array_equal(got[0], ref[0])
                     assert np.array_equal(got[1], ref[1])
 

@@ -5,7 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from sentid.augment import AugmentConfig
+from sentid import _kernels
+from sentid.augment import AugmentConfig, example_stream
 from sentid.corpus import Corpus, Unit
 from sentid.model import (
     ClassifierModel,
@@ -153,6 +154,41 @@ class TestPredict:
         assert np.array_equal(m1.p_bos, m2.p_bos) and np.array_equal(m1.p_eos, m2.p_eos)
 
 
+class TestWindowMixingOncePerSide:
+    """bos_bi and eos_bi share the "both" window, so it is mixed once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = []
+        inner = _kernels.window_indices
+
+        def counting(*args):
+            counter.append(args[3:5])  # (lo, hi)
+            return inner(*args)
+
+        monkeypatch.setattr(_kernels, "window_indices", counting)
+        return counter
+
+    def test_predict(self, calls):
+        cfg = ModelConfig(window_radius=2, hash_dim=2**12, epochs=1, include_uni=True)
+        model = ClassifierModel.zeros(cfg, seed=0)
+        words = ["a", "b", "."]
+        predict(model, words)
+        assert calls == [(-2, 2)]
+        calls.clear()
+        predict(model, words, include_uni=True)
+        assert sorted(calls) == [(-2, 0), (-2, 2), (0, 2)]
+
+    @pytest.mark.parametrize("include_uni, sides", [(False, 1), (True, 3)])
+    def test_train(self, calls, include_uni, sides):
+        cfg = ModelConfig(window_radius=2, hash_dim=2**12, epochs=2, include_uni=include_uni)
+        corpus, aug = pattern_corpus(), AugmentConfig()
+        train(corpus, aug, seed=3, model_cfg=cfg)
+        examples = sum(1 for e in range(2) for _ in example_stream(corpus, aug, 3, e))
+        assert len(calls) == sides * examples
+        assert len(set(calls)) == sides
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         model = train(pattern_corpus(), AugmentConfig(), seed=5, model_cfg=CFG)
@@ -284,3 +320,13 @@ class TestProbMatrix:
     def test_uni_pairing(self):
         with pytest.raises(ValueError):
             ProbMatrix(np.array([0.5]), np.array([0.5]), p_bos_uni=np.array([0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_rejected(self, bad, slot):
+        # NaN passes min()/max() range checks, and identify() then returned a
+        # span with a finite log_prob
+        vecs = [np.array([0.9, 0.5, 0.2]) for _ in range(4)]
+        vecs[slot][1] = bad
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            ProbMatrix(*vecs)

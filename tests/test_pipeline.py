@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from sentid import model as model_mod
 from sentid.model import ProbMatrix, write_prob_documents
 from sentid.pipeline import (
     ConfigError,
@@ -148,6 +149,49 @@ class TestRunPipeline:
         }
         aggregates = run_pipeline(config_from_dict(data))
         assert ("ext", "word") in aggregates
+
+    def test_treebank_only_cache_keyed_on_config(self, tmp_path, monkeypatch):
+        # with no train_corpus path the cache key once was the literal "mem",
+        # so a changed epochs count reloaded the old model
+        blocks = []
+        for k in range(30):
+            blocks.append(
+                f"1\tThe\t_\t_\t_\t_\t2\tdet\t_\t_\n"
+                f"2\tcat{k % 5}\t_\t_\t_\t_\t3\tnsubj\t_\t_\n"
+                f"3\tslept\t_\t_\t_\t_\t0\troot\t_\tSpaceAfter=No\n"
+                f"4\t.\t_\t_\t_\t_\t3\tpunct\t_\t_"
+            )
+            blocks.append(f"1\t{k:02d}/01\t_\t_\t_\t_\t0\troot\t_\t_")
+        treebank = tmp_path / "toy.conllu"
+        treebank.write_text("\n\n".join(blocks) + "\n")
+        data = {
+            "seeds": [0],
+            "granularities": ["word"],
+            "paths": {
+                "treebank_train": str(treebank),
+                "treebank_eval": str(treebank),
+                "output_dir": str(tmp_path / "runs"),
+            },
+            "model": {"window_radius": 2, "hash_dim": 2**12, "epochs": 1},
+            "eval": {"p_cc_values": [0.5]},
+        }
+        trained = []
+        real_train = model_mod.train
+
+        def counting_train(*args, **kwargs):
+            trained.append(kwargs["model_cfg"].epochs)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "train", counting_train)
+        run_pipeline(config_from_dict(data))
+        run_pipeline(config_from_dict(data))  # same config: cache hit
+        assert trained == [1]
+        data["model"]["epochs"] = 3
+        run_pipeline(config_from_dict(data))
+        assert trained == [1, 3]
+        models = sorted((tmp_path / "runs").glob("model_seed0_*.bin"))
+        assert len(models) == 2
+        assert sorted(model_mod.load_model(m).config.epochs for m in models) == [1, 3]
 
     def test_parallel_seeds_matches_sequential(self, tmp_path):
         data = base_config(tmp_path, seeds=[0, 1])
