@@ -16,7 +16,8 @@ from . import corpus as corpus_mod
 from . import decode as decode_mod
 from . import evaluation, model as model_mod
 from . import pipeline as pipeline_mod
-from .labels import LabelError, LabelSeq
+from .fileio import write_json
+from .labels import LabelError
 from .pipeline import ConfigError
 
 CLI_METHODS = {"eos": "eos", "eos-force": "eos_force", "bosEos": "bos_eos"}
@@ -59,10 +60,7 @@ def cmd_convert(args) -> int:
     corp = corpus_mod.convert_treebank(sents, rules, split=args.split)
     corp.save(args.output)
     if args.stats:
-        stats = corpus_mod.compute_stats(corp)
-        with open(args.stats, "w", encoding="utf-8") as f:
-            json.dump(stats.to_dict(), f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(args.stats, corpus_mod.compute_stats(corp).to_dict())
     print(f"converted {len(sents)} sentences -> {len(corp.units)} units ({args.output})")
     return 0
 
@@ -107,7 +105,7 @@ def cmd_decode(args) -> int:
     cfg = _from_flags(lambda: decode_mod.DecoderConfig(candidate_threshold=args.threshold))
     interp = _from_flags(lambda: model_mod.InterpConfig(lam=args.lam))
     if args.probs == "-":
-        docs = model_mod.iter_prob_documents(sys.stdin.read())
+        docs = model_mod.iter_prob_documents(sys.stdin)
     else:
         with open(args.probs, encoding="utf-8") as f:
             docs = model_mod.iter_prob_documents(f)
@@ -142,19 +140,6 @@ def cmd_augment(args) -> int:
     augment_mod.write_examples(args.out, examples)
     print(f"wrote {len(examples)} examples -> {args.out}")
     return 0
-
-
-def _gold_for_docs(units, results):
-    docs = pipeline_mod._align_docs_to_units(units, [r.n for r in results])
-    out = []
-    for chunk in docs:
-        parts = []
-        words = []
-        for u in chunk:
-            parts.append(("B" + "I" * (len(u.words) - 1)) if u.is_su else "O" * len(u.words))
-            words.extend(u.words)
-        out.append((LabelSeq("word", "".join(parts)), words))
-    return out
 
 
 def format_report(report: evaluation.EvalReport) -> str:
@@ -198,14 +183,13 @@ def cmd_evaluate(args) -> int:
         agg = evaluation.aggregate(reports)
         print(format_aggregate(agg))
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as f:
-                json.dump(agg.to_dict(), f, sort_keys=True, indent=2)
-                f.write("\n")
+            write_json(args.out, agg.to_dict())
         return 0
     corp = corpus_mod.Corpus.load(args.gold)
     results = decode_mod.read_span_file(args.pred)
     ev = evaluation.Evaluator(granularity=args.granularity)
-    for (gold, words), res in zip(_gold_for_docs(corp.units, results), results):
+    gold_docs = pipeline_mod.gold_documents(corp.units, [r.n for r in results])
+    for (gold, words), res in zip(gold_docs, results):
         ev.add_labels(
             evaluation.to_granularity(gold, args.granularity, words),
             evaluation.to_granularity(res.labels, args.granularity, words),
@@ -213,9 +197,7 @@ def cmd_evaluate(args) -> int:
     report = ev.report()
     print(format_report(report))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(args.out, report.to_dict())
     return 0
 
 

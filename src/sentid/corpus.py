@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import labels as labels_mod
+from .fileio import atomic_open
 
 # UD v2 relation classes; both sets are user-configurable.
 CORE_ARGUMENTS = frozenset({"nsubj", "obj", "iobj", "csubj", "ccomp", "xcomp"})
@@ -289,7 +290,7 @@ class Corpus:
             yield json.dumps(rec, ensure_ascii=False) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_open(path) as f:
             f.writelines(self.records())
 
     @classmethod
@@ -329,9 +330,10 @@ def convert_treebank(
     return Corpus(units=units, split=split)
 
 
-def gold_word_labels(corpus: Corpus) -> labels_mod.LabelSeq:
+def gold_word_labels(units: Sequence[Unit]) -> labels_mod.LabelSeq:
+    """Word labels of consecutive units: B I* over each SU unit, O* over each NSU unit."""
     parts = []
-    for u in corpus.units:
+    for u in units:
         n = len(u.words)
         parts.append(("B" + "I" * (n - 1)) if u.is_su else "O" * n)
     return labels_mod.LabelSeq("word", "".join(parts))

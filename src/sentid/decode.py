@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .fileio import atomic_open
 from .labels import LabelSeq, spans_to_labels
 
 
@@ -74,15 +75,10 @@ def clamped_logs(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flags_to_spans(bos_flags, eos_flags) -> tuple:
-    spans = []
-    start = None
-    for i in range(len(bos_flags)):
-        if bos_flags[i]:
-            start = i
-        if eos_flags[i]:
-            spans.append((start, i + 1))
-            start = None
-    return tuple(spans)
+    """Half-open spans of alternating begin/end flags, as the DP returns them."""
+    starts = np.flatnonzero(bos_flags).tolist()
+    ends = (np.flatnonzero(eos_flags) + 1).tolist()
+    return tuple(zip(starts, ends))
 
 
 def _empty_result() -> SpanResult:
@@ -203,7 +199,7 @@ def decode_document(m, method: str, cfg: DecoderConfig = DecoderConfig()) -> Spa
 
 
 def write_span_file(path, results) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for r in results:
             rec = {
                 "spans": [list(sp) for sp in r.su_spans],

@@ -11,12 +11,16 @@ Conversion rules:
   and token i+1 continues the same span (is I); otherwise O.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 GRANULARITIES = ("char", "word", "subword")
+
+_SPAN = re.compile("BI*")
+_B, _I, _O = b"BIO"
 
 
 class LabelError(ValueError):
@@ -48,23 +52,11 @@ class LabelSeq:
         return self
 
     def spans(self) -> list[tuple[int, int]]:
-        """Maximal B(I)* runs as half-open (start, end) index pairs."""
-        out = []
-        start = None
-        for i, lab in enumerate(self.labels):
-            if lab == "B":
-                if start is not None:
-                    out.append((start, i))
-                start = i
-            elif lab == "I":
-                continue
-            else:
-                if start is not None:
-                    out.append((start, i))
-                    start = None
-        if start is not None:
-            out.append((start, len(self.labels)))
-        return out
+        """Maximal B(I)* runs as half-open (start, end) index pairs.
+
+        An I that starts the sequence or follows an O belongs to no span.
+        """
+        return [m.span() for m in _SPAN.finditer(self.labels)]
 
 
 @dataclass(frozen=True)
@@ -199,19 +191,21 @@ def coarse_to_chars(
         raise LabelError("input already char-granularity")
     if len(lengths) != len(labels) or len(separators) != len(labels):
         raise LabelError("lengths/separators must match the label count")
-    out = []
-    labs = labels.labels
-    for i, lab in enumerate(labs):
-        n = lengths[i]
-        if lab == "B":
-            out.append("B" + "I" * (n - 1))
-        elif lab == "I":
-            out.append("I" * n)
-        else:
-            out.append("O" * n)
-        same_span = lab in "BI" and i + 1 < len(labs) and labs[i + 1] == "I"
-        out.append(("I" if same_span else "O") * separators[i])
-    return LabelSeq("char", "".join(out))
+    codes = np.frombuffer(labels.labels.encode("ascii"), np.uint8)
+    n = np.asarray(lengths, dtype=np.int64)
+    is_b = codes == _B
+    same_span = np.zeros(codes.shape, dtype=bool)
+    same_span[:-1] = (codes[:-1] != _O) & (codes[1:] == _I)
+    # token i is three segments: head (one B, or its own label n times), tail
+    # (n-1 I after a B, so a B of length 0 still renders as "B") and separator
+    values = np.empty((codes.shape[0], 3), dtype=np.uint8)
+    values[:, 0] = codes
+    values[:, 1] = _I
+    values[:, 2] = np.where(same_span, _I, _O)
+    sep = np.asarray(separators, dtype=np.int64)
+    counts = np.stack([np.where(is_b, 1, n), np.where(is_b, n - 1, 0), sep], axis=1)
+    chars = np.repeat(values.ravel(), np.maximum(counts, 0).ravel())
+    return LabelSeq("char", chars.tobytes().decode("ascii"))
 
 
 def write_label_file(path, docs: Sequence[LabelSeq]) -> None:

@@ -8,16 +8,19 @@ and its left context.  Externally computed probabilities can be loaded from
 tab-separated probability files instead.
 """
 
+import io
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .augment import DEFAULT_END_PUNCT, DEFAULT_PUNCT, AugmentConfig, example_stream
 from .corpus import Corpus
+from .fileio import atomic_open
 
 MODEL_FORMAT = "sentid-model"
 MODEL_VERSION = 1
@@ -322,7 +325,7 @@ def save_model(model: ClassifierModel, path) -> None:
         "seed": model.seed,
         "heads": list(model.head_names),
     }
-    with open(path, "wb") as f:
+    with atomic_open(path, binary=True) as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for name in model.head_names:
             f.write(model.weights[name].astype("<f8").tobytes())
@@ -359,7 +362,7 @@ def load_model(path) -> ClassifierModel:
 def write_prob_documents(path, docs: Iterable[tuple[Sequence[str], ProbMatrix]]) -> None:
     docs = list(docs)
     uni = bool(docs) and all(m.has_uni for _, m in docs)
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write(f"#probs v1 uni={1 if uni else 0}\n")
         for d, (tokens, m) in enumerate(docs):
             if d:
@@ -372,66 +375,119 @@ def write_prob_documents(path, docs: Iterable[tuple[Sequence[str], ProbMatrix]])
                 f.write("\t".join(row) + "\n")
 
 
-def _parse_prob_value(text: str, lineno: int, col: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise ProbFileError(f"row {lineno}: {col} is not a number: {text!r}") from None
-    if not 0.0 <= v <= 1.0:
-        raise ProbFileError(f"row {lineno}: {col}={v} outside [0, 1]")
-    return v
+_PROB_COLUMNS = ("p_bos", "p_eos", "p_bos_uni", "p_eos_uni")
 
 
-def iter_prob_documents(stream) -> list[tuple[list[str], ProbMatrix]]:
-    """Parse a probability file into (tokens, matrix) pairs."""
-    if hasattr(stream, "read"):
-        data = stream.read()
-    else:
-        data = stream
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = data.splitlines()
-    if not lines or not lines[0].startswith("#probs v1"):
-        raise ProbFileError("missing '#probs v1' header")
-    header = lines[0].split()
-    uni = False
-    for part in header[2:]:
-        if part.startswith("uni="):
-            uni = part == "uni=1"
-    ncols = 6 if uni else 4
-    docs = []
-    tokens: list[str] = []
-    cols: list[list[float]] = [[] for _ in range(ncols - 2)]
+def _line_batches(stream) -> Iterator[list[str]]:
+    """Lines of a text stream without their ends, about 64 KiB of text at a time.
 
-    def flush():
-        nonlocal tokens, cols
-        if tokens:
-            arrays = [np.array(c, dtype=np.float64) for c in cols]
-            m = ProbMatrix(arrays[0], arrays[1], *(arrays[2:] if uni else [None, None]))
-            docs.append((tokens, m))
-        tokens = []
-        cols = [[] for _ in range(ncols - 2)]
+    A line ends at "\n", "\r\n" or a lone "\r", whether or not the stream
+    translates newlines itself (``sys.stdin`` does not).  Unlike
+    ``str.splitlines()``, no other character ends a line, so a token that
+    holds a form feed or U+2028 stays inside its row.
+    """
+    while True:
+        batch = stream.readlines(1 << 16)
+        if not batch:
+            return
+        text = "".join(batch)
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        if text.endswith("\n"):
+            lines.pop()
+        yield lines
 
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            flush()
-            continue
+
+def _check_prob_rows(rows: list[str], lineno: int, ncols: int) -> None:
+    """Raise the error of the first malformed row; `lineno` is the first row's line number.
+
+    Runs only when a whole-document check failed.  It returns without error
+    when the rows are valid after all, e.g. with indices such as "01" or "+1"
+    that int() accepts.
+    """
+    for i, line in enumerate(rows):
+        row = lineno + i
         parts = line.split("\t")
         if len(parts) != ncols:
             raise ProbFileError(
-                f"row {lineno}: expected {ncols} columns (uni={int(uni)}), got {len(parts)}"
+                f"row {row}: expected {ncols} columns (uni={int(ncols == 6)}), got {len(parts)}"
             )
         try:
             idx = int(parts[0])
         except ValueError:
-            raise ProbFileError(f"row {lineno}: bad index {parts[0]!r}") from None
-        if idx != len(tokens):
-            raise ProbFileError(f"row {lineno}: index {idx}, expected {len(tokens)}")
-        tokens.append(parts[1])
-        names = ("p_bos", "p_eos", "p_bos_uni", "p_eos_uni")
-        for k in range(2, ncols):
-            cols[k - 2].append(_parse_prob_value(parts[k], lineno, names[k - 2]))
-    flush()
+            raise ProbFileError(f"row {row}: bad index {parts[0]!r}") from None
+        if idx != i:
+            raise ProbFileError(f"row {row}: index {idx}, expected {i}")
+        for name, text in zip(_PROB_COLUMNS, parts[2:]):
+            try:
+                v = float(text)
+            except ValueError:
+                raise ProbFileError(f"row {row}: {name} is not a number: {text!r}") from None
+            if not 0.0 <= v <= 1.0:
+                raise ProbFileError(f"row {row}: {name}={v} outside [0, 1]")
+
+
+def _prob_columns(fields: list[str], ncols: int, n: int) -> Optional[list[np.ndarray]]:
+    """Each probability column as a float64 array; None if a value is not a number in [0, 1]."""
+    try:
+        cols = [
+            np.fromiter(map(float, fields[k::ncols]), np.float64, count=n)
+            for k in range(2, ncols)
+        ]
+    except ValueError:
+        return None
+    # written so that NaN fails too
+    if all(((c >= 0.0) & (c <= 1.0)).all() for c in cols):
+        return cols
+    return None
+
+
+def _prob_document(rows: list[str], lineno: int, ncols: int) -> tuple[list[str], ProbMatrix]:
+    """Tokens and matrix of one document's rows, parsed a column at a time."""
+    n = len(rows)
+    fields = "\t".join(rows).split("\t")
+    well_formed = (
+        set(map(str.count, rows, repeat("\t", n))) == {ncols - 1}
+        and fields[0::ncols] == list(map(str, range(n)))
+    )
+    cols = _prob_columns(fields, ncols, n) if well_formed else None
+    if cols is None:
+        _check_prob_rows(rows, lineno, ncols)
+        cols = _prob_columns(fields, ncols, n)
+    return fields[1::ncols], ProbMatrix(*cols)
+
+
+def iter_prob_documents(stream) -> list[tuple[list[str], ProbMatrix]]:
+    """Parse a probability file (text stream, str or bytes) into (tokens, matrix) pairs.
+
+    A text stream is read line by line and only the current document's rows
+    are held.  Errors name the first malformed row in file order.
+    """
+    if not isinstance(stream, io.TextIOBase):
+        data = stream.read() if hasattr(stream, "read") else stream
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        stream = io.StringIO(data)
+    lines = chain.from_iterable(_line_batches(stream))
+    header = next(lines, "")
+    if not header.startswith("#probs v1"):
+        raise ProbFileError("missing '#probs v1' header")
+    uni = False
+    for part in header.split()[2:]:
+        if part.startswith("uni="):
+            uni = part == "uni=1"
+    ncols = 6 if uni else 4
+    docs = []
+    rows: list[str] = []
+    for lineno, line in enumerate(lines, start=2):
+        if line.strip():
+            rows.append(line)
+        elif rows:
+            docs.append(_prob_document(rows, lineno - len(rows), ncols))
+            rows = []
+    if rows:
+        docs.append(_prob_document(rows, lineno + 1 - len(rows), ncols))
     return docs
 
 

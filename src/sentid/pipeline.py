@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from . import decode as decode_mod
 from . import evaluation, model as model_mod
 from .augment import AugmentConfig, example_stream
-from .corpus import Corpus, RelationRuleSet, convert_treebank, parse_conllu_file
+from .corpus import Corpus, RelationRuleSet, convert_treebank, gold_word_labels, parse_conllu_file
 from .decode import DecoderConfig, decode_document, write_span_file
+from .fileio import write_json
 from .labels import LabelSeq, boundaries_to_bio
 from .model import InterpConfig, ModelConfig, interpolate
 
@@ -287,10 +288,10 @@ def _run_seed(cfg: PipelineConfig, seed: int) -> dict:
                     )
                 report = ev.report()
                 reports[(p_cc, gran)] = report
-                path = os.path.join(out_dir, f"report_{tag}_{gran}_{cfg.method}.json")
-                with open(path, "w", encoding="utf-8") as f:
-                    json.dump(report.to_dict(), f, sort_keys=True, indent=2)
-                    f.write("\n")
+                write_json(
+                    os.path.join(out_dir, f"report_{tag}_{gran}_{cfg.method}.json"),
+                    report.to_dict(),
+                )
         except (ValueError, OSError) as exc:
             raise PipelineError("evaluate", exc) from exc
     return reports
@@ -319,6 +320,14 @@ def _align_docs_to_units(units, doc_lengths):
     return docs
 
 
+def gold_documents(units, doc_lengths) -> list[tuple[LabelSeq, list[str]]]:
+    """Gold word labels and words of each document, aligned to consecutive units."""
+    return [
+        (gold_word_labels(chunk), [w for u in chunk for w in u.words])
+        for chunk in _align_docs_to_units(units, doc_lengths)
+    ]
+
+
 def _run_seed_external_probs(cfg: PipelineConfig, seed: int, eval_corpus: Corpus) -> dict:
     out_dir = cfg.paths.output_dir
     try:
@@ -337,27 +346,21 @@ def _run_seed_external_probs(cfg: PipelineConfig, seed: int, eval_corpus: Corpus
     except (ValueError, OSError) as exc:
         raise PipelineError("decode", exc) from exc
     try:
-        unit_docs = _align_docs_to_units(eval_corpus.units, [m.n for m in matrices])
+        gold_docs = gold_documents(eval_corpus.units, [m.n for m in matrices])
         reports = {}
         for gran in cfg.granularities:
             ev = evaluation.Evaluator(granularity=gran)
-            for chunk, res in zip(unit_docs, results):
-                gold_parts = []
-                words = []
-                for u in chunk:
-                    gold_parts.append(("B" + "I" * (len(u.words) - 1)) if u.is_su else "O" * len(u.words))
-                    words.extend(u.words)
-                gold = LabelSeq("word", "".join(gold_parts))
+            for (gold, words), res in zip(gold_docs, results):
                 ev.add_labels(
                     evaluation.to_granularity(gold, gran, words),
                     evaluation.to_granularity(res.labels, gran, words),
                 )
             report = ev.report()
             reports[("ext", gran)] = report
-            path = os.path.join(out_dir, f"report_seed{seed}_ext_{gran}_{cfg.method}.json")
-            with open(path, "w", encoding="utf-8") as f:
-                json.dump(report.to_dict(), f, sort_keys=True, indent=2)
-                f.write("\n")
+            write_json(
+                os.path.join(out_dir, f"report_seed{seed}_ext_{gran}_{cfg.method}.json"),
+                report.to_dict(),
+            )
         return reports
     except (ValueError, OSError) as exc:
         raise PipelineError("evaluate", exc) from exc
@@ -379,9 +382,7 @@ def run_pipeline(cfg: PipelineConfig, parallel_seeds: bool = False) -> dict:
         path = os.path.join(
             cfg.paths.output_dir, f"aggregate_pcc{_pcc_tag(setting)}_{gran}_{cfg.method}.json"
         )
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(agg.to_dict(), f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(path, agg.to_dict())
     return aggregates
 
 

@@ -1,3 +1,11 @@
+from hypothesis import settings
+
+# Property tests draw their examples from a fixed seed and carry no time limit,
+# so a slow or busy host neither changes which inputs run nor fails them.
+settings.register_profile("sentid", deadline=None, derandomize=True)
+settings.load_profile("sentid")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion at the end of the run."""
     outcomes = {}

@@ -4,12 +4,17 @@ Everything here is deliberately brute force: the identification oracle
 enumerates every valid flag assignment and scores it directly from the
 objective's definition, and the metric oracles recount confusion cells and
 span sets from scratch.  Nothing imports the decoding or evaluation code
-paths under test.
+paths under test.  The loop references at the end are the row- and
+character-at-a-time code that the array paths (probability reader, label
+spans, char rendering, label counts) replaced; they take only the data and
+error types from the package.
 """
 
 from functools import lru_cache
 
 import numpy as np
+
+from sentid.model import ProbFileError, ProbMatrix
 
 
 @lru_cache(maxsize=None)
@@ -115,3 +120,115 @@ def random_valid_labels(rng, n: int) -> str:
         out.append(lab)
         inside = lab != "O"
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the array code paths
+# ---------------------------------------------------------------------------
+
+
+def _parse_prob_value(text: str, lineno: int, col: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise ProbFileError(f"row {lineno}: {col} is not a number: {text!r}") from None
+    if not 0.0 <= v <= 1.0:
+        raise ProbFileError(f"row {lineno}: {col}={v} outside [0, 1]")
+    return v
+
+
+def iter_prob_documents_rows(stream):
+    """Row-by-row probability file reader: the whole input, split with splitlines()."""
+    if hasattr(stream, "read"):
+        data = stream.read()
+    else:
+        data = stream
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    lines = data.splitlines()
+    if not lines or not lines[0].startswith("#probs v1"):
+        raise ProbFileError("missing '#probs v1' header")
+    header = lines[0].split()
+    uni = False
+    for part in header[2:]:
+        if part.startswith("uni="):
+            uni = part == "uni=1"
+    ncols = 6 if uni else 4
+    docs = []
+    tokens = []
+    cols = [[] for _ in range(ncols - 2)]
+
+    def flush():
+        nonlocal tokens, cols
+        if tokens:
+            arrays = [np.array(c, dtype=np.float64) for c in cols]
+            m = ProbMatrix(arrays[0], arrays[1], *(arrays[2:] if uni else [None, None]))
+            docs.append((tokens, m))
+        tokens = []
+        cols = [[] for _ in range(ncols - 2)]
+
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            flush()
+            continue
+        parts = line.split("\t")
+        if len(parts) != ncols:
+            raise ProbFileError(
+                f"row {lineno}: expected {ncols} columns (uni={int(uni)}), got {len(parts)}"
+            )
+        try:
+            idx = int(parts[0])
+        except ValueError:
+            raise ProbFileError(f"row {lineno}: bad index {parts[0]!r}") from None
+        if idx != len(tokens):
+            raise ProbFileError(f"row {lineno}: index {idx}, expected {len(tokens)}")
+        tokens.append(parts[1])
+        names = ("p_bos", "p_eos", "p_bos_uni", "p_eos_uni")
+        for k in range(2, ncols):
+            cols[k - 2].append(_parse_prob_value(parts[k], lineno, names[k - 2]))
+    flush()
+    return docs
+
+
+def label_spans(labels: str):
+    """Maximal B(I)* runs as half-open pairs; an I after O or at the start is in none."""
+    out = []
+    start = None
+    for i, lab in enumerate(labels):
+        if lab == "B":
+            if start is not None:
+                out.append((start, i))
+            start = i
+        elif lab == "O" and start is not None:
+            out.append((start, i))
+            start = None
+    if start is not None:
+        out.append((start, len(labels)))
+    return out
+
+
+def coarse_to_chars_loop(labels: str, lengths, separators) -> str:
+    """Per-token expansion: B -> B + (n-1) I, I -> n I, O -> n O; separators by context."""
+    out = []
+    for i, lab in enumerate(labels):
+        n = lengths[i]
+        if lab == "B":
+            out.append("B" + "I" * (n - 1))
+        elif lab == "I":
+            out.append("I" * n)
+        else:
+            out.append("O" * n)
+        same_span = lab in "BI" and i + 1 < len(labels) and labels[i + 1] == "I"
+        out.append(("I" if same_span else "O") * separators[i])
+    return "".join(out)
+
+
+def label_counts(gold: str, pred: str):
+    """(gold, predicted, true-positive) cell counts per label, one position at a time."""
+    counts = tuple({lab: 0 for lab in "BIO"} for _ in range(3))
+    for g, p in zip(gold, pred):
+        counts[0][g] += 1
+        counts[1][p] += 1
+        if g == p:
+            counts[2][g] += 1
+    return counts

@@ -1,5 +1,6 @@
 """CLI subcommands end to end, including exit codes."""
 
+import io
 import json
 
 import pytest
@@ -301,6 +302,20 @@ class TestStdinAndAggregate:
         assert run("decode", "--probs", "-", "--method", "bosEos") == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["labels"] == "BI"
+
+    def test_decode_crlf_from_stdin(self, monkeypatch, capsys):
+        # sys.stdin does not translate "\r\n"; the reader streams it line by line
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO("#probs v1 uni=0\r\n0\tHi\t0.9\t0.2\r\n1\t.\t0.1\t0.9\r\n")
+        )
+        assert run("decode", "--probs", "-", "--method", "bosEos") == 0
+        assert json.loads(capsys.readouterr().out.strip())["labels"] == "BI"
+
+    def test_malformed_probs_from_stdin_is_data_error(self, monkeypatch, capsys):
+        text = "#probs v1 uni=0\n0\tHi\t0.9\t0.2\n1\t.\tnan\t0.9\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run("decode", "--probs", "-", "--method", "bosEos") == 2
+        assert capsys.readouterr().err == "data error: row 3: p_bos=nan outside [0, 1]\n"
 
     def test_aggregate_directory(self, tmp_path, capsys):
         from sentid.evaluation import bio_f1

@@ -256,4 +256,4 @@ class TestCorpusIO:
 
     def test_gold_word_labels(self):
         corp = convert_treebank(parse_conllu(THANK_YOU + FILE_METADATA))
-        assert gold_word_labels(corp).labels == "BII" + "OOOOOOO"
+        assert gold_word_labels(corp.units).labels == "BII" + "OOOOOOO"

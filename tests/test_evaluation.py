@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sentid.decode import SpanResult
 from sentid.evaluation import (
@@ -18,7 +20,7 @@ from sentid.evaluation import (
 )
 from sentid.labels import LabelSeq, spans_to_labels
 
-from oracles import naive_label_scores, naive_span_scores, random_valid_labels
+from oracles import label_counts, naive_label_scores, naive_span_scores, random_valid_labels
 
 
 def result_from_labels(labels: str) -> SpanResult:
@@ -132,6 +134,23 @@ class TestEvaluateDocument:
     def test_alignment_mismatch(self):
         with pytest.raises(EvalError):
             evaluate_document(LabelSeq("word", "BI"), result_from_labels("B"))
+
+
+class TestLabelCounts:
+    @given(st.lists(st.text("BIO", max_size=30), max_size=3), st.data())
+    def test_bincount_matches_loop(self, golds, data):
+        ev = Evaluator()
+        expected = tuple({lab: 0 for lab in "BIO"} for _ in range(3))
+        for gold in golds:
+            pred = data.draw(st.text("BIO", min_size=len(gold), max_size=len(gold)))
+            ev.add_labels(LabelSeq("word", gold), LabelSeq("word", pred))
+            for total, counts in zip(expected, label_counts(gold, pred)):
+                for lab in total:
+                    total[lab] += counts[lab]
+        assert (ev.gold_count, ev.pred_count, ev.tp) == expected
+        # reports are JSON: the counts must stay Python ints
+        counts = (ev.gold_count, ev.pred_count, ev.tp)
+        assert all(type(v) is int for d in counts for v in d.values())
 
 
 class TestPooling:

@@ -1,0 +1,104 @@
+"""Atomic artifact writes: a failed write leaves the previous file and no temporary."""
+
+import os
+
+import numpy as np
+import pytest
+
+from sentid.decode import SpanResult, read_span_file, write_span_file
+from sentid.fileio import atomic_open, write_json
+from sentid.labels import LabelSeq
+from sentid.model import (
+    ClassifierModel,
+    ModelConfig,
+    ProbMatrix,
+    iter_prob_documents,
+    load_model,
+    save_model,
+    write_prob_documents,
+)
+
+
+def one_result():
+    return SpanResult(su_spans=((0, 2),), log_prob=-0.5, labels=LabelSeq("word", "BIO"))
+
+
+class TestAtomicOpen:
+    def test_replaces_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with atomic_open(path) as f:
+            f.write("new")
+        assert path.read_text() == "new"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_binary(self, tmp_path):
+        path = tmp_path / "out.bin"
+        with atomic_open(path, binary=True) as f:
+            f.write(b"\x00\xff")
+        assert path.read_bytes() == b"\x00\xff"
+
+    def test_failure_midway_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as f:
+                f.write("partial")
+                raise RuntimeError("crash")
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_missing_directory_names_target(self, tmp_path):
+        path = tmp_path / "absent" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            with atomic_open(path):
+                pass
+        assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
+
+
+class TestArtifactWriters:
+    def test_span_file_failure_midway(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        write_span_file(path, [one_result()])
+        before = path.read_bytes()
+
+        def results():
+            yield one_result()
+            raise RuntimeError("decoder crashed")
+
+        with pytest.raises(RuntimeError):
+            write_span_file(path, results())
+        assert path.read_bytes() == before
+        assert len(read_span_file(path)) == 1
+        assert os.listdir(tmp_path) == ["spans.jsonl"]
+
+    def test_report_failure_midway(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json(path, {"a": 1})
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 2, "b": object()})
+        assert path.read_text() == '{\n  "a": 1\n}\n'
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_prob_file_failure_midway(self, tmp_path):
+        path = tmp_path / "probs.tsv"
+        m = ProbMatrix(np.array([0.5]), np.array([0.25]))
+        write_prob_documents(path, [(["a"], m)])
+        with pytest.raises(IndexError):
+            # two-token matrix, one token: fails on the second row
+            two = ProbMatrix(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+            write_prob_documents(path, [(["a"], two)])
+        with open(path, encoding="utf-8") as f:
+            assert [toks for toks, _ in iter_prob_documents(f)] == [["a"]]
+        assert os.listdir(tmp_path) == ["probs.tsv"]
+
+    def test_model_failure_midway(self, tmp_path):
+        # a failed save used to leave a truncated model that every later
+        # pipeline run found in its cache and failed to load
+        path = tmp_path / "model.bin"
+        cfg = ModelConfig(hash_dim=2**4)
+        save_model(ClassifierModel.zeros(cfg, seed=1), path)
+        with pytest.raises(KeyError):
+            save_model(ClassifierModel(config=cfg, seed=2), path)  # header written, no weights
+        assert load_model(path).seed == 1
+        assert os.listdir(tmp_path) == ["model.bin"]

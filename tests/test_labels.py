@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sentid.corpus import Corpus, Unit, gold_char_labels
 from sentid.labels import (
@@ -17,7 +19,7 @@ from sentid.labels import (
     write_label_file,
 )
 
-from oracles import random_valid_labels
+from oracles import coarse_to_chars_loop, label_spans, random_valid_labels
 
 
 class TestLabelSeq:
@@ -67,6 +69,41 @@ class TestGoldCharLabels:
                 for _ in range(rng.integers(1, 8))
             ]
             gold_char_labels(Corpus(units)).validate()
+
+
+class TestArrayPathsMatchLoops:
+    """The regex spans and the np.repeat char rendering against their loop references."""
+
+    @given(st.text("BIO", max_size=40))
+    @example("")
+    @example("IIB")  # leading I: in no span
+    @example("BOIIB")  # I after O: in no span
+    @example("BBIOB")
+    def test_spans(self, labels):
+        assert LabelSeq("word", labels).spans() == label_spans(labels)
+
+    @given(st.data())
+    def test_coarse_to_chars(self, data):
+        labels = data.draw(st.text("BIO", max_size=12))
+        k = len(labels)
+        lengths = data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+        seps = data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=k, max_size=k))
+        out = coarse_to_chars(LabelSeq("word", labels), lengths, seps)
+        assert out.labels == coarse_to_chars_loop(labels, lengths, seps)
+
+    @pytest.mark.parametrize(
+        "labels, lengths, seps, expected",
+        [
+            ("", [], [], ""),
+            ("B", [0], [0], "B"),  # a zero-length B token still renders as B
+            ("BIB", [0, 0, 3], [2, 2, 0], "BIIOOBII"),
+            ("IOI", [2, 0, 1], [2, 0, 2], "IIOOIOO"),  # leading I, I after O
+            ("OBO", [1, 2, 0], [0, 2, 2], "OBIOOOO"),
+        ],
+    )
+    def test_coarse_to_chars_edges(self, labels, lengths, seps, expected):
+        assert coarse_to_chars_loop(labels, lengths, seps) == expected
+        assert coarse_to_chars(LabelSeq("word", labels), lengths, seps).labels == expected
 
 
 class TestGranularityConversion:

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentid import _kernels
 from sentid.augment import AugmentConfig, example_stream
@@ -24,6 +26,8 @@ from sentid.model import (
     train,
     write_prob_documents,
 )
+
+from oracles import iter_prob_documents_rows
 
 CFG = ModelConfig(window_radius=2, hash_dim=2**12, epochs=2)
 
@@ -294,6 +298,13 @@ class TestProbFiles:
         with pytest.raises(ProbFileError, match="columns"):
             load_probs(io.StringIO(text))
 
+    def test_ragged_rows_that_balance_rejected(self):
+        # 3 + 5 fields: the flat field list has two rows' worth, and the
+        # shifted index column still reads 0, 1
+        text = "#probs v1 uni=0\n0\t1\t0.5\n0.5\t1\t0.5\t0.5\t0.5\n"
+        with pytest.raises(ProbFileError, match=r"^row 2: expected 4 columns \(uni=0\), got 3$"):
+            load_probs(io.StringIO(text))
+
     def test_empty_after_header(self):
         m = load_probs(io.StringIO("#probs v1 uni=0\n"))
         assert m.n == 0
@@ -306,6 +317,104 @@ class TestProbFiles:
         text = "#probs v1 uni=0\n0\tx\t0.5\t0.5\n\n0\ty\t0.5\t0.5\n"
         with pytest.raises(ProbFileError, match="one document"):
             load_probs(io.StringIO(text))
+
+    # str.splitlines() also breaks lines at these; a token holding one used
+    # to split its row and fail with "expected 4 columns"
+    @pytest.mark.parametrize("sep", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_unicode_line_separators_in_tokens_round_trip(self, tmp_path, sep):
+        tokens = [f"a{sep}b", sep, f"x{sep}"]
+        m = ProbMatrix(np.array([0.5, 0.25, 1.0]), np.array([0.125, 0.0, 0.75]))
+        path = tmp_path / "probs.tsv"
+        y = ProbMatrix(np.array([0.5]), np.array([0.5]))
+        write_prob_documents(path, [(tokens, m), (["y"], y)])
+        with open(path, encoding="utf-8") as f:
+            loaded = iter_prob_documents(f)
+        assert [toks for toks, _ in loaded] == [tokens, ["y"]]
+        assert np.array_equal(loaded[0][1].p_eos, m.p_eos)
+        assert [toks for toks, _ in iter_prob_documents(path.read_bytes())] == [tokens, ["y"]]
+
+
+# Characters other than \n and \r at which str.splitlines() breaks lines; the
+# row reference splits there, the reader does not (see the round-trip test).
+_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_PROB_TEXT = st.characters(codec="utf-8", exclude_characters=_SPLITLINES_ONLY)
+_GOOD_VALUES = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from(["0", "1", "-0.0", "1e-3", "0.5 ", " 0.25", "1_0e-1", "+.5", "1.0000"]),
+)
+_BAD_VALUES = st.one_of(
+    st.sampled_from(
+        ["nan", "-nan", "inf", "-inf", "1e400", "1_0", "", " ", "x", "1.5", "-0.1", "0x1"]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(_PROB_TEXT, max_size=3),
+)
+
+
+@st.composite
+def prob_file_texts(draw):
+    """Probability file text, mostly well formed, with the malformations the reader must name."""
+
+    def rare(bad, good):
+        # one draw in 40 is malformed, so about half of the files parse
+        return draw(bad if draw(st.integers(0, 39)) == 0 else good)
+
+    header, ncols = rare(
+        st.sampled_from([("#probs v2 uni=0", 4), ("probs v1", 4), ("", 4), (" #probs v1", 4)]),
+        st.sampled_from([
+            ("#probs v1 uni=0", 4), ("#probs v1 uni=1", 6), ("#probs v1", 4),
+            ("#probs v1 uni=1 uni=0", 4), ("#probs v1x  uni=1", 6), ("#probs v1 uni=2", 4),
+        ]),
+    )
+    lines = [header]
+    for d in range(draw(st.integers(0, 3))):
+        blank = st.sampled_from(["", " ", "\t", " \t ", "\u3000"])
+        lines += draw(st.lists(blank, min_size=int(d > 0), max_size=2))
+        for i in range(draw(st.integers(1, 4))):
+            index = rare(
+                st.sampled_from([f"0{i}", f"+{i}", f" {i}", f"{i} ", str(i + 1), "x", ""]),
+                st.just(str(i)),
+            )
+            token = draw(st.text(_PROB_TEXT, min_size=1, max_size=4))
+            width = rare(st.sampled_from([1, 3, 4, 5, 6, 7]), st.just(ncols))
+            values = [rare(_BAD_VALUES, _GOOD_VALUES) for _ in range(max(width - 2, 0))]
+            lines.append("\t".join([index, token, *values][:width]))
+    lines += draw(st.lists(st.sampled_from(["", " "]), max_size=2))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(read, source):
+    """What a reader makes of `source`: its error, or every document bit for bit."""
+    try:
+        docs = read(source)
+    except ProbFileError as exc:
+        return ("error", str(exc))
+    return [
+        (tokens, [None if v is None else (v.dtype.str, v.tobytes())
+                  for v in (m.p_bos, m.p_eos, m.p_bos_uni, m.p_eos_uni)])
+        for tokens, m in docs
+    ]
+
+
+class TestProbReaderMatchesRowReader:
+    @pytest.fixture(scope="class")
+    def scratch_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("probs") / "probs.tsv"
+
+    @settings(max_examples=400)
+    @given(text=prob_file_texts())
+    def test_same_documents_or_same_error(self, text, scratch_file):
+        expected = _outcome(iter_prob_documents_rows, text)
+        scratch_file.write_bytes(text.encode("utf-8"))
+        with open(scratch_file, encoding="utf-8") as f:
+            assert _outcome(iter_prob_documents, f) == expected
+        assert _outcome(iter_prob_documents, text) == expected
+        assert _outcome(iter_prob_documents, text.encode("utf-8")) == expected
+        # io.StringIO, like sys.stdin, leaves "\r\n" and lone "\r" untranslated
+        assert _outcome(iter_prob_documents, io.StringIO(text)) == expected
+        assert _outcome(iter_prob_documents, io.BytesIO(text.encode("utf-8"))) == expected
 
 
 class TestProbMatrix:
