@@ -6,7 +6,6 @@ pipeline: treebank conversion, label algebra, a trainable probability
 model, data augmentation, and evaluation.
 """
 
-from ._kernels import using_numba
 from .augment import AugmentConfig, TrainingExample, concat_units, sample_length, truncate_edges
 from .corpus import (
     Corpus,
@@ -25,10 +24,9 @@ from .decode import (
     SpanResult,
     decode_document,
     identify,
-    identify_segments,
     segment_eos_only,
 )
-from .evaluation import AggregateReport, EvalReport, aggregate, bio_f1, evaluate_document, span_f1
+from .evaluation import AggregateReport, EvalReport, aggregate, bio_f1, evaluate_documents, span_f1
 from .labels import (
     BoundarySeq,
     LabelSeq,

@@ -1,15 +1,9 @@
 """Numeric hot loops: span DP, sparse logistic SGD, and feature-index mixing.
 
-Each kernel has a plain implementation and, when numba is importable, an
-@njit-compiled twin.  The module-level names (``dp_decode``, ``sgd_rows``,
-``score_rows``, ``window_indices``) are bound to the compiled versions unless
-the environment variable ``SENTID_NO_NUMBA=1`` selects the fallback path.
-Integer results (feature indices, backpointers) are identical on both paths;
-float results can differ in the last ulps where the fallback uses numpy's
-pairwise summation instead of a sequential loop.
+Each kernel is one plain numpy function.  The DP and SGD are sequential by
+nature and stay loops (SGD over rows, with a vectorised update per row);
+scoring and window mixing are whole-array operations.
 """
-
-import os
 
 import numpy as np
 
@@ -19,10 +13,6 @@ NEG_INF = -np.inf
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
 _MIX_C = 0x94D049BB133111EB
-
-
-def _numba_enabled() -> bool:
-    return os.environ.get("SENTID_NO_NUMBA", "0").lower() not in ("1", "true", "yes")
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +26,7 @@ def _numba_enabled() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _dp_decode_impl(lb1, lb0, le1, le0, bos_ok, eos_ok):
+def dp_decode(lb1, lb0, le1, le0, bos_ok, eos_ok):
     n = lb1.shape[0]
     log_is = np.empty(n + 1, np.float64)
     log_os = np.empty(n + 1, np.float64)
@@ -111,32 +101,8 @@ def _sigmoid_scalar(z):
     return e / (1.0 + e)
 
 
-def _sgd_rows_impl(w, indices, indptr, targets, lr):
+def sgd_rows(w, indices, indptr, targets, lr):
     # w[-1] is the bias slot; updates are applied row by row, in order.
-    nrows = indptr.shape[0] - 1
-    for r in range(nrows):
-        z = w[-1]
-        for k in range(indptr[r], indptr[r + 1]):
-            z += w[indices[k]]
-        p = _sigmoid_scalar(z)
-        g = lr * (targets[r] - p)
-        for k in range(indptr[r], indptr[r + 1]):
-            w[indices[k]] += g
-        w[-1] += g
-
-
-def _score_rows_impl(w, indices, indptr):
-    nrows = indptr.shape[0] - 1
-    out = np.empty(nrows, np.float64)
-    for r in range(nrows):
-        z = w[-1]
-        for k in range(indptr[r], indptr[r + 1]):
-            z += w[indices[k]]
-        out[r] = _sigmoid_scalar(z)
-    return out
-
-
-def _sgd_rows_numpy(w, indices, indptr, targets, lr):
     nrows = indptr.shape[0] - 1
     for r in range(nrows):
         idx = indices[indptr[r] : indptr[r + 1]]
@@ -147,7 +113,7 @@ def _sgd_rows_numpy(w, indices, indptr, targets, lr):
         w[-1] += g
 
 
-def _score_rows_numpy(w, indices, indptr):
+def score_rows(w, indices, indptr):
     if indices.shape[0] == 0:
         z = np.full(indptr.shape[0] - 1, w[-1])
     else:
@@ -168,48 +134,7 @@ def _score_rows_numpy(w, indices, indptr):
 # ---------------------------------------------------------------------------
 
 
-def _window_indices_impl(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash):
-    counts = np.empty(n, np.int64)
-    for i in range(n):
-        c = 0
-        for t in range(i + lo, i + hi + 1):
-            if t < 0 or t >= n:
-                c += 1
-            else:
-                c += tok_indptr[t + 1] - tok_indptr[t]
-        counts[i] = c
-    indptr = np.zeros(n + 1, np.int64)
-    for i in range(n):
-        indptr[i + 1] = indptr[i] + counts[i]
-    indices = np.empty(indptr[n], np.int64)
-    pos = 0
-    for i in range(n):
-        for t in range(i + lo, i + hi + 1):
-            rel = np.uint64(t - i - lo + 1)
-            salt = rel * np.uint64(_MIX_A)
-            if t < 0 or t >= n:
-                x = pad_hash ^ salt
-                x ^= x >> np.uint64(30)
-                x *= np.uint64(_MIX_B)
-                x ^= x >> np.uint64(27)
-                x *= np.uint64(_MIX_C)
-                x ^= x >> np.uint64(31)
-                indices[pos] = np.int64(x & dim_mask)
-                pos += 1
-            else:
-                for k in range(tok_indptr[t], tok_indptr[t + 1]):
-                    x = tok_hashes[k] ^ salt
-                    x ^= x >> np.uint64(30)
-                    x *= np.uint64(_MIX_B)
-                    x ^= x >> np.uint64(27)
-                    x *= np.uint64(_MIX_C)
-                    x ^= x >> np.uint64(31)
-                    indices[pos] = np.int64(x & dim_mask)
-                    pos += 1
-    return indices, indptr
-
-
-def _window_indices_numpy(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash):
+def window_indices(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash):
     if n == 0:
         return np.empty(0, np.int64), np.zeros(1, np.int64)
     # Segment s covers position t = lo + s (s = 0 .. n-1+hi-lo): one pad entry
@@ -246,32 +171,3 @@ def _window_indices_numpy(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash)
     x ^= x >> np.uint64(31)
     x &= np.uint64(dim_mask)
     return x.view(np.int64), indptr
-
-
-if _numba_enabled():
-    try:
-        import numba
-
-        dp_decode = numba.njit(cache=True)(_dp_decode_impl)
-        _sigmoid_scalar = numba.njit(cache=True, inline="always")(_sigmoid_scalar)
-        sgd_rows = numba.njit(cache=True)(_sgd_rows_impl)
-        score_rows = numba.njit(cache=True)(_score_rows_impl)
-        window_indices = numba.njit(cache=True)(_window_indices_impl)
-        USING_NUMBA = True
-    except ImportError:
-        dp_decode = _dp_decode_impl
-        sgd_rows = _sgd_rows_numpy
-        score_rows = _score_rows_numpy
-        window_indices = _window_indices_numpy
-        USING_NUMBA = False
-else:
-    dp_decode = _dp_decode_impl
-    sgd_rows = _sgd_rows_numpy
-    score_rows = _score_rows_numpy
-    window_indices = _window_indices_numpy
-    USING_NUMBA = False
-
-
-def using_numba() -> bool:
-    """True when the jitted kernel path is active."""
-    return USING_NUMBA

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import Corpus, Unit
+from .fileio import atomic_open
 from .labels import BoundarySeq
 
 # sample_length result when p_cc == 0: concatenate to the maximum.
@@ -35,7 +36,6 @@ class AugmentConfig:
     max_tokens: int = 512
     punct_set: str = DEFAULT_PUNCT
     end_punct_set: str = DEFAULT_END_PUNCT
-    rng_seed: int = 0
 
     def __post_init__(self):
         for name in ("p_cc", "p_da", "p_tr"):
@@ -304,7 +304,7 @@ def generate_examples(corpus: Corpus, cfg: AugmentConfig, seed: int, count: int,
 
 
 def write_examples(path, examples) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for ex in examples:
             rec = {
                 "words": list(ex.words),

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal error.
 """
 
 import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -119,20 +120,14 @@ def cmd_decode(args) -> int:
         decode_mod.write_span_file(args.out, results)
     else:
         for r in results:
-            rec = {
-                "spans": [list(sp) for sp in r.su_spans],
-                "labels": r.labels.labels,
-                "log_prob": r.log_prob,
-            }
-            print(json.dumps(rec))
+            print(decode_mod.span_record(r))
     return 0
 
 
 def cmd_augment(args) -> int:
     cfg = _from_flags(
         lambda: augment_mod.AugmentConfig(
-            p_cc=args.pcc, p_da=args.pda, p_tr=args.ptr,
-            max_tokens=args.max_tokens, rng_seed=args.seed,
+            p_cc=args.pcc, p_da=args.pda, p_tr=args.ptr, max_tokens=args.max_tokens
         )
     )
     corp = corpus_mod.Corpus.load(args.corpus)
@@ -187,14 +182,11 @@ def cmd_evaluate(args) -> int:
         return 0
     corp = corpus_mod.Corpus.load(args.gold)
     results = decode_mod.read_span_file(args.pred)
-    ev = evaluation.Evaluator(granularity=args.granularity)
     gold_docs = pipeline_mod.gold_documents(corp.units, [r.n for r in results])
-    for (gold, words), res in zip(gold_docs, results):
-        ev.add_labels(
-            evaluation.to_granularity(gold, args.granularity, words),
-            evaluation.to_granularity(res.labels, args.granularity, words),
-        )
-    report = ev.report()
+    report = evaluation.evaluate_documents(
+        [(gold, res.labels, words) for (gold, words), res in zip(gold_docs, results)],
+        args.granularity,
+    )
     print(format_report(report))
     if args.out:
         write_json(args.out, report.to_dict())
@@ -203,26 +195,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg = pipeline_mod.load_config(args.config)
-    if args.output_dir or args.seed is not None:
-        cfg = pipeline_mod.PipelineConfig(
-            seeds=(args.seed,) if args.seed is not None else cfg.seeds,
-            method=cfg.method,
-            granularities=cfg.granularities,
-            paths=pipeline_mod.PipelinePaths(
-                train_corpus=cfg.paths.train_corpus,
-                eval_corpus=cfg.paths.eval_corpus,
-                treebank_train=cfg.paths.treebank_train,
-                treebank_eval=cfg.paths.treebank_eval,
-                probs=cfg.paths.probs,
-                output_dir=args.output_dir or cfg.paths.output_dir,
-            ),
-            rules=cfg.rules,
-            augment=cfg.augment,
-            model=cfg.model,
-            interp=cfg.interp,
-            decoder=cfg.decoder,
-            eval_p_cc=cfg.eval_p_cc,
-        )
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
+    if args.output_dir:
+        paths = dataclasses.replace(cfg.paths, output_dir=args.output_dir)
+        cfg = dataclasses.replace(cfg, paths=paths)
     aggregates = pipeline_mod.run_pipeline(cfg, parallel_seeds=args.parallel_seeds)
     for (setting, gran), agg in aggregates.items():
         print(f"== p_cc={setting} {gran}-level ({cfg.method}) ==")

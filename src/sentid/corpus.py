@@ -168,7 +168,7 @@ def parse_conllu(data) -> list[ConlluSentence]:
     mwts = []  # (start, end, form, space_after, lineno)
     first_line = None
     for lineno, line in enumerate(io.StringIO(data), start=1):
-        line = line.rstrip("\n")
+        line = line.removesuffix("\n").removesuffix("\r")  # LF or CRLF
         if not line.strip():
             sent = _finish_sentence(rows, mwts, first_line)
             if sent is not None:
@@ -234,11 +234,19 @@ class Unit:
         return len(self.words)
 
     def validate(self) -> "Unit":
+        if type(self.text) is not str:
+            raise ValueError("text must be a string")
+        if type(self.is_su) is not bool:
+            raise ValueError(f"is_su must be true or false, got {self.is_su!r}")
         if len(self.words) != len(self.char_offsets):
             raise ValueError("words and char_offsets must align")
         prev_end = 0
+        n_chars = len(self.text)
         for w, (s, e) in zip(self.words, self.char_offsets):
-            if not (prev_end <= s <= e <= len(self.text)):
+            # exact types: a bool is not an offset
+            if type(w) is not str or type(s) is not int or type(e) is not int:
+                raise ValueError(f"word {w!r} at ({s!r}, {e!r}): expected a string and two ints")
+            if not (prev_end <= s <= e <= n_chars):
                 raise ValueError(f"offset ({s}, {e}) not monotone within text")
             prev_end = e
         return self
@@ -302,13 +310,15 @@ class Corpus:
                     continue
                 try:
                     rec = json.loads(line)
+                    if type(rec["words"]) is not list or type(rec["char_offsets"]) is not list:
+                        raise ValueError("words and char_offsets must be lists")
                     unit = Unit(
                         text=rec["text"],
                         words=tuple(rec["words"]),
-                        is_su=bool(rec["is_su"]),
+                        is_su=rec["is_su"],
                         char_offsets=tuple(tuple(o) for o in rec["char_offsets"]),
                     ).validate()
-                except (KeyError, ValueError, TypeError) as exc:
+                except (KeyError, ValueError, TypeError, RecursionError) as exc:  # deep JSON nesting
                     raise ValueError(f"{path}: bad corpus record on line {lineno}: {exc}") from exc
                 units.append(unit)
         return cls(units=units, split=split)

@@ -53,16 +53,13 @@ class SpanResult:
     su_spans: tuple
     log_prob: float
     labels: LabelSeq
-    offset: int = 0  # document position of token 0, set by identify_segments
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def validate(self) -> "SpanResult":
-        rendered = spans_to_labels(
-            self.n, [(s - self.offset, e - self.offset) for s, e in self.su_spans]
-        )
+        rendered = spans_to_labels(self.n, self.su_spans)
         if rendered.labels != self.labels.labels:
             raise ValueError("labels do not render su_spans")
         return self
@@ -141,33 +138,6 @@ def dp_state(m, cfg: DecoderConfig = DecoderConfig()) -> DPState:
     return DPState(log_is=log_is, log_os=log_os, bos_flags=bos, eos_flags=eos)
 
 
-def identify_segments(segments, cfg: DecoderConfig = DecoderConfig()) -> list[SpanResult]:
-    """Identify each pre-segmented piece; spans in document coordinates."""
-    out = []
-    offset = 0
-    for m in segments:
-        r = identify(m, cfg)
-        out.append(
-            SpanResult(
-                su_spans=tuple((s + offset, e + offset) for s, e in r.su_spans),
-                log_prob=r.log_prob,
-                labels=r.labels,
-                offset=offset,
-            )
-        )
-        offset += m.n
-    return out
-
-
-def merge_segment_results(results) -> SpanResult:
-    """Concatenate per-segment results into one document-level result."""
-    spans = tuple(sp for r in results for sp in r.su_spans)
-    labels = LabelSeq("word", "".join(r.labels.labels for r in results))
-    return SpanResult(
-        su_spans=spans, log_prob=float(sum(r.log_prob for r in results)), labels=labels
-    )
-
-
 def nsu_log_score(m, start: int, end: int, eps: float = 1e-12, initial: float = 0.0) -> float:
     """Log-score of tokens [start, end) carrying no begin/end flag.
 
@@ -198,15 +168,20 @@ def decode_document(m, method: str, cfg: DecoderConfig = DecoderConfig()) -> Spa
     raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
+def span_record(r: SpanResult) -> str:
+    """One span-file line, without its newline."""
+    rec = {
+        "spans": [list(sp) for sp in r.su_spans],
+        "labels": r.labels.labels,
+        "log_prob": r.log_prob,
+    }
+    return json.dumps(rec)
+
+
 def write_span_file(path, results) -> None:
     with atomic_open(path) as f:
         for r in results:
-            rec = {
-                "spans": [list(sp) for sp in r.su_spans],
-                "labels": r.labels.labels,
-                "log_prob": r.log_prob,
-            }
-            f.write(json.dumps(rec) + "\n")
+            f.write(span_record(r) + "\n")
 
 
 def read_span_file(path) -> list[SpanResult]:
@@ -222,7 +197,8 @@ def read_span_file(path) -> list[SpanResult]:
                     log_prob=float(rec["log_prob"]),
                     labels=LabelSeq("word", rec["labels"]),
                 ).validate()
-            except (KeyError, ValueError, TypeError) as exc:
+            # OverflowError: float() of a huge integer; RecursionError: deeply nested JSON
+            except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{path}: bad span record on line {lineno}: {exc}") from exc
             out.append(r)
     return out

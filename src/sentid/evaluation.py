@@ -192,31 +192,15 @@ def to_granularity(labels: LabelSeq, granularity: str, words) -> LabelSeq:
     return coarse_to_chars(labels, lengths, separators)
 
 
-def evaluate_document(gold: LabelSeq, pred, granularity: str = "word", words=None) -> EvalReport:
-    """Score one decoded document against its gold word labels."""
+def evaluate_documents(docs, granularity: str = "word") -> EvalReport:
+    """Pooled report over (gold word labels, predicted word labels, words) documents."""
     ev = Evaluator(granularity=granularity)
-    ev.add_labels(
-        to_granularity(gold, granularity, words),
-        to_granularity(pred.labels, granularity, words),
-    )
+    for gold, pred, words in docs:
+        ev.add_labels(
+            to_granularity(gold, granularity, words),
+            to_granularity(pred, granularity, words),
+        )
     return ev.report()
-
-
-def relabel_fragmented_spans(gold: LabelSeq, boundaries) -> LabelSeq:
-    """Mark gold spans crossed by any segment boundary as outside.
-
-    Upstream segmentation that cuts through a gold span leaves fragments
-    that are no longer sentential; their tokens are relabeled O before
-    scoring.  `boundaries` holds cut positions (a span (s, e) is fragmented
-    when some boundary b satisfies s < b < e).
-    """
-    cuts = sorted(set(boundaries))
-    labs = list(gold.labels)
-    for s, e in gold.spans():
-        if any(s < b < e for b in cuts):
-            for i in range(s, e):
-                labs[i] = "O"
-    return LabelSeq(gold.granularity, "".join(labs))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """BIO label sequences and their conversions.
 
-Labels live at one of three granularities (char, word, subword) and can be
+Labels live at one of two granularities (char, word) and can be
 translated both between granularities and to/from begin/end boundary flags.
 Conversion rules:
 
@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-GRANULARITIES = ("char", "word", "subword")
+GRANULARITIES = ("char", "word")
 
 _SPAN = re.compile("BI*")
 _B, _I, _O = b"BIO"
@@ -206,27 +206,3 @@ def coarse_to_chars(
     counts = np.stack([np.where(is_b, 1, n), np.where(is_b, n - 1, 0), sep], axis=1)
     chars = np.repeat(values.ravel(), np.maximum(counts, 0).ravel())
     return LabelSeq("char", chars.tobytes().decode("ascii"))
-
-
-def write_label_file(path, docs: Sequence[LabelSeq]) -> None:
-    """One line per document, space-separated labels, granularity header."""
-    if docs:
-        grans = {d.granularity for d in docs}
-        if len(grans) > 1:
-            raise LabelError(f"mixed granularities {sorted(grans)}")
-        gran = docs[0].granularity
-    else:
-        gran = "word"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#granularity={gran}\n")
-        for d in docs:
-            f.write(" ".join(d.labels) + "\n")
-
-
-def read_label_file(path) -> list[LabelSeq]:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if not header.startswith("#granularity="):
-            raise LabelError("missing #granularity= header")
-        gran = header.split("=", 1)[1]
-        return [LabelSeq(gran, "".join(line.split())) for line in f]

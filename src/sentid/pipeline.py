@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from . import decode as decode_mod
 from . import evaluation, model as model_mod
@@ -74,26 +74,17 @@ class PipelineConfig:
                 raise ConfigError(f"eval.p_cc_values: {p} not in [0, 1]")
 
 
+# top-level keys; a section's keys are the fields of its config dataclass
 _SECTION_KEYS = {
     "version": None,
     "seeds": None,
     "method": None,
     "granularities": None,
-    "paths": {"train_corpus", "eval_corpus", "treebank_train", "treebank_eval", "probs", "output_dir"},
-    "rules": {"core_arguments", "noncore_dependents"},
-    "augment": {"p_cc", "p_da", "p_tr", "max_tokens", "punct_set", "end_punct_set", "rng_seed"},
-    "model": {
-        "window_radius",
-        "ngram_orders",
-        "hash_dim",
-        "max_word_chars",
-        "epochs",
-        "learning_rate",
-        "lr_decay",
-        "include_uni",
+    **{
+        f.name: {g.name for g in fields(f.default)}
+        for f in fields(PipelineConfig)
+        if is_dataclass(f.default)
     },
-    "interp": {"lam"},
-    "decoder": {"candidate_threshold", "force_last_eos", "prob_floor"},
     "eval": {"p_cc_values"},
 }
 
@@ -278,15 +269,12 @@ def _run_seed(cfg: PipelineConfig, seed: int) -> dict:
             raise PipelineError("decode", exc) from exc
 
         try:
+            scored = [
+                (boundaries_to_bio(ex.gold), res.labels, ex.words)
+                for ex, res in zip(docs, results)
+            ]
             for gran in cfg.granularities:
-                ev = evaluation.Evaluator(granularity=gran)
-                for ex, res in zip(docs, results):
-                    gold = boundaries_to_bio(ex.gold)
-                    ev.add_labels(
-                        evaluation.to_granularity(gold, gran, ex.words),
-                        evaluation.to_granularity(res.labels, gran, ex.words),
-                    )
-                report = ev.report()
+                report = evaluation.evaluate_documents(scored, gran)
                 reports[(p_cc, gran)] = report
                 write_json(
                     os.path.join(out_dir, f"report_{tag}_{gran}_{cfg.method}.json"),
@@ -347,15 +335,10 @@ def _run_seed_external_probs(cfg: PipelineConfig, seed: int, eval_corpus: Corpus
         raise PipelineError("decode", exc) from exc
     try:
         gold_docs = gold_documents(eval_corpus.units, [m.n for m in matrices])
+        scored = [(gold, res.labels, words) for (gold, words), res in zip(gold_docs, results)]
         reports = {}
         for gran in cfg.granularities:
-            ev = evaluation.Evaluator(granularity=gran)
-            for (gold, words), res in zip(gold_docs, results):
-                ev.add_labels(
-                    evaluation.to_granularity(gold, gran, words),
-                    evaluation.to_granularity(res.labels, gran, words),
-                )
-            report = ev.report()
+            report = evaluation.evaluate_documents(scored, gran)
             reports[("ext", gran)] = report
             write_json(
                 os.path.join(out_dir, f"report_seed{seed}_ext_{gran}_{cfg.method}.json"),

@@ -5,11 +5,12 @@ enumerates every valid flag assignment and scores it directly from the
 objective's definition, and the metric oracles recount confusion cells and
 span sets from scratch.  Nothing imports the decoding or evaluation code
 paths under test.  The loop references at the end are the row- and
-character-at-a-time code that the array paths (probability reader, label
-spans, char rendering, label counts) replaced; they take only the data and
-error types from the package.
+character-at-a-time code that the array paths (kernels, probability reader,
+label spans, char rendering, label counts) replaced; they take only the data
+and error types from the package.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -232,3 +233,106 @@ def label_counts(gold: str, pred: str):
         if g == p:
             counts[2][g] += 1
     return counts
+
+
+def span_dp(lb1, lb0, le1, le0, bos_ok, eos_ok):
+    """(objective, begin flags, end flags) by an explicit search over span ends.
+
+    best[i] is the best score of tokens [0, i).  Token i-1 either lies outside
+    every span, or closes a span [b, i) that opens at some candidate b.  A
+    candidate position adds its zero-flag term unless flagged; a skipped one
+    adds nothing, as if its flag had probability 0.
+    """
+    n = len(lb1)
+    base0 = [(lb0[i] if bos_ok[i] else 0.0) + (le0[i] if eos_ok[i] else 0.0) for i in range(n)]
+    best = [0.0] * (n + 1)
+    back = [None] * (n + 1)
+    for i in range(1, n + 1):
+        best[i] = best[i - 1] + base0[i - 1]
+        if not eos_ok[i - 1]:
+            continue
+        for b in range(i):
+            if not bos_ok[b]:
+                continue
+            inner = sum(base0[b + 1 : i - 1])
+            if b == i - 1:
+                span = lb1[b] + le1[b]
+            else:
+                span = lb1[b] + (le0[b] if eos_ok[b] else 0.0) + inner
+                span += (lb0[i - 1] if bos_ok[i - 1] else 0.0) + le1[i - 1]
+            if best[b] + span > best[i]:
+                best[i] = best[b] + span
+                back[i] = b
+    bos = np.zeros(n, np.uint8)
+    eos = np.zeros(n, np.uint8)
+    i = n
+    while i > 0:
+        if back[i] is None:
+            i -= 1
+        else:
+            bos[back[i]] = 1
+            eos[i - 1] = 1
+            i = back[i]
+    return best[n], bos, eos
+
+
+def _sigmoid(z: float) -> float:
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def sgd_rows_loop(w, indices, indptr, targets, lr):
+    """One logistic SGD step per row, in order; w[-1] is the bias slot."""
+    for r in range(len(indptr) - 1):
+        z = w[-1]
+        for k in range(indptr[r], indptr[r + 1]):
+            z += w[indices[k]]
+        g = lr * (targets[r] - _sigmoid(z))
+        for k in range(indptr[r], indptr[r + 1]):
+            w[indices[k]] += g
+        w[-1] += g
+
+
+def score_rows_loop(w, indices, indptr):
+    """Sigmoid of bias plus the row's weights, row by row."""
+    out = np.empty(len(indptr) - 1, np.float64)
+    for r in range(len(out)):
+        z = w[-1]
+        for k in range(indptr[r], indptr[r + 1]):
+            z += w[indices[k]]
+        out[r] = _sigmoid(z)
+    return out
+
+
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64(x: int) -> int:
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def window_indices_loop(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash):
+    """Feature indices of every window position, one position and hash at a time.
+
+    Position t of row i contributes each of its tokens' hashes (or the pad hash
+    outside [0, n)), salted with (t - i - lo + 1) times the golden-ratio constant.
+    """
+    indices = []
+    indptr = [0]
+    for i in range(n):
+        for t in range(i + lo, i + hi + 1):
+            salt = ((t - i - lo + 1) * 0x9E3779B97F4A7C15) & _MASK64
+            if 0 <= t < n:
+                hashes = tok_hashes[tok_indptr[t] : tok_indptr[t + 1]]
+            else:
+                hashes = [pad_hash]
+            for h in hashes:
+                indices.append(_splitmix64(int(h) ^ salt) & int(dim_mask))
+        indptr.append(len(indices))
+    return np.array(indices, np.int64), np.array(indptr, np.int64)

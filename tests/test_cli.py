@@ -127,6 +127,21 @@ class TestTrainPredictDecodeEvaluate:
         assert char_data["granularity"] == "char" and char_data["macro_f1"] == 1.0
         assert char_data["labels"]["B"]["support"] == data["labels"]["B"]["support"]
 
+    @pytest.mark.parametrize(
+        "field, value", [("words", [12]), ("is_su", "false"), ("char_offsets", [[0, 2.0]])]
+    )
+    def test_evaluate_malformed_gold_record_is_data_error(self, tmp_path, capsys, field, value):
+        # "words": [12] used to crash char rendering (exit 3)
+        rec = {"text": "ab", "words": ["ab"], "char_offsets": [[0, 2]], "is_su": True}
+        corpus = tmp_path / "gold.jsonl"
+        corpus.write_text(json.dumps({**rec, field: value}) + "\n")
+        spans = tmp_path / "pred.jsonl"
+        spans.write_text(json.dumps({"spans": [[0, 1]], "labels": "B", "log_prob": 0.0}) + "\n")
+        assert run(
+            "evaluate", "--gold", str(corpus), "--pred", str(spans), "--granularity", "char"
+        ) == 2
+        assert "bad corpus record on line 1" in capsys.readouterr().err
+
     def test_evaluate_alignment_error(self, tmp_path):
         corpus = tmp_path / "gold.jsonl"
         synthetic_corpus(4, seed=3).save(corpus)
@@ -261,6 +276,8 @@ class TestPipelineCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "n=1" in out  # single run aggregated
+        reports = sorted(p.name for p in (tmp_path / "runs").glob("report_*.json"))
+        assert reports == ["report_seed5_pcc0_5_word_bos_eos.json"]
 
 
 class TestExitCodes:

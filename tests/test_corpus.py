@@ -1,10 +1,18 @@
 """Treebank parsing, SU/NSU classification, conversion, and statistics."""
 
+import json
+import os
+import tempfile
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sentid.corpus import (
     Corpus,
+    ConlluError,
     ConlluParseError,
+    ConlluSentence,
     ConlluStructureError,
     CorpusStats,
     RelationRuleSet,
@@ -131,6 +139,90 @@ class TestParseConllu:
         sents = parse_conllu(block(tok(1, "café", 0, "root")).encode("utf-8"))
         assert sents[0].raw_text == "café"
 
+    def test_crlf_line_endings_match_lf(self):
+        # MISC is the last column: with CRLF it used to keep the "\r", so
+        # SpaceAfter=No went unseen and the text became "Hello !"
+        text = block(tok(1, "Hello", 0, "root", "SpaceAfter=No"), tok(2, "!", 1, "punct"))
+        lf = parse_conllu(text)
+        crlf = parse_conllu(text.replace("\n", "\r\n"))
+        assert crlf == lf
+        assert crlf[0].raw_text == "Hello!"
+        assert crlf[0].char_offsets == ((0, 5), (5, 6))
+
+
+# CoNLL-U-shaped text: sentence blocks with numbered tokens, mostly valid
+# heads, MISC values and multiword ranges, mixed with rows of any shape
+_FIELD = st.text(st.characters(blacklist_characters="\t\n\r"), max_size=4)
+_MISC = st.one_of(
+    st.sampled_from(["_", "SpaceAfter=No", "Foo=1|SpaceAfter=No", "SpaceAfter=Yes"]), _FIELD
+)
+_ODD_ID = st.sampled_from(["0", "9", "1.1", "-", "1-", "3-1", "1-9", "1-2-3", "x", ""])
+
+
+def _row(tok_id, form, head, misc):
+    return "\t".join([tok_id, form, "_", "_", "_", "_", head, "nsubj", "_", misc])
+
+
+@st.composite
+def _sentence_block(draw):
+    n = draw(st.integers(1, 4))
+    root = draw(st.integers(1, n))
+    rows = []
+    for i in range(1, n + 1):
+        head = str(0 if i == root else draw(st.integers(1, n)))
+        if draw(st.integers(0, 9)) == 0:
+            head = draw(st.one_of(st.integers(-1, 7).map(str), _FIELD))
+        tok_id = str(i) if draw(st.integers(0, 9)) else draw(_ODD_ID)
+        rows.append(_row(tok_id, draw(_FIELD), head, draw(_MISC)))
+    if draw(st.booleans()):
+        start = draw(st.integers(1, n))
+        end = draw(st.integers(start, n))
+        rows.insert(start - 1, _row(f"{start}-{end}", draw(_FIELD), "_", draw(_MISC)))
+    if draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), _row("1.1", "x", "_", "_"))
+    return rows
+
+
+_OTHER_LINES = st.lists(
+    st.one_of(
+        st.just(""),
+        _FIELD.map(lambda s: "# " + s),
+        st.lists(_FIELD, max_size=12).map("\t".join),
+        st.builds(_row, _ODD_ID, _FIELD, _FIELD, _MISC),
+    ),
+    max_size=3,
+)
+_CONLLU_TEXT = st.builds(
+    lambda blocks, end: "\n\n".join("\n".join(b) for b in blocks) + end,
+    st.lists(st.one_of(_sentence_block(), _sentence_block(), _OTHER_LINES), max_size=4),
+    st.sampled_from(["", "\n", "\n\n"]),
+)
+
+
+def _parse_outcome(data):
+    try:
+        return parse_conllu(data)
+    except ConlluError as exc:
+        return type(exc), str(exc)
+
+
+class TestParseConlluFuzz:
+    @given(_CONLLU_TEXT)
+    def test_parses_or_raises_conllu_error(self, text):
+        out = _parse_outcome(text)
+        if isinstance(out, list):
+            assert all(isinstance(s, ConlluSentence) for s in out)
+            for s in out:
+                assert len(s.tokens) == len(s.deprels) == len(s.char_offsets)
+
+    @given(_CONLLU_TEXT)
+    def test_crlf_same_as_lf(self, text):
+        assert _parse_outcome(text.replace("\n", "\r\n")) == _parse_outcome(text)
+
+    @given(st.text(max_size=60))
+    def test_arbitrary_text(self, text):
+        _parse_outcome(text)
+
 
 class TestClassifyUnit:
     def parse_one(self, text):
@@ -245,6 +337,28 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match="line 1"):
             Corpus.load(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("text", 5),
+            ("words", [12]),
+            ("words", "ab"),
+            ("char_offsets", [[0, 1.0]]),
+            ("char_offsets", [[0, True]]),
+            ("char_offsets", [[0, 1, 2]]),
+            ("char_offsets", "ab"),
+            ("is_su", "false"),
+            ("is_su", 1),
+        ],
+    )
+    def test_wrong_field_type_rejected(self, tmp_path, field, value):
+        # "false" used to load as True, and [12] as a word without a length
+        rec = {"text": "ab", "words": ["ab"], "char_offsets": [[0, 2]], "is_su": False}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, field: value}) + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            Corpus.load(path)
+
     def test_word_spans_match_words(self):
         corp = convert_treebank(parse_conllu(THANK_YOU + HOVER))
         text = corp.full_text()
@@ -257,3 +371,58 @@ class TestCorpusIO:
     def test_gold_word_labels(self):
         corp = convert_treebank(parse_conllu(THANK_YOU + FILE_METADATA))
         assert gold_word_labels(corp.units).labels == "BII" + "OOOOOOO"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_UNIT_FIELDS = ("text", "words", "char_offsets", "is_su")
+
+
+def _unit_record(text, n_words, is_su):
+    words = text.split()[:n_words]
+    offsets, cursor = [], 0
+    for w in words:
+        start = text.index(w, cursor)
+        offsets.append([start, start + len(w)])
+        cursor = start + len(w)
+    return {"text": text, "words": words, "char_offsets": offsets, "is_su": is_su}
+
+
+_CORPUS_LINE = st.one_of(
+    st.builds(_unit_record, st.text("ab .", max_size=8), st.integers(0, 4), st.booleans()).map(json.dumps),
+    # a well-formed record with one field replaced or dropped
+    st.builds(
+        lambda rec, field, value, drop: json.dumps(
+            {k: v for k, v in {**rec, field: value}.items() if not (drop and k == field)}
+        ),
+        st.builds(_unit_record, st.text("ab .", max_size=8), st.integers(0, 4), st.booleans()),
+        st.sampled_from(_UNIT_FIELDS),
+        _JSON,
+        st.booleans(),
+    ),
+    _JSON.map(json.dumps),
+    st.text(max_size=12).filter(lambda s: "\n" not in s and "\r" not in s),
+)
+
+
+class TestCorpusLoadFuzz:
+    @given(st.lists(_CORPUS_LINE, max_size=5))
+    @example(['{"text": "ab", "words": [12], "char_offsets": [[0, 2]], "is_su": true}'])
+    @example(["[" * 100_000])
+    def test_loads_or_raises_value_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus.jsonl")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write("\n".join(lines) + "\n")
+            try:
+                corp = Corpus.load(path)
+            except ValueError:
+                return
+            # what loads is well-typed and saves back to the same units
+            for u in corp.units:
+                assert isinstance(u.is_su, bool) and all(isinstance(w, str) for w in u.words)
+            corp.save(path)
+            assert Corpus.load(path).units == corp.units

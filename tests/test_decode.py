@@ -1,21 +1,25 @@
 """Decoder tests: frozen examples, oracle equivalence, structural invariants."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sentid.decode import (
     DecoderConfig,
     decode_document,
     dp_state,
     identify,
-    identify_segments,
-    merge_segment_results,
     nsu_log_score,
     read_span_file,
     segment_eos_only,
     write_span_file,
 )
-from sentid.labels import bio_to_boundaries
+from sentid.labels import LabelSeq, bio_to_boundaries
 from sentid.model import ProbMatrix
 
 from oracles import brute_force_identify, score_labeling
@@ -199,36 +203,6 @@ class TestNsuScore:
             )
 
 
-class TestSegments:
-    def test_two_clean_segments(self):
-        seg = mat([0.95, 0.05, 0.05], [0.05, 0.05, 0.95])
-        results = identify_segments([seg, seg], C0)
-        assert results[0].su_spans == ((0, 3),)
-        assert results[1].su_spans == ((3, 6),)
-        assert results[1].offset == 3
-
-    def test_low_probability_segment_yields_nothing(self):
-        quiet = mat([0.01] * 2, [0.01] * 2)
-        loud = mat([0.9], [0.9])
-        results = identify_segments([quiet, loud], C0)
-        assert results[0].su_spans == ()
-        assert results[1].su_spans == ((2, 3),)
-
-    def test_concatenation_property(self):
-        rng = np.random.default_rng(108)
-        parts = [random_matrix(rng, int(rng.integers(1, 8))) for _ in range(4)]
-        results = identify_segments(parts, C0)
-        offset = 0
-        for m, r in zip(parts, results):
-            solo = identify(m, C0)
-            assert r.su_spans == tuple((s + offset, e + offset) for s, e in solo.su_spans)
-            assert r.log_prob == solo.log_prob
-            offset += m.n
-        merged = merge_segment_results(results)
-        assert merged.n == sum(m.n for m in parts)
-        merged.validate()
-
-
 class TestMethodsAndIO:
     def test_decode_document_dispatch(self):
         m = mat([0.9, 0.1], [0.1, 0.9])
@@ -249,8 +223,69 @@ class TestMethodsAndIO:
             assert a.labels.labels == b.labels.labels
             assert a.log_prob == b.log_prob
 
+    def test_huge_integer_log_prob_rejected(self, tmp_path):
+        # float() of a 400-digit integer overflows instead of failing to parse
+        path = tmp_path / "spans.jsonl"
+        path.write_text('{"spans": [], "labels": "O", "log_prob": ' + "9" * 400 + "}\n")
+        with pytest.raises(ValueError, match="line 1"):
+            read_span_file(path)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DecoderConfig(candidate_threshold=1.0)
         with pytest.raises(ValueError):
             DecoderConfig(prob_floor=0.0)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text("BIO", max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_LABELS = st.text("BIO", max_size=6)
+_SPAN_RECORD = st.fixed_dictionaries(
+    {
+        "spans": st.one_of(
+            st.lists(st.lists(st.integers(-1, 7), min_size=2, max_size=2), max_size=3), _JSON
+        ),
+        "labels": st.one_of(_LABELS, _LABELS.map(list), _JSON),
+        "log_prob": st.one_of(
+            st.floats(), st.integers(), st.just(10**400), st.text("0.5e-", max_size=4), _JSON
+        ),
+    }
+)
+
+
+def _valid_record(labels):
+    spans = [list(sp) for sp in LabelSeq("word", labels).spans()]
+    return {"spans": spans, "labels": labels, "log_prob": -1.5}
+
+
+_SPAN_LINE = st.one_of(
+    _LABELS.filter(lambda s: not s.startswith("I")).map(_valid_record).map(json.dumps),
+    _SPAN_RECORD.map(json.dumps),
+    _SPAN_RECORD.flatmap(
+        lambda rec: st.sampled_from(sorted(rec)).map(
+            lambda k: json.dumps({f: v for f, v in rec.items() if f != k})
+        )
+    ),
+    _JSON.map(json.dumps),
+    st.text(max_size=12).filter(lambda s: "\n" not in s and "\r" not in s),
+)
+
+
+class TestReadSpanFileFuzz:
+    @given(st.lists(_SPAN_LINE, max_size=4))
+    @example(['{"spans": [], "labels": "O", "log_prob": ' + "9" * 400 + "}"])
+    @example(["[" * 100_000])
+    def test_reads_or_raises_value_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spans.jsonl")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write("\n".join(lines) + "\n")
+            try:
+                results = read_span_file(path)
+            except ValueError:
+                return
+            for r in results:
+                assert r.validate() is r

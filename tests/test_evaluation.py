@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sentid.decode import SpanResult
 from sentid.evaluation import (
     AggregateReport,
     EvalError,
@@ -13,19 +12,17 @@ from sentid.evaluation import (
     EvalReport,
     aggregate,
     bio_f1,
-    evaluate_document,
-    relabel_fragmented_spans,
+    evaluate_documents,
     span_f1,
     to_granularity,
 )
-from sentid.labels import LabelSeq, spans_to_labels
+from sentid.labels import LabelSeq
 
 from oracles import label_counts, naive_label_scores, naive_span_scores, random_valid_labels
 
 
-def result_from_labels(labels: str) -> SpanResult:
-    seq = LabelSeq("word", labels)
-    return SpanResult(su_spans=tuple(seq.spans()), log_prob=0.0, labels=seq)
+def one_document(gold: str, pred: str, words=None) -> list:
+    return [(LabelSeq("word", gold), LabelSeq("word", pred), words)]
 
 
 class TestBioF1:
@@ -102,24 +99,20 @@ class TestSpanF1:
 
 class TestEvaluateDocument:
     def test_perfect_prediction(self):
-        gold = LabelSeq("word", "BIOBI")
-        r = evaluate_document(gold, result_from_labels("BIOBI"))
+        r = evaluate_documents(one_document("BIOBI", "BIOBI"))
         assert r.macro_f1 == 1.0 and r.span_f1 == 1.0
 
     def test_force_last_o_contribution_zero(self):
-        gold = LabelSeq("word", "BIOO")
-        r = evaluate_document(gold, result_from_labels("BIBI"))
+        r = evaluate_documents(one_document("BIOO", "BIBI"))
         assert r.per_label["O"].f1 == 0.0
 
     def test_all_o_prediction_zero_span_recall(self):
-        gold = LabelSeq("word", "BIBI")
-        r = evaluate_document(gold, result_from_labels("OOOO"))
+        r = evaluate_documents(one_document("BIBI", "OOOO"))
         assert r.span_recall == 0.0
 
     def test_char_granularity(self):
-        gold = LabelSeq("word", "BIO")
         words = ["Hi", "yo", "**"]
-        r = evaluate_document(gold, result_from_labels("BIO"), granularity="char", words=words)
+        r = evaluate_documents(one_document("BIO", "BIO", words), granularity="char")
         assert r.granularity == "char"
         assert r.macro_f1 == 1.0
         # chars: Hi -> B I, in-span sep -> I, yo -> I I, edge sep -> O, ** -> O O
@@ -129,11 +122,11 @@ class TestEvaluateDocument:
 
     def test_char_needs_words(self):
         with pytest.raises(EvalError):
-            evaluate_document(LabelSeq("word", "B"), result_from_labels("B"), granularity="char")
+            evaluate_documents(one_document("B", "B"), granularity="char")
 
     def test_alignment_mismatch(self):
         with pytest.raises(EvalError):
-            evaluate_document(LabelSeq("word", "BI"), result_from_labels("B"))
+            evaluate_documents(one_document("BI", "B"))
 
 
 class TestLabelCounts:
@@ -179,18 +172,6 @@ class TestPooling:
         r = ev.report()
         assert r.per_label["B"].support == 2
         assert r.per_label["B"].predicted == 5
-
-
-class TestRelabelFragments:
-    def test_crossed_span_becomes_outside(self):
-        gold = spans_to_labels(6, [(0, 4), (4, 6)])
-        fixed = relabel_fragmented_spans(gold, [2])
-        assert fixed.labels == "OOOO" + "BI"
-
-    def test_boundary_at_span_edge_keeps_span(self):
-        gold = spans_to_labels(6, [(0, 4), (4, 6)])
-        fixed = relabel_fragmented_spans(gold, [4])
-        assert fixed.labels == gold.labels
 
 
 class TestAggregate:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from sentid.augment import AugmentConfig, generate_examples, write_examples
 from sentid.decode import SpanResult, read_span_file, write_span_file
 from sentid.fileio import atomic_open, write_json
 from sentid.labels import LabelSeq
@@ -17,6 +18,8 @@ from sentid.model import (
     save_model,
     write_prob_documents,
 )
+
+from synth import synthetic_corpus
 
 
 def one_result():
@@ -102,3 +105,18 @@ class TestArtifactWriters:
             save_model(ClassifierModel(config=cfg, seed=2), path)  # header written, no weights
         assert load_model(path).seed == 1
         assert os.listdir(tmp_path) == ["model.bin"]
+
+    def test_examples_failure_midway(self, tmp_path):
+        path = tmp_path / "examples.jsonl"
+        examples = generate_examples(synthetic_corpus(20, seed=3), AugmentConfig(), seed=1, count=3)
+        write_examples(path, examples)
+        before = path.read_bytes()
+
+        def crashing():
+            yield examples[0]
+            raise RuntimeError("augmentation crashed")
+
+        with pytest.raises(RuntimeError):
+            write_examples(path, crashing())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["examples.jsonl"]

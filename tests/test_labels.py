@@ -14,9 +14,7 @@ from sentid.labels import (
     boundaries_to_bio,
     chars_to_coarse,
     coarse_to_chars,
-    read_label_file,
     spans_to_labels,
-    write_label_file,
 )
 
 from oracles import coarse_to_chars_loop, label_spans, random_valid_labels
@@ -147,13 +145,6 @@ class TestGranularityConversion:
             back = chars_to_coarse(chars, spans)
             assert back.labels == labs.labels
 
-    def test_subword_granularity_supported(self):
-        chars = LabelSeq("char", "BIIIO")
-        sub = chars_to_coarse(chars, [(0, 2), (2, 4), (4, 5)], granularity="subword")
-        assert sub.granularity == "subword" and sub.labels == "BIO"
-        back = coarse_to_chars(sub, [2, 2, 1], [0, 0, 0])
-        assert back.labels == "BIIIO"
-
     def test_b_count_preserved(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -205,23 +196,3 @@ class TestSpansToLabels:
     def test_range_check(self):
         with pytest.raises(LabelError):
             spans_to_labels(3, [(1, 4)])
-
-
-class TestLabelFiles:
-    def test_round_trip(self, tmp_path):
-        docs = [LabelSeq("word", "BIO"), LabelSeq("word", "B")]
-        path = tmp_path / "labels.txt"
-        write_label_file(path, docs)
-        loaded = read_label_file(path)
-        assert [d.labels for d in loaded] == ["BIO", "B"]
-        assert all(d.granularity == "word" for d in loaded)
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("B I O\n")
-        with pytest.raises(LabelError):
-            read_label_file(path)
-
-    def test_mixed_granularity_rejected(self, tmp_path):
-        with pytest.raises(LabelError):
-            write_label_file(tmp_path / "x.txt", [LabelSeq("word", "B"), LabelSeq("char", "B")])

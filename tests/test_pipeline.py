@@ -58,6 +58,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="decoder.thresold"):
             config_from_dict({"seeds": [1], "decoder": {"thresold": 0.1}})
 
+    def test_section_keys_are_dataclass_fields(self):
+        cfg = config_from_dict(
+            {"seeds": [1], "paths": {"probs": "p.tsv"}, "augment": {"end_punct_set": "."}}
+        )
+        assert cfg.paths.probs == "p.tsv" and cfg.augment.end_punct_set == "."
+        # rng_seed was accepted and read nowhere
+        with pytest.raises(ConfigError, match="augment.rng_seed"):
+            config_from_dict({"seeds": [1], "augment": {"rng_seed": 3}})
+
     def test_seeds_required(self):
         with pytest.raises(ConfigError, match="seeds"):
             config_from_dict({})
