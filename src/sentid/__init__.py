@@ -15,7 +15,6 @@ from .corpus import (
     classify_unit,
     compute_stats,
     convert_treebank,
-    gold_char_labels,
     gold_word_labels,
     parse_conllu,
 )
@@ -40,9 +39,7 @@ from .model import (
     InterpConfig,
     ModelConfig,
     ProbMatrix,
-    featurize,
     interpolate,
-    load_probs,
     predict,
     train,
 )

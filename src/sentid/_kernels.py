@@ -19,19 +19,16 @@ _MIX_C = 0x94D049BB133111EB
 # Span identification DP (forward recursion + backtracking).
 #
 # State per position boundary i: best log-probability of a partial labeling
-# of tokens [0, i) that ends inside an open span (log_is) or outside
-# (log_os).  Each token first passes a begin-flag update, then an end-flag
+# of tokens [0, i) that ends inside an open span (cur_is) or outside
+# (cur_os).  Each token first passes a begin-flag update, then an end-flag
 # update.  Skipped positions (candidate masks 0) leave the state untouched,
 # which is exactly equivalent to pinning that flag's probability to 0.
 # ---------------------------------------------------------------------------
 
 
 def dp_decode(lb1, lb0, le1, le0, bos_ok, eos_ok):
+    """(best objective, begin flags, end flags) of the argmax labeling."""
     n = lb1.shape[0]
-    log_is = np.empty(n + 1, np.float64)
-    log_os = np.empty(n + 1, np.float64)
-    log_is[0] = NEG_INF
-    log_os[0] = 0.0
     # bp_bos[i]: open-state at i was reached by opening a span at i
     # bp_eos[i]: outside-state at i+1 was reached by closing a span at i
     bp_bos = np.zeros(n, np.uint8)
@@ -63,8 +60,6 @@ def dp_decode(lb1, lb0, le1, le0, bos_ok, eos_ok):
         else:
             cur_is = is_p
             cur_os = os_p
-        log_is[i + 1] = cur_is
-        log_os[i + 1] = cur_os
 
     bos_flags = np.zeros(n, np.uint8)
     eos_flags = np.zeros(n, np.uint8)
@@ -86,7 +81,7 @@ def dp_decode(lb1, lb0, le1, le0, bos_ok, eos_ok):
                 inside = True
         else:
             inside = False
-    return log_os[n], bos_flags, eos_flags, log_is, log_os
+    return cur_os, bos_flags, eos_flags
 
 
 # ---------------------------------------------------------------------------

@@ -130,16 +130,15 @@ def _apply_transform(unit: Unit, name: str, cfg: AugmentConfig) -> Unit:
     return _rebuild_unit(words, gaps, unit.is_su)
 
 
-def _augment_unit_tracked(unit, cfg, rng):
+def augment_unit(unit: Unit, cfg: AugmentConfig, rng: np.random.Generator) -> tuple:
+    """With probability p_da apply one uniformly chosen transform.
+
+    Returns (unit, transform name), the name None when the unit is unchanged.
+    """
     if rng.random() >= cfg.p_da:
         return unit, None
     name = TRANSFORMS[int(rng.integers(0, len(TRANSFORMS)))]
     return _apply_transform(unit, name, cfg), name
-
-
-def augment_unit(unit: Unit, cfg: AugmentConfig, rng: np.random.Generator) -> Unit:
-    """With probability p_da apply one uniformly chosen transform."""
-    return _augment_unit_tracked(unit, cfg, rng)[0]
 
 
 def _assemble(units, unit_indices, transforms, cfg: AugmentConfig) -> TrainingExample:
@@ -275,7 +274,7 @@ def example_stream(corpus: Corpus, cfg: AugmentConfig, seed: int, epoch: int = 0
         window = units[cursor:stop]
         transforms = None
         if augment:
-            pairs = [_augment_unit_tracked(u, cfg, rng) for u in window]
+            pairs = [augment_unit(u, cfg, rng) for u in window]
             window = [p[0] for p in pairs]
             transforms = [p[1] for p in pairs]
         example = _assemble(window, list(range(cursor, stop)), transforms, cfg)

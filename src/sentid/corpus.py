@@ -9,7 +9,7 @@ non-sentential unit.
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 from . import labels as labels_mod
@@ -39,6 +39,15 @@ class RelationRuleSet:
     core_arguments: frozenset = CORE_ARGUMENTS
     noncore_dependents: frozenset = NONCORE_DEPENDENTS
 
+    def __post_init__(self):
+        for f in fields(self):
+            rels = getattr(self, f.name)
+            # a bare string is not a list: frozenset() would split it into letters
+            is_set = isinstance(rels, (list, tuple, set, frozenset))
+            if not is_set or any(type(r) is not str for r in rels):
+                raise ValueError(f"{f.name} must be a list of relation names, got {rels!r}")
+            object.__setattr__(self, f.name, frozenset(rels))
+
     @property
     def sentential_relations(self) -> frozenset:
         return self.core_arguments | self.noncore_dependents
@@ -46,14 +55,16 @@ class RelationRuleSet:
     @classmethod
     def from_file(cls, path) -> "RelationRuleSet":
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-        unknown = set(data) - {"core_arguments", "noncore_dependents"}
+            try:
+                data = json.load(f)
+            except RecursionError as exc:  # JSON nested too deeply for the parser
+                raise ConlluError(f"{path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConlluError(f"{path}: rules must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConlluError(f"unknown rule keys: {sorted(unknown)}")
-        return cls(
-            core_arguments=frozenset(data.get("core_arguments", CORE_ARGUMENTS)),
-            noncore_dependents=frozenset(data.get("noncore_dependents", NONCORE_DEPENDENTS)),
-        )
+        return cls(**data)
 
 
 DEFAULT_RULES = RelationRuleSet()
@@ -251,18 +262,6 @@ class Unit:
             prev_end = e
         return self
 
-    @classmethod
-    def from_words(cls, words: Sequence[str], is_su: bool) -> "Unit":
-        """Build a unit from bare words, joined by single spaces."""
-        offsets = []
-        cursor = 0
-        for w in words:
-            offsets.append((cursor, cursor + len(w)))
-            cursor += len(w) + 1
-        return cls(
-            text=" ".join(words), words=tuple(words), is_su=is_su, char_offsets=tuple(offsets)
-        )
-
 
 @dataclass
 class Corpus:
@@ -271,20 +270,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.units)
-
-    def full_text(self) -> str:
-        """All units joined by single separator spaces."""
-        return " ".join(u.text for u in self.units)
-
-    def word_spans(self) -> list[tuple[int, int]]:
-        """Char span of every word within full_text(), unit by unit."""
-        spans = []
-        base = 0
-        for u in self.units:
-            for s, e in u.char_offsets:
-                spans.append((base + s, base + e))
-            base += len(u.text) + 1
-        return spans
 
     def records(self) -> Iterator[str]:
         """One JSON line per unit, as written by save()."""
@@ -347,22 +332,6 @@ def gold_word_labels(units: Sequence[Unit]) -> labels_mod.LabelSeq:
         n = len(u.words)
         parts.append(("B" + "I" * (n - 1)) if u.is_su else "O" * n)
     return labels_mod.LabelSeq("word", "".join(parts))
-
-
-def gold_char_labels(corpus: Corpus) -> labels_mod.LabelSeq:
-    """Character labels over full_text(): each SU unit is one B(I)* span.
-
-    Separator characters between units are outside every unit, hence O;
-    characters inside an SU unit (including its internal spacing) are part
-    of the span.
-    """
-    parts = []
-    for i, u in enumerate(corpus.units):
-        n = len(u.text)
-        parts.append(("B" + "I" * (n - 1)) if u.is_su else "O" * n)
-        if i + 1 < len(corpus.units):
-            parts.append("O")
-    return labels_mod.LabelSeq("char", "".join(parts))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .labels import LabelSeq, spans_to_labels
 @dataclass(frozen=True)
 class DecoderConfig:
     candidate_threshold: float = 0.1
-    force_last_eos: bool = False
     prob_floor: float = 1e-12
 
     def __post_init__(self):
@@ -36,16 +35,6 @@ class DecoderConfig:
             raise ValueError(f"candidate_threshold {self.candidate_threshold} not in [0, 1)")
         if not 0.0 < self.prob_floor < 0.5:
             raise ValueError(f"prob_floor {self.prob_floor} not in (0, 0.5)")
-
-
-@dataclass(frozen=True)
-class DPState:
-    """Forward accumulators (length n+1) plus the backtracked flags."""
-
-    log_is: np.ndarray
-    log_os: np.ndarray
-    bos_flags: np.ndarray
-    eos_flags: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,11 +71,13 @@ def _empty_result() -> SpanResult:
     return SpanResult(su_spans=(), log_prob=0.0, labels=LabelSeq("word", ""))
 
 
-def segment_eos_only(m, cfg: DecoderConfig = DecoderConfig()) -> SpanResult:
+def segment_eos_only(
+    m, force_last: bool = False, cfg: DecoderConfig = DecoderConfig()
+) -> SpanResult:
     """Closed-form segmentation: end flags exactly where p_eos >= 0.5.
 
     Segments are the maximal runs ending at each end flag.  Without
-    force_last_eos, tokens after the last end flag form no span (labeled O);
+    force_last, tokens after the last end flag form no span (labeled O);
     with it, the final token is an end flag and every token lies in a span.
     log_prob is the segmentation objective: sum of log p_eos over chosen
     flags plus log(1-p_eos) elsewhere.
@@ -96,7 +87,7 @@ def segment_eos_only(m, cfg: DecoderConfig = DecoderConfig()) -> SpanResult:
     if n == 0:
         return _empty_result()
     eos = p_eos >= 0.5
-    if cfg.force_last_eos:
+    if force_last:
         eos[n - 1] = True
     le1, le0 = clamped_logs(p_eos, cfg.prob_floor)
     log_prob = float(np.where(eos, le1, le0).sum())
@@ -125,17 +116,11 @@ def identify(m, cfg: DecoderConfig = DecoderConfig()) -> SpanResult:
     """Argmax span extraction over begin/end flag assignments."""
     if m.n == 0:
         return _empty_result()
-    logp, bos, eos, _, _ = _kernels.dp_decode(*_dp_inputs(m, cfg))
+    logp, bos, eos = _kernels.dp_decode(*_dp_inputs(m, cfg))
     spans = _flags_to_spans(bos, eos)
     return SpanResult(
         su_spans=spans, log_prob=float(logp), labels=spans_to_labels(m.n, spans)
     )
-
-
-def dp_state(m, cfg: DecoderConfig = DecoderConfig()) -> DPState:
-    """Expose the forward accumulators and backtracked flags (for analysis)."""
-    _, bos, eos, log_is, log_os = _kernels.dp_decode(*_dp_inputs(m, cfg))
-    return DPState(log_is=log_is, log_os=log_os, bos_flags=bos, eos_flags=eos)
 
 
 def nsu_log_score(m, start: int, end: int, eps: float = 1e-12, initial: float = 0.0) -> float:
@@ -159,10 +144,8 @@ METHODS = ("eos", "eos_force", "bos_eos")
 
 
 def decode_document(m, method: str, cfg: DecoderConfig = DecoderConfig()) -> SpanResult:
-    if method == "eos":
-        return segment_eos_only(m, DecoderConfig(cfg.candidate_threshold, False, cfg.prob_floor))
-    if method == "eos_force":
-        return segment_eos_only(m, DecoderConfig(cfg.candidate_threshold, True, cfg.prob_floor))
+    if method in ("eos", "eos_force"):
+        return segment_eos_only(m, method == "eos_force", cfg)
     if method == "bos_eos":
         return identify(m, cfg)
     raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -192,8 +175,12 @@ def read_span_file(path) -> list[SpanResult]:
                 continue
             try:
                 rec = json.loads(line)
+                spans = tuple(tuple(sp) for sp in rec["spans"])
+                # exact types: a bool is not a span end
+                if any(type(x) is not int for sp in spans for x in sp):
+                    raise ValueError("span ends must be integers")
                 r = SpanResult(
-                    su_spans=tuple(tuple(sp) for sp in rec["spans"]),
+                    su_spans=spans,
                     log_prob=float(rec["log_prob"]),
                     labels=LabelSeq("word", rec["labels"]),
                 ).validate()

@@ -11,7 +11,7 @@ tab-separated probability files instead.
 import io
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -102,28 +102,15 @@ class ModelConfig:
     include_uni: bool = False
 
     def __post_init__(self):
-        if self.hash_dim & (self.hash_dim - 1):
+        orders = self.ngram_orders
+        valid = isinstance(orders, (list, tuple)) and all(type(k) is int and k >= 1 for k in orders)
+        if not valid:
+            raise ValueError(f"ngram_orders must be a list of integers >= 1, got {orders!r}")
+        object.__setattr__(self, "ngram_orders", tuple(orders))
+        if self.hash_dim < 1 or self.hash_dim & (self.hash_dim - 1):
             raise ValueError("hash_dim must be a power of two")
         if self.window_radius < 0:
             raise ValueError("window_radius must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "window_radius": self.window_radius,
-            "ngram_orders": list(self.ngram_orders),
-            "hash_dim": self.hash_dim,
-            "max_word_chars": self.max_word_chars,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "lr_decay": self.lr_decay,
-            "include_uni": self.include_uni,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["ngram_orders"] = tuple(d.get("ngram_orders", (1, 2, 3, 4)))
-        return cls(**d)
 
 
 def _hash(s: str) -> int:
@@ -218,25 +205,6 @@ def _side_indices(
     return out
 
 
-def position_indices(
-    words: Sequence[str], side: str, cfg: ModelConfig, hasher: Optional[_TokenHasher] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR feature indices for every position of one document."""
-    hasher = hasher or _TokenHasher(cfg)
-    hashes, indptr = hasher.csr(words)
-    return _side_indices(hashes, indptr, (side,), cfg)[side]
-
-
-def featurize(
-    words: Sequence[str], position: int, side: str = "both", cfg: ModelConfig = ModelConfig()
-) -> np.ndarray:
-    """Hashed feature indices of one position (window restricted by side)."""
-    if not 0 <= position < len(words):
-        raise IndexError(f"position {position} out of range")
-    indices, indptr = position_indices(words, side, cfg)
-    return indices[indptr[position] : indptr[position + 1]]
-
-
 @dataclass
 class ClassifierModel:
     config: ModelConfig
@@ -321,7 +289,7 @@ def save_model(model: ClassifierModel, path) -> None:
     header = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "seed": model.seed,
         "heads": list(model.head_names),
     }
@@ -336,16 +304,23 @@ def load_model(path) -> ClassifierModel:
         header_line = f.readline()
         try:
             header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ValueError(f"{path}: not a model file: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: not a model file: header is not a JSON object")
         if header.get("format") != MODEL_FORMAT:
             raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
         if header.get("version") != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
-        cfg = ModelConfig.from_dict(header["config"])
-        model = ClassifierModel(config=cfg, seed=int(header["seed"]))
+        try:
+            cfg = ModelConfig(**header["config"])
+            model = ClassifierModel(config=cfg, seed=int(header["seed"]))
+            if header["heads"] != list(model.head_names):
+                raise ValueError(f"heads {header['heads']!r} do not match the config")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad model header: {exc!r}") from exc
         size = cfg.hash_dim + 1
-        for name in header["heads"]:
+        for name in model.head_names:
             buf = f.read(size * 8)
             if len(buf) != size * 8:
                 raise ValueError(f"{path}: truncated weights for head {name}")
@@ -489,16 +464,3 @@ def iter_prob_documents(stream) -> list[tuple[list[str], ProbMatrix]]:
     if rows:
         docs.append(_prob_document(rows, lineno + 1 - len(rows), ncols))
     return docs
-
-
-def load_probs(stream) -> ProbMatrix:
-    """Read a single-document probability file."""
-    docs = iter_prob_documents(stream)
-    if len(docs) > 1:
-        raise ProbFileError(
-            f"expected one document, found {len(docs)}; use iter_prob_documents"
-        )
-    if not docs:
-        empty = np.empty(0, dtype=np.float64)
-        return ProbMatrix(empty, empty)
-    return docs[0][1]

@@ -11,8 +11,7 @@ seed) and reused when present.
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 
 from . import decode as decode_mod
 from . import evaluation, model as model_mod
@@ -89,11 +88,21 @@ _SECTION_KEYS = {
 }
 
 
+# JSON types that a field of each scalar annotation accepts; a bool is no number here
+_SCALAR_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
 def _check_keys(data: dict, allowed, path: str) -> None:
     unknown = set(data) - set(allowed)
     if unknown:
         key = path + sorted(unknown)[0]
         raise ConfigError(f"unknown key {key!r}")
+
+
+def _list_of(key: str, value, types: tuple) -> tuple:
+    if not isinstance(value, (list, tuple)) or any(type(v) not in types for v in value):
+        raise ConfigError(f"{key}: expected a list of {types[-1].__name__}, got {value!r}")
+    return tuple(value)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -110,43 +119,30 @@ def config_from_dict(data: dict) -> PipelineConfig:
             _check_keys(data[section], allowed, f"{section}.")
     if "seeds" not in data:
         raise ConfigError("seeds: required")
-    try:
-        seeds = tuple(int(s) for s in data["seeds"])
-    except (TypeError, ValueError):
-        raise ConfigError("seeds: expected a list of integers") from None
 
-    def build(section, cls, **extra):
+    def build(section, cls):
+        values = data.get(section, {})
+        for f in fields(cls):
+            value, types = values.get(f.name), _SCALAR_TYPES.get(f.type)
+            if f.name in values and types and type(value) not in types:
+                raise ConfigError(f"{section}.{f.name}: expected {f.type.__name__}, got {value!r}")
         try:
-            return cls(**{**data.get(section, {}), **extra})
+            return cls(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{section}: {exc}") from exc
 
-    rules_data = data.get("rules", {})
-    rules = RelationRuleSet(
-        core_arguments=frozenset(rules_data.get("core_arguments", RelationRuleSet().core_arguments)),
-        noncore_dependents=frozenset(
-            rules_data.get("noncore_dependents", RelationRuleSet().noncore_dependents)
-        ),
-    )
-    model_data = data.get("model", {})
-    if "ngram_orders" in model_data:
-        model_data = {**model_data, "ngram_orders": tuple(model_data["ngram_orders"])}
-    try:
-        model_cfg = ModelConfig(**model_data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    eval_data = data.get("eval", {})
+    sections = {
+        f.name: build(f.name, type(f.default))
+        for f in fields(PipelineConfig)
+        if is_dataclass(f.default)
+    }
+    p_cc_values = data.get("eval", {}).get("p_cc_values", (0.5, 0.0))
     return PipelineConfig(
-        seeds=seeds,
+        seeds=_list_of("seeds", data["seeds"], (int,)),
         method=data.get("method", "bos_eos"),
-        granularities=tuple(data.get("granularities", GRANULARITIES)),
-        paths=build("paths", PipelinePaths),
-        rules=rules,
-        augment=build("augment", AugmentConfig),
-        model=model_cfg,
-        interp=build("interp", InterpConfig),
-        decoder=build("decoder", DecoderConfig),
-        eval_p_cc=tuple(eval_data.get("p_cc_values", (0.5, 0.0))),
+        granularities=_list_of("granularities", data.get("granularities", GRANULARITIES), (str,)),
+        eval_p_cc=_list_of("eval.p_cc_values", p_cc_values, (int, float)),
+        **sections,
     )
 
 
@@ -156,7 +152,8 @@ def load_config(path) -> PipelineConfig:
             data = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # RecursionError: JSON nested too deeply for the parser
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 
@@ -167,9 +164,8 @@ def _fingerprint(corpus: Corpus, cfg: PipelineConfig, seed: int) -> str:
     for rec in corpus.records():
         h.update(rec.encode("utf-8"))
     key = {
-        "augment": [cfg.augment.p_cc, cfg.augment.p_da, cfg.augment.p_tr, cfg.augment.max_tokens,
-                    cfg.augment.punct_set, cfg.augment.end_punct_set],
-        "model": cfg.model.to_dict(),
+        "augment": astuple(cfg.augment),
+        "model": asdict(cfg.model),
         "seed": seed,
         "version": model_mod.MODEL_VERSION,
     }
@@ -183,14 +179,7 @@ def _pcc_tag(p_cc: float) -> str:
 
 def _eval_docs(eval_corpus: Corpus, cfg: PipelineConfig, p_cc: float, seed: int):
     """Concatenation-only evaluation inputs (gold units, no augmentation)."""
-    stream_cfg = AugmentConfig(
-        p_cc=p_cc,
-        p_da=0.0,
-        p_tr=0.0,
-        max_tokens=cfg.augment.max_tokens,
-        punct_set=cfg.augment.punct_set,
-        end_punct_set=cfg.augment.end_punct_set,
-    )
+    stream_cfg = replace(cfg.augment, p_cc=p_cc, p_da=0.0, p_tr=0.0)
     return list(example_stream(eval_corpus, stream_cfg, seed, epoch=0, augment=False))
 
 
@@ -352,6 +341,9 @@ def _run_seed_external_probs(cfg: PipelineConfig, seed: int, eval_corpus: Corpus
 def run_pipeline(cfg: PipelineConfig, parallel_seeds: bool = False) -> dict:
     """Run every seed and aggregate; returns {(p_cc, gran): AggregateReport}."""
     if parallel_seeds and len(cfg.seeds) > 1:
+        # imported here so that `import sentid` does not load the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(len(cfg.seeds), os.cpu_count() or 1)) as pool:
             per_seed = list(pool.map(_run_seed_star, [(cfg, s) for s in cfg.seeds]))
     else:

@@ -15,6 +15,16 @@ TAILS = (
 )
 
 
+def unit_from_words(words, is_su: bool) -> Unit:
+    """A unit of bare words, joined by single spaces."""
+    offsets = []
+    cursor = 0
+    for w in words:
+        offsets.append((cursor, cursor + len(w)))
+        cursor += len(w) + 1
+    return Unit(text=" ".join(words), words=tuple(words), is_su=is_su, char_offsets=tuple(offsets))
+
+
 def _su_words(rng) -> list:
     subj = list(SUBJECTS[rng.integers(0, len(SUBJECTS))])
     verb = VERBS[rng.integers(0, len(VERBS))]
@@ -54,8 +64,8 @@ def synthetic_corpus(n_units: int, seed: int, su_rate: float = 0.65) -> Corpus:
     units = []
     for _ in range(n_units):
         if rng.random() < su_rate:
-            units.append(Unit.from_words(_su_words(rng), True))
+            units.append(unit_from_words(_su_words(rng), True))
         else:
             maker = NSU_MAKERS[rng.integers(0, len(NSU_MAKERS))]
-            units.append(Unit.from_words(maker(rng), False))
+            units.append(unit_from_words(maker(rng), False))
     return Corpus(units)

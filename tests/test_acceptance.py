@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sentid.augment import AugmentConfig, sample_length, _apply_transform
-from sentid.corpus import Corpus, Unit, compute_stats, convert_treebank, parse_conllu_file
+from sentid.corpus import Corpus, compute_stats, convert_treebank, parse_conllu_file
 from sentid.decode import DecoderConfig, identify, nsu_log_score, segment_eos_only
 from sentid.evaluation import bio_f1, span_f1
 from sentid.labels import (
@@ -32,7 +32,7 @@ from oracles import (
     random_valid_labels,
     score_labeling,
 )
-from synth import synthetic_corpus
+from synth import synthetic_corpus, unit_from_words
 
 C0 = DecoderConfig(candidate_threshold=0.0)
 
@@ -79,7 +79,7 @@ def test_criterion_03_segmentation_reduction():
         p_eos = rng.random(n)
         r = segment_eos_only(mat(np.full(n, 0.5), p_eos))
         assert {e - 1 for _, e in r.su_spans} == set(np.flatnonzero(p_eos >= 0.5).tolist())
-        forced = segment_eos_only(mat(np.full(n, 0.5), p_eos), DecoderConfig(force_last_eos=True))
+        forced = segment_eos_only(mat(np.full(n, 0.5), p_eos), force_last=True)
         assert "O" not in forced.labels.labels
 
 
@@ -140,25 +140,25 @@ def test_criterion_06_geometric_sampler():
 def test_criterion_07_augmentation_rules():
     """Worked augmentation examples, including the punctuation matcher."""
     cfg = AugmentConfig()
-    school = Unit.from_words(["Joe", "went", "to", "school."], True)
+    school = unit_from_words(["Joe", "went", "to", "school."], True)
     stripped = _apply_transform(school, "strip_punct", cfg)
     assert stripped.text == "Joe went to school"
     assert stripped.is_su is True
 
-    after = Unit.from_words(["After", "that", "he"], True)
+    after = unit_from_words(["After", "that", "he"], True)
     assert _apply_transform(after, "upper", cfg).words == ("AFTER", "THAT", "HE")
 
-    really = Unit.from_words(["Really?!)"], True)
+    really = unit_from_words(["Really?!)"], True)
     assert _apply_transform(really, "strip_punct", cfg).text == "Really"
 
-    hello = Unit.from_words(["Hello", "world"], True)
+    hello = unit_from_words(["Hello", "world"], True)
     assert _apply_transform(hello, "strip_punct", cfg) == hello
 
     # truncation relabels the fragment: drop "Joe went", keep "to school"
     from sentid.augment import concat_units, truncate_edges
 
-    corpus = Corpus([Unit.from_words(["Joe", "went", "to", "school"], True),
-                     Unit.from_words(["After", "that", "he"], True)])
+    corpus = Corpus([unit_from_words(["Joe", "went", "to", "school"], True),
+                     unit_from_words(["After", "that", "he"], True)])
     example = concat_units(corpus, 0, 2, cfg)
 
     class FixedRng:

@@ -18,13 +18,15 @@ from sentid.augment import (
 )
 from sentid.corpus import Corpus, Unit
 
+from synth import unit_from_words
+
 
 def su(*words):
-    return Unit.from_words(list(words), True)
+    return unit_from_words(list(words), True)
 
 
 def nsu(*words):
-    return Unit.from_words(list(words), False)
+    return unit_from_words(list(words), False)
 
 
 def small_corpus():
@@ -152,14 +154,14 @@ class TestApplyTransform:
         cfg = AugmentConfig(p_da=1.0)
         for unit in (su("A", "b", "."), nsu("x")):
             for _ in range(20):
-                assert augment_unit(unit, cfg, rng).is_su == unit.is_su
+                assert augment_unit(unit, cfg, rng)[0].is_su == unit.is_su
 
     def test_rate_converges(self):
         rng = np.random.default_rng(4)
         cfg = AugmentConfig(p_da=0.3)
         unit = su("HeLLo", "wOrld", "x.")  # every transform changes it
         n = 20_000
-        changed = sum(augment_unit(unit, cfg, rng) != unit for _ in range(n))
+        changed = sum(augment_unit(unit, cfg, rng)[0] != unit for _ in range(n))
         assert abs(changed / n - 0.3) < 0.02
 
 

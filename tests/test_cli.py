@@ -57,6 +57,22 @@ class TestConvert:
         src.write_text("1\tonly\tthree\n")
         assert run("convert", "--input", str(src), "--output", str(tmp_path / "o")) == 2
 
+    # a list or deep nesting used to exit 3; a string became a set of its letters
+    @pytest.mark.parametrize(
+        "rules",
+        ["[]", '{"core_arguments": "nsubj"}', "[" * 100_000],
+        ids=["list", "rules-string", "deep-nesting"],
+    )
+    def test_malformed_rules_file_is_data_error(self, tmp_path, rules):
+        src = tmp_path / "sample.conllu"
+        src.write_text(CONLLU)
+        rules_path = tmp_path / "rules.json"
+        rules_path.write_text(rules)
+        assert run(
+            "convert", "--input", str(src), "--rules", str(rules_path),
+            "--output", str(tmp_path / "o"),
+        ) == 2
+
 
 class TestTrainPredictDecodeEvaluate:
     def test_full_chain(self, tmp_path, corpus_path, capsys):
@@ -141,6 +157,19 @@ class TestTrainPredictDecodeEvaluate:
             "evaluate", "--gold", str(corpus), "--pred", str(spans), "--granularity", "char"
         ) == 2
         assert "bad corpus record on line 1" in capsys.readouterr().err
+
+    def test_evaluate_boolean_span_end_is_data_error(self, tmp_path, capsys):
+        # [true, 2] used to load as the span (1, 2)
+        rec = {"text": "a b", "words": ["a", "b"], "char_offsets": [[0, 1], [2, 3]], "is_su": True}
+        corpus = tmp_path / "gold.jsonl"
+        corpus.write_text(json.dumps(rec) + "\n" + json.dumps(rec) + "\n")
+        spans = tmp_path / "pred.jsonl"
+        spans.write_text(
+            json.dumps({"spans": [[0, 2]], "labels": "BI", "log_prob": 0.0}) + "\n"
+            + json.dumps({"spans": [[True, 2]], "labels": "OB", "log_prob": 0}) + "\n"
+        )
+        assert run("evaluate", "--gold", str(corpus), "--pred", str(spans)) == 2
+        assert "bad span record on line 2" in capsys.readouterr().err
 
     def test_evaluate_alignment_error(self, tmp_path):
         corpus = tmp_path / "gold.jsonl"
@@ -256,6 +285,33 @@ class TestPipelineCommand:
         cfg_path.write_text(json.dumps({"seeds": [1], "mystery": True}))
         assert run("pipeline", "--config", str(cfg_path)) == 1
 
+    @pytest.mark.parametrize(
+        "fragment, message",
+        [
+            ({"rules": {"core_arguments": "nsubj"}}, "rules: core_arguments"),
+            ({"model": {"ngram_orders": "12"}}, "model: ngram_orders"),
+            ({"decoder": {"force_last_eos": True}}, "unknown key 'decoder.force_last_eos'"),
+            ({"paths": {"output_dir": 5}}, "paths.output_dir: expected str"),
+            ({"seeds": "12"}, "seeds: expected a list of int"),
+            ({"eval": {"p_cc_values": "0.5"}}, "eval.p_cc_values: expected a list of float"),
+        ],
+        ids=["rules-string", "ngram-orders-string", "force-last-eos", "output-dir-number",
+             "seeds-string", "p-cc-string"],
+    )
+    def test_mistyped_value_is_usage_error(self, tmp_path, capsys, fragment, message):
+        # these used to run on a set of letters or on seeds 1 and 2, to be ignored, or to exit 3
+        cfg = {"seeds": [1], "paths": {"output_dir": str(tmp_path / "runs")}, **fragment}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("pipeline", "--config", str(cfg_path)) == 1
+        assert message in capsys.readouterr().err
+
+    def test_deeply_nested_config_is_usage_error(self, tmp_path):
+        # the JSON parser's RecursionError used to exit 3
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"seeds": [1], "x": ' + "[" * 100_000)
+        assert run("pipeline", "--config", str(cfg_path)) == 1
+
     def test_seed_override_runs_single_seed(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"
         evalc = tmp_path / "eval.jsonl"
@@ -299,14 +355,39 @@ class TestExitCodes:
         probs = tmp_path / "p.tsv"
         probs.write_text("#probs v1 uni=0\n0\tx\t0.5\t0.5\n")
         assert run("decode", "--probs", str(probs), "--method", "eos", "--threshold", "1.5") == 1
-        assert run(
-            "train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m"),
-            "--hash-dim", "1000",
-        ) == 1
+        for hash_dim in ("1000", "0"):  # 0 used to pass the power-of-two check and exit 3
+            assert run(
+                "train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m"),
+                "--hash-dim", hash_dim,
+            ) == 1
         assert run(
             "augment", "--corpus", str(corpus_path), "--count", "1",
             "--pcc", "2.0", "--out", str(tmp_path / "x"),
         ) == 1
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "[]",
+            {"config": {}, "heads": ["bos_bi", "eos_bi"]},
+            {"config": {}, "seed": 0},
+            {"seed": 0, "heads": ["bos_bi", "eos_bi"]},
+            {"config": {"bogus": 1}, "seed": 0, "heads": ["bos_bi", "eos_bi"]},
+            "[" * 100_000,
+        ],
+        ids=["array", "no-seed", "no-heads", "no-config", "unknown-config-key", "deep-nesting"],
+    )
+    def test_malformed_model_header_is_data_error(self, tmp_path, capsys, header):
+        if isinstance(header, dict):
+            header = json.dumps({"format": "sentid-model", "version": 1, **header})
+        model = tmp_path / "bad_model.bin"
+        model.write_text(header + "\n")
+        docs = tmp_path / "docs.txt"
+        docs.write_text("a b .\n")
+        assert run(
+            "predict", "--model", str(model), "--input", str(docs), "--out", str(tmp_path / "p")
+        ) == 2
+        assert "bad_model.bin" in capsys.readouterr().err
 
 
 class TestStdinAndAggregate:

@@ -359,15 +359,6 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match="line 2"):
             Corpus.load(path)
 
-    def test_word_spans_match_words(self):
-        corp = convert_treebank(parse_conllu(THANK_YOU + HOVER))
-        text = corp.full_text()
-        spans = corp.word_spans()
-        words = [w for u in corp.units for w in u.words]
-        assert len(spans) == len(words)
-        for (s, e), w in zip(spans, words):
-            assert text[s:e] == w
-
     def test_gold_word_labels(self):
         corp = convert_treebank(parse_conllu(THANK_YOU + FILE_METADATA))
         assert gold_word_labels(corp.units).labels == "BII" + "OOOOOOO"

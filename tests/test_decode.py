@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from sentid.decode import (
     DecoderConfig,
     decode_document,
-    dp_state,
     identify,
     nsu_log_score,
     read_span_file,
@@ -42,7 +41,7 @@ class TestSegmentEosOnly:
         assert r.labels.labels == "BIO"
 
     def test_force_last_closes_second_span(self):
-        r = segment_eos_only(mat([0.5] * 3, [0.1, 0.9, 0.2]), DecoderConfig(force_last_eos=True))
+        r = segment_eos_only(mat([0.5] * 3, [0.1, 0.9, 0.2]), force_last=True)
         assert r.su_spans == ((0, 2), (2, 3))
         assert r.labels.labels == "BIB"
 
@@ -52,7 +51,7 @@ class TestSegmentEosOnly:
         assert r.labels.labels == "OOOO"
 
     def test_force_last_single_span_when_no_eos(self):
-        r = segment_eos_only(mat([0.5] * 4, [0.2] * 4), DecoderConfig(force_last_eos=True))
+        r = segment_eos_only(mat([0.5] * 4, [0.2] * 4), force_last=True)
         assert r.su_spans == ((0, 4),)
 
     def test_closed_form_threshold(self):
@@ -67,7 +66,7 @@ class TestSegmentEosOnly:
         rng = np.random.default_rng(12)
         for _ in range(200):
             p = rng.random(rng.integers(1, 30))
-            r = segment_eos_only(mat(np.full_like(p, 0.5), p), DecoderConfig(force_last_eos=True))
+            r = segment_eos_only(mat(np.full_like(p, 0.5), p), force_last=True)
             assert "O" not in r.labels.labels
 
     def test_empty_input(self):
@@ -146,7 +145,7 @@ class TestIdentify:
             n = int(rng.integers(1, 10))
             p_eos = rng.uniform(0.05, 0.95, n)
             p_eos[n - 1] = 1.0
-            seg = segment_eos_only(mat(np.full(n, 0.5), p_eos), DecoderConfig(force_last_eos=True))
+            seg = segment_eos_only(mat(np.full(n, 0.5), p_eos), force_last=True)
             p_bos = np.zeros(n)
             for b, _ in seg.su_spans:
                 p_bos[b] = 1.0
@@ -161,24 +160,12 @@ class TestIdentify:
         # needs the final token to be a genuine end-flag candidate
         p_eos = np.array([0.1, 0.9, 0.4, 0.1, 0.1])
         p_bos = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
-        seg = segment_eos_only(
-            mat(np.full(5, 0.5), p_eos), DecoderConfig(force_last_eos=True)
-        )
+        seg = segment_eos_only(mat(np.full(5, 0.5), p_eos), force_last=True)
         assert seg.su_spans == ((0, 2), (2, 5))
         ident = identify(mat(p_bos, p_eos), C0)
         assert ident.su_spans == ((0, 2), (2, 3))
         best, _ = brute_force_identify(p_bos, p_eos)
         assert ident.log_prob == pytest.approx(best, abs=1e-9)
-
-    def test_dp_state_invariants(self):
-        rng = np.random.default_rng(105)
-        m = random_matrix(rng, 12)
-        st = dp_state(m, C0)
-        assert st.log_is[0] == -np.inf
-        assert st.log_os[0] == 0.0
-        finite = st.log_is[np.isfinite(st.log_is)]
-        assert (finite <= 0).all()
-        assert (st.log_os <= 0).all()
 
 
 class TestNsuScore:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sentid.corpus import Corpus, Unit, gold_char_labels
+from sentid.corpus import Unit, gold_word_labels
+from sentid.evaluation import to_granularity
 from sentid.labels import (
     BoundarySeq,
     LabelError,
@@ -18,6 +19,7 @@ from sentid.labels import (
 )
 
 from oracles import coarse_to_chars_loop, label_spans, random_valid_labels
+from synth import unit_from_words
 
 
 class TestLabelSeq:
@@ -41,32 +43,39 @@ class TestLabelSeq:
 
 
 class TestGoldCharLabels:
+    """Char-level gold as the reports score it: gold word labels over words joined by spaces."""
+
+    @staticmethod
+    def gold_chars(units):
+        words = [w for u in units for w in u.words]
+        return to_granularity(gold_word_labels(units), "char", words)
+
     def test_su_then_nsu(self):
-        corp = Corpus([Unit.from_words(["Hi", "."], True), Unit.from_words(["***"], False)])
-        # full text "Hi . ***": the SU's internal space is inside the span
-        assert gold_char_labels(corp).labels == "BIII" + "O" + "OOO"
+        units = [unit_from_words(["Hi", "."], True), unit_from_words(["***"], False)]
+        # "Hi . ***": the SU's internal space is inside the span
+        assert self.gold_chars(units).labels == "BIII" + "O" + "OOO"
 
     def test_su_then_nsu_no_internal_space(self):
+        # SpaceAfter=No in the text does not reach the gold: words are joined by one space
         su = Unit(text="Hi.", words=("Hi", "."), is_su=True, char_offsets=((0, 2), (2, 3)))
-        corp = Corpus([su, Unit.from_words(["***"], False)])
-        assert gold_char_labels(corp).labels == "BII" + "O" + "OOO"
+        units = [su, unit_from_words(["***"], False)]
+        assert self.gold_chars(units).labels == "BIII" + "O" + "OOO"
 
     def test_single_char_su(self):
-        corp = Corpus([Unit.from_words(["k"], True)])
-        assert gold_char_labels(corp).labels == "B"
+        assert self.gold_chars([unit_from_words(["k"], True)]).labels == "B"
 
     def test_all_nsu(self):
-        corp = Corpus([Unit.from_words(["a", "b"], False), Unit.from_words(["c"], False)])
-        assert set(gold_char_labels(corp).labels) == {"O"}
+        units = [unit_from_words(["a", "b"], False), unit_from_words(["c"], False)]
+        assert set(self.gold_chars(units).labels) == {"O"}
 
     def test_output_always_valid(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             units = [
-                Unit.from_words(["w%d" % k for k in range(rng.integers(1, 5))], bool(rng.integers(2)))
+                unit_from_words(["w%d" % k for k in range(rng.integers(1, 5))], bool(rng.integers(2)))
                 for _ in range(rng.integers(1, 8))
             ]
-            gold_char_labels(Corpus(units)).validate()
+            self.gold_chars(units).validate()
 
 
 class TestArrayPathsMatchLoops:

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 
 from sentid import _kernels
 from sentid.augment import AugmentConfig, example_stream
-from sentid.corpus import Corpus, Unit
+from sentid.corpus import Corpus
 from sentid.model import (
     ClassifierModel,
     InterpConfig,
     ModelConfig,
     ProbFileError,
     ProbMatrix,
-    featurize,
+    _side_indices,
+    _TokenHasher,
     interpolate,
     iter_prob_documents,
     load_model,
-    load_probs,
     predict,
     save_model,
     train,
@@ -28,54 +28,58 @@ from sentid.model import (
 )
 
 from oracles import iter_prob_documents_rows
+from synth import unit_from_words
 
 CFG = ModelConfig(window_radius=2, hash_dim=2**12, epochs=2)
 
 
 def su(*words):
-    return Unit.from_words(list(words), True)
+    return unit_from_words(list(words), True)
 
 
 def nsu(*words):
-    return Unit.from_words(list(words), False)
+    return unit_from_words(list(words), False)
+
+
+def side_rows(words, side):
+    """Feature indices of each position of one document, window restricted by side."""
+    hashes, tok_ptr = _TokenHasher(CFG).csr(words)
+    idx, ptr = _side_indices(hashes, tok_ptr, (side,), CFG)[side]
+    return [idx[ptr[i] : ptr[i + 1]] for i in range(len(words))]
 
 
 class TestFeaturize:
     def test_deterministic(self):
         words = ["The", "cat", "sat", "."]
-        a = featurize(words, 1, "both", CFG)
-        b = featurize(words, 1, "both", CFG)
+        a = side_rows(words, "both")[1]
+        b = side_rows(words, "both")[1]
         assert np.array_equal(a, b)
 
     def test_left_only_at_start_sees_no_left_context(self):
         # changing tokens right of position 0 must not touch left_only features
-        a = featurize(["alpha", "beta", "gamma"], 0, "left_only", CFG)
-        b = featurize(["alpha", "CHANGED", "other"], 0, "left_only", CFG)
+        a = side_rows(["alpha", "beta", "gamma"], "left_only")[0]
+        b = side_rows(["alpha", "CHANGED", "other"], "left_only")[0]
         assert np.array_equal(np.sort(a), np.sort(b))
 
     def test_sides_differ_mid_sequence(self):
         words = ["aa", "bb", "cc"]
-        both = featurize(words, 1, "both", CFG)
-        left = featurize(words, 1, "left_only", CFG)
+        both = side_rows(words, "both")[1]
+        left = side_rows(words, "left_only")[1]
         assert not np.array_equal(np.sort(both), np.sort(left))
 
     def test_right_perturbation_invisible_to_left_side(self):
-        a = featurize(["a", "b", "c", "d"], 1, "left_only", CFG)
-        b = featurize(["a", "b", "ZZZ", "QQQ"], 1, "left_only", CFG)
+        a = side_rows(["a", "b", "c", "d"], "left_only")[1]
+        b = side_rows(["a", "b", "ZZZ", "QQQ"], "left_only")[1]
         assert np.array_equal(a, b)
 
     def test_left_perturbation_invisible_to_right_side(self):
-        a = featurize(["a", "b", "c", "d"], 2, "right_only", CFG)
-        b = featurize(["Z", "Q", "c", "d"], 2, "right_only", CFG)
+        a = side_rows(["a", "b", "c", "d"], "right_only")[2]
+        b = side_rows(["Z", "Q", "c", "d"], "right_only")[2]
         assert np.array_equal(a, b)
 
     def test_indices_within_dim(self):
-        idx = featurize(["Word!", "123", "..."], 1, "both", CFG)
+        idx = side_rows(["Word!", "123", "..."], "both")[1]
         assert idx.min() >= 0 and idx.max() < CFG.hash_dim
-
-    def test_position_bounds(self):
-        with pytest.raises(IndexError):
-            featurize(["a"], 1, "both", CFG)
 
 
 def pattern_corpus():
@@ -282,41 +286,35 @@ class TestProbFiles:
             assert np.array_equal(m.p_bos, lm.p_bos)
             assert np.array_equal(m.p_eos_uni, lm.p_eos_uni)
 
-    def test_load_probs_single_doc(self):
+    def test_single_doc_uni(self):
         text = "#probs v1 uni=1\n0\thello\t0.25\t0.5\t0.75\t0.125\n1\tworld\t0.1\t0.2\t0.3\t0.4\n2\t!\t0\t1\t0.5\t0.5\n"
-        m = load_probs(io.StringIO(text))
+        [(_, m)] = iter_prob_documents(io.StringIO(text))
         assert m.n == 3 and m.has_uni
         assert m.p_bos[0] == 0.25
 
     def test_out_of_range_names_row(self):
         text = "#probs v1 uni=0\n0\tx\t0.5\t0.5\n1\ty\t1.2\t0.5\n"
         with pytest.raises(ProbFileError, match="row 3"):
-            load_probs(io.StringIO(text))
+            iter_prob_documents(io.StringIO(text))
 
     def test_ragged_columns_rejected(self):
         text = "#probs v1 uni=0\n0\tx\t0.5\t0.5\t0.5\n"
         with pytest.raises(ProbFileError, match="columns"):
-            load_probs(io.StringIO(text))
+            iter_prob_documents(io.StringIO(text))
 
     def test_ragged_rows_that_balance_rejected(self):
         # 3 + 5 fields: the flat field list has two rows' worth, and the
         # shifted index column still reads 0, 1
         text = "#probs v1 uni=0\n0\t1\t0.5\n0.5\t1\t0.5\t0.5\t0.5\n"
         with pytest.raises(ProbFileError, match=r"^row 2: expected 4 columns \(uni=0\), got 3$"):
-            load_probs(io.StringIO(text))
+            iter_prob_documents(io.StringIO(text))
 
     def test_empty_after_header(self):
-        m = load_probs(io.StringIO("#probs v1 uni=0\n"))
-        assert m.n == 0
+        assert iter_prob_documents(io.StringIO("#probs v1 uni=0\n")) == []
 
     def test_missing_header(self):
         with pytest.raises(ProbFileError, match="header"):
-            load_probs(io.StringIO("0\tx\t0.5\t0.5\n"))
-
-    def test_multiple_docs_rejected_by_load_probs(self):
-        text = "#probs v1 uni=0\n0\tx\t0.5\t0.5\n\n0\ty\t0.5\t0.5\n"
-        with pytest.raises(ProbFileError, match="one document"):
-            load_probs(io.StringIO(text))
+            iter_prob_documents(io.StringIO("0\tx\t0.5\t0.5\n"))
 
     # str.splitlines() also breaks lines at these; a token holding one used
     # to split its row and fail with "expected 4 columns"

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sentid
 from sentid import model as model_mod
 from sentid.model import ProbMatrix, write_prob_documents
 from sentid.pipeline import (
@@ -201,6 +204,16 @@ class TestRunPipeline:
         models = sorted((tmp_path / "runs").glob("model_seed0_*.bin"))
         assert len(models) == 2
         assert sorted(model_mod.load_model(m).config.epochs for m in models) == [1, 3]
+
+    def test_import_does_not_load_process_pool(self):
+        # run_pipeline imports the pool only when it runs seeds in parallel
+        code = "import sys, sentid; print('concurrent.futures.process' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(sentid.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_parallel_seeds_matches_sequential(self, tmp_path):
         data = base_config(tmp_path, seeds=[0, 1])
