@@ -33,12 +33,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _from_flags(factory):
-    """Build a config object from flag values; bad values are usage errors."""
+def _from_flags(cls, args, **flags):
+    """Config `cls` from the flags given as field=dest; omitted flags keep their field defaults."""
+    values = {f: getattr(args, d) for f, d in flags.items() if getattr(args, d) is not None}
     try:
-        return factory()
+        return cls(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+# the augment flags of `train` and `augment`, as AugmentConfig field=dest
+AUGMENT_FLAGS = {"p_cc": "pcc", "p_da": "pda", "p_tr": "ptr", "max_tokens": "max_tokens"}
+
+
+def _add_augment_flags(p) -> None:
+    for flag, kind in (("--pcc", float), ("--pda", float), ("--ptr", float), ("--max-tokens", int)):
+        p.add_argument(flag, type=kind)
 
 
 def _load_rules(source: str) -> corpus_mod.RelationRuleSet:
@@ -67,19 +77,10 @@ def cmd_convert(args) -> int:
 
 
 def cmd_train(args) -> int:
-    aug_cfg = _from_flags(
-        lambda: augment_mod.AugmentConfig(
-            p_cc=args.pcc, p_da=args.pda, p_tr=args.ptr, max_tokens=args.max_tokens
-        )
-    )
+    aug_cfg = _from_flags(augment_mod.AugmentConfig, args, **AUGMENT_FLAGS)
     model_cfg = _from_flags(
-        lambda: model_mod.ModelConfig(
-            window_radius=args.window,
-            hash_dim=args.hash_dim,
-            epochs=args.epochs,
-            learning_rate=args.lr,
-            include_uni=args.uni,
-        )
+        model_mod.ModelConfig, args, window_radius="window", hash_dim="hash_dim",
+        epochs="epochs", learning_rate="lr", include_uni="uni",
     )
     corp = corpus_mod.Corpus.load(args.corpus)
     model = model_mod.train(corp, aug_cfg, seed=args.seed, model_cfg=model_cfg)
@@ -92,30 +93,22 @@ def cmd_predict(args) -> int:
     model = model_mod.load_model(args.model)
     with open(args.input, encoding="utf-8") as f:
         docs = [line.split() for line in f if line.strip()]
-    include_uni = model.config.include_uni
-    pairs = []
-    for words in docs:
-        m = model_mod.predict(model, words, include_uni=include_uni)
-        pairs.append((words, m))
+    pairs = [(words, model_mod.predict(model, words)) for words in docs]
     model_mod.write_prob_documents(args.out, pairs)
     print(f"wrote probabilities for {len(pairs)} documents -> {args.out}")
     return 0
 
 
 def cmd_decode(args) -> int:
-    cfg = _from_flags(lambda: decode_mod.DecoderConfig(candidate_threshold=args.threshold))
-    interp = _from_flags(lambda: model_mod.InterpConfig(lam=args.lam))
+    cfg = _from_flags(decode_mod.DecoderConfig, args, candidate_threshold="threshold")
+    interp = _from_flags(model_mod.InterpConfig, args, lam="lam")
     if args.probs == "-":
         docs = model_mod.iter_prob_documents(sys.stdin)
     else:
         with open(args.probs, encoding="utf-8") as f:
             docs = model_mod.iter_prob_documents(f)
-    method = CLI_METHODS[args.method]
-    results = []
-    for _, m in docs:
-        if m.has_uni:
-            m = model_mod.interpolate(m, interp)
-        results.append(decode_mod.decode_document(m, method, cfg))
+    matrices = [m for _, m in docs]
+    results = pipeline_mod.decode_documents(matrices, CLI_METHODS[args.method], cfg, interp)
     if args.out:
         decode_mod.write_span_file(args.out, results)
     else:
@@ -125,11 +118,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    cfg = _from_flags(
-        lambda: augment_mod.AugmentConfig(
-            p_cc=args.pcc, p_da=args.pda, p_tr=args.ptr, max_tokens=args.max_tokens
-        )
-    )
+    cfg = _from_flags(augment_mod.AugmentConfig, args, **AUGMENT_FLAGS)
     corp = corpus_mod.Corpus.load(args.corpus)
     examples = augment_mod.generate_examples(corp, cfg, seed=args.seed, count=args.count)
     augment_mod.write_examples(args.out, examples)
@@ -174,7 +163,11 @@ def cmd_evaluate(args) -> int:
         reports = []
         for p in paths:
             with open(p, encoding="utf-8") as f:
-                reports.append(evaluation.EvalReport.from_dict(json.load(f)))
+                try:
+                    reports.append(evaluation.EvalReport.from_dict(json.load(f)))
+                # RecursionError: JSON nested too deeply for the parser
+                except (ValueError, RecursionError) as exc:
+                    raise ValueError(f"{p}: {exc}") from exc
         agg = evaluation.aggregate(reports)
         print(format_aggregate(agg))
         if args.out:
@@ -222,16 +215,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the begin/end probability model")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--uni", action="store_true", help="also train unidirectional heads")
-    p.add_argument("--pcc", type=float, default=0.5)
-    p.add_argument("--pda", type=float, default=0.3)
-    p.add_argument("--ptr", type=float, default=0.1)
-    p.add_argument("--max-tokens", type=int, default=512)
-    p.add_argument("--hash-dim", type=int, default=2**18)
-    p.add_argument("--lr", type=float, default=0.2)
+    p.add_argument("--window", type=int)
+    p.add_argument("--uni", action="store_const", const=True,
+                   help="also train unidirectional heads")
+    _add_augment_flags(p)
+    p.add_argument("--hash-dim", type=int)
+    p.add_argument("--lr", type=float)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write per-token probabilities")
@@ -243,27 +234,23 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decode", help="extract spans from a probability file")
     p.add_argument("--probs", required=True, help="probability file or - for stdin")
     p.add_argument("--method", required=True, choices=tuple(CLI_METHODS))
-    p.add_argument("--threshold", type=float, default=0.1, help="candidate threshold c")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                   help="unidirectional interpolation weight")
+    p.add_argument("--threshold", type=float, help="candidate threshold c")
+    p.add_argument("--lambda", dest="lam", type=float, help="unidirectional interpolation weight")
     p.add_argument("--out", default="", help="span file (default: stdout)")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("augment", help="emit concatenated/augmented examples")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--pcc", type=float, default=0.5)
-    p.add_argument("--pda", type=float, default=0.3)
-    p.add_argument("--ptr", type=float, default=0.1)
+    _add_augment_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--max-tokens", type=int, default=512)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("evaluate", help="score predicted spans against a gold corpus")
     p.add_argument("--gold", help="gold corpus JSONL")
     p.add_argument("--pred", help="predicted span file")
-    p.add_argument("--granularity", default="word", choices=("word", "char"))
+    p.add_argument("--granularity", default="word", choices=pipeline_mod.GRANULARITIES)
     p.add_argument("--aggregate", default="", help="aggregate report_*.json files in a directory")
     p.add_argument("--out", default="", help="also write the JSON report here")
     p.set_defaults(func=cmd_evaluate)

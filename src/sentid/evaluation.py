@@ -14,6 +14,8 @@ import numpy as np
 from .labels import LabelSeq, coarse_to_chars
 
 LABELS = ("B", "I", "O")
+# the scalar scores of a report, each aggregated across runs
+SCORE_NAMES = ("macro_f1", "weighted_f1", "span_precision", "span_recall", "span_f1")
 
 
 class EvalError(ValueError):
@@ -62,27 +64,37 @@ class EvalReport:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
+    def from_dict(cls, d) -> "EvalReport":
+        """Inverse of to_dict; a missing key or a mistyped value raises EvalError."""
         per_label = {
             lab: LabelScore(
-                precision=s["precision"],
-                recall=s["recall"],
-                f1=s["f1"],
-                support=s["support"],
-                predicted=s["predicted"],
+                *(_typed(s, k, _NUMBER) for k in ("precision", "recall", "f1")),
+                *(_typed(s, k, (int,)) for k in ("support", "predicted")),
             )
-            for lab, s in d.get("labels", {}).items()
+            for lab, s in _typed(d, "labels", (dict,)).items()
         }
+        flags = _typed(d, "flags", (list,))
+        if any(type(f) is not str for f in flags):
+            raise EvalError(f"flags: expected a list of str, got {flags!r}")
         return cls(
-            granularity=d["granularity"],
+            granularity=_typed(d, "granularity", (str,)),
             per_label=per_label,
-            macro_f1=d["macro_f1"],
-            weighted_f1=d["weighted_f1"],
-            span_precision=d["span_precision"],
-            span_recall=d["span_recall"],
-            span_f1=d["span_f1"],
-            flags=tuple(d.get("flags", ())),
+            **{name: _typed(d, name, _NUMBER) for name in SCORE_NAMES},
+            flags=tuple(flags),
         )
+
+
+# JSON types of a report's numbers; a bool is no number here
+_NUMBER = (int, float)
+
+
+def _typed(d, key: str, types: tuple):
+    """d[key], whose exact type must be one of `types`."""
+    if not isinstance(d, dict) or key not in d:
+        raise EvalError(f"expected an object with key {key!r}")
+    if type(d[key]) not in types:
+        raise EvalError(f"{key}: expected {types[-1].__name__}, got {d[key]!r}")
+    return d[key]
 
 
 def _prf(tp: int, pred: int, gold: int) -> tuple[float, float, float]:
@@ -244,8 +256,7 @@ def aggregate(reports) -> AggregateReport:
     grans = {r.granularity for r in reports}
     if len(grans) > 1:
         raise EvalError(f"mixed granularities {sorted(grans)}")
-    metric_names = ("macro_f1", "weighted_f1", "span_precision", "span_recall", "span_f1")
-    metrics = {name: _stat([getattr(r, name) for r in reports]) for name in metric_names}
+    metrics = {name: _stat([getattr(r, name) for r in reports]) for name in SCORE_NAMES}
     label_f1 = {}
     for lab in LABELS:
         values = [r.per_label[lab].f1 for r in reports if lab in r.per_label]

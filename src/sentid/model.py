@@ -180,8 +180,7 @@ class _TokenHasher:
     def csr(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         rows = [self(w) for w in words]
         indptr = np.zeros(len(words) + 1, dtype=np.int64)
-        for i, r in enumerate(rows):
-            indptr[i + 1] = indptr[i] + r.shape[0]
+        indptr[1:] = np.cumsum([r.shape[0] for r in rows])
         hashes = np.concatenate(rows) if rows else np.empty(0, dtype=np.uint64)
         return hashes, indptr
 
@@ -220,8 +219,7 @@ class ClassifierModel:
     @classmethod
     def zeros(cls, config: ModelConfig, seed: int) -> "ClassifierModel":
         model = cls(config=config, seed=seed)
-        names = HEAD_NAMES if config.include_uni else HEAD_NAMES[:2]
-        for name in names:
+        for name in model.head_names:
             model.weights[name] = np.zeros(config.hash_dim + 1, dtype=np.float64)
         return model
 
@@ -229,7 +227,6 @@ class ClassifierModel:
 def train(
     corpus: Corpus,
     augment_cfg: AugmentConfig = AugmentConfig(),
-    epochs: Optional[int] = None,
     seed: int = 0,
     model_cfg: ModelConfig = ModelConfig(),
 ) -> ClassifierModel:
@@ -242,11 +239,10 @@ def train(
     """
     if not corpus.units:
         raise ValueError("cannot train on an empty corpus")
-    epochs = model_cfg.epochs if epochs is None else epochs
     model = ClassifierModel.zeros(model_cfg, seed)
     hasher = _TokenHasher(model_cfg)
     sides = [HEAD_SIDES[name] for name in model.head_names]
-    for epoch in range(epochs):
+    for epoch in range(model_cfg.epochs):
         lr = model_cfg.learning_rate * model_cfg.lr_decay**epoch
         for ex in example_stream(corpus, augment_cfg, seed, epoch):
             hashes, tok_ptr = hasher.csr(ex.words)
@@ -260,20 +256,13 @@ def train(
     return model
 
 
-def predict(model: ClassifierModel, words: Sequence[str], include_uni: bool = False) -> ProbMatrix:
-    """Per-position sigmoid score of every head."""
-    if include_uni and not model.config.include_uni:
-        raise ValueError("model was trained without unidirectional heads")
-    n = len(words)
-    if n == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return ProbMatrix(empty, empty, *((empty, empty) if include_uni else (None, None)))
+def predict(model: ClassifierModel, words: Sequence[str]) -> ProbMatrix:
+    """Per-position sigmoid score of every head the model has."""
     cfg = model.config
     hashes, tok_ptr = _TokenHasher(cfg).csr(words)
-    names = HEAD_NAMES if include_uni else HEAD_NAMES[:2]
-    rows = _side_indices(hashes, tok_ptr, [HEAD_SIDES[name] for name in names], cfg)
+    rows = _side_indices(hashes, tok_ptr, [HEAD_SIDES[name] for name in model.head_names], cfg)
     scores = {}
-    for name in names:
+    for name in model.head_names:
         idx, ptr = rows[HEAD_SIDES[name]]
         scores[name] = _kernels.score_rows(model.weights[name], idx, ptr)
     return ProbMatrix(

@@ -136,14 +136,16 @@ def config_from_dict(data: dict) -> PipelineConfig:
         for f in fields(PipelineConfig)
         if is_dataclass(f.default)
     }
-    p_cc_values = data.get("eval", {}).get("p_cc_values", (0.5, 0.0))
-    return PipelineConfig(
-        seeds=_list_of("seeds", data["seeds"], (int,)),
-        method=data.get("method", "bos_eos"),
-        granularities=_list_of("granularities", data.get("granularities", GRANULARITIES), (str,)),
-        eval_p_cc=_list_of("eval.p_cc_values", p_cc_values, (int, float)),
-        **sections,
-    )
+    # a top-level value the config omits keeps its PipelineConfig default
+    seeds = _list_of("seeds", data["seeds"], (int,))
+    if "method" in data:
+        sections["method"] = data["method"]
+    if "granularities" in data:
+        sections["granularities"] = _list_of("granularities", data["granularities"], (str,))
+    if "p_cc_values" in data.get("eval", {}):
+        p_cc_values = data["eval"]["p_cc_values"]
+        sections["eval_p_cc"] = _list_of("eval.p_cc_values", p_cc_values, (int, float))
+    return PipelineConfig(seeds=seeds, **sections)
 
 
 def load_config(path) -> PipelineConfig:
@@ -206,9 +208,7 @@ def _run_seed(cfg: PipelineConfig, seed: int) -> dict:
         eval_corpus = _ensure_corpus(
             cfg.paths.eval_corpus, cfg.paths.treebank_eval, cfg.rules, "test"
         )
-        if cfg.paths.probs:
-            train_corpus = None
-        else:
+        if not cfg.paths.probs:
             train_corpus = _ensure_corpus(
                 cfg.paths.train_corpus, cfg.paths.treebank_train, cfg.rules, "train"
             )
@@ -236,10 +236,7 @@ def _run_seed(cfg: PipelineConfig, seed: int) -> dict:
         tag = f"seed{seed}_pcc{_pcc_tag(p_cc)}"
         try:
             docs = _eval_docs(eval_corpus, cfg, p_cc, seed)
-            matrices = [
-                model_mod.predict(model, ex.words, include_uni=cfg.model.include_uni)
-                for ex in docs
-            ]
+            matrices = [model_mod.predict(model, ex.words) for ex in docs]
             model_mod.write_prob_documents(
                 os.path.join(out_dir, f"probs_{tag}.tsv"),
                 [(list(ex.words), m) for ex, m in zip(docs, matrices)],
@@ -247,31 +244,45 @@ def _run_seed(cfg: PipelineConfig, seed: int) -> dict:
         except (ValueError, OSError) as exc:
             raise PipelineError("predict", exc) from exc
 
-        try:
-            if cfg.model.include_uni:
-                matrices = [interpolate(m, cfg.interp) for m in matrices]
-            results = [decode_document(m, cfg.method, cfg.decoder) for m in matrices]
-            write_span_file(
-                os.path.join(out_dir, f"spans_{tag}_{cfg.method}.jsonl"), results
-            )
-        except (ValueError, OSError) as exc:
-            raise PipelineError("decode", exc) from exc
-
-        try:
-            scored = [
-                (boundaries_to_bio(ex.gold), res.labels, ex.words)
-                for ex, res in zip(docs, results)
-            ]
-            for gran in cfg.granularities:
-                report = evaluation.evaluate_documents(scored, gran)
-                reports[(p_cc, gran)] = report
-                write_json(
-                    os.path.join(out_dir, f"report_{tag}_{gran}_{cfg.method}.json"),
-                    report.to_dict(),
-                )
-        except (ValueError, OSError) as exc:
-            raise PipelineError("evaluate", exc) from exc
+        reports.update(_decode_and_score(
+            cfg, tag, p_cc, matrices,
+            lambda: [(boundaries_to_bio(ex.gold), ex.words) for ex in docs],
+        ))
     return reports
+
+
+def decode_documents(matrices, method: str, decoder: DecoderConfig, interp: InterpConfig) -> list:
+    """Decode each document, mixing in its unidirectional columns when it has them."""
+    return [
+        decode_document(interpolate(m, interp) if m.has_uni else m, method, decoder)
+        for m in matrices
+    ]
+
+
+def _decode_and_score(cfg: PipelineConfig, tag: str, setting, matrices, gold_docs) -> dict:
+    """Decode and write the span file, then score it at each granularity.
+
+    `gold_docs()` returns the (gold word labels, words) of each document; it
+    is called only once the span file is written.  Returns {(setting, granularity): EvalReport}.
+    """
+    out_dir = cfg.paths.output_dir
+    try:
+        results = decode_documents(matrices, cfg.method, cfg.decoder, cfg.interp)
+        write_span_file(os.path.join(out_dir, f"spans_{tag}_{cfg.method}.jsonl"), results)
+    except (ValueError, OSError) as exc:
+        raise PipelineError("decode", exc) from exc
+    try:
+        scored = [(gold, res.labels, words) for (gold, words), res in zip(gold_docs(), results)]
+        reports = {}
+        for gran in cfg.granularities:
+            report = evaluation.evaluate_documents(scored, gran)
+            reports[(setting, gran)] = report
+            write_json(
+                os.path.join(out_dir, f"report_{tag}_{gran}_{cfg.method}.json"), report.to_dict()
+            )
+        return reports
+    except (ValueError, OSError) as exc:
+        raise PipelineError("evaluate", exc) from exc
 
 
 def _align_docs_to_units(units, doc_lengths):
@@ -306,36 +317,15 @@ def gold_documents(units, doc_lengths) -> list[tuple[LabelSeq, list[str]]]:
 
 
 def _run_seed_external_probs(cfg: PipelineConfig, seed: int, eval_corpus: Corpus) -> dict:
-    out_dir = cfg.paths.output_dir
     try:
         with open(cfg.paths.probs, encoding="utf-8") as f:
-            prob_docs = model_mod.iter_prob_documents(f)
+            matrices = [m for _, m in model_mod.iter_prob_documents(f)]
     except (OSError, ValueError) as exc:
         raise PipelineError("load-probs", exc) from exc
-    try:
-        matrices = [m for _, m in prob_docs]
-        if all(m.has_uni for m in matrices) and matrices:
-            matrices = [interpolate(m, cfg.interp) for m in matrices]
-        results = [decode_document(m, cfg.method, cfg.decoder) for m in matrices]
-        write_span_file(
-            os.path.join(out_dir, f"spans_seed{seed}_ext_{cfg.method}.jsonl"), results
-        )
-    except (ValueError, OSError) as exc:
-        raise PipelineError("decode", exc) from exc
-    try:
-        gold_docs = gold_documents(eval_corpus.units, [m.n for m in matrices])
-        scored = [(gold, res.labels, words) for (gold, words), res in zip(gold_docs, results)]
-        reports = {}
-        for gran in cfg.granularities:
-            report = evaluation.evaluate_documents(scored, gran)
-            reports[("ext", gran)] = report
-            write_json(
-                os.path.join(out_dir, f"report_seed{seed}_ext_{gran}_{cfg.method}.json"),
-                report.to_dict(),
-            )
-        return reports
-    except (ValueError, OSError) as exc:
-        raise PipelineError("evaluate", exc) from exc
+    return _decode_and_score(
+        cfg, f"seed{seed}_ext", "ext", matrices,
+        lambda: gold_documents(eval_corpus.units, [m.n for m in matrices]),
+    )
 
 
 def run_pipeline(cfg: PipelineConfig, parallel_seeds: bool = False) -> dict:

@@ -2,10 +2,17 @@
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from sentid.cli import main
+from sentid import augment as augment_mod
+from sentid import model as model_mod
+from sentid import pipeline as pipeline_mod
+from sentid.augment import AugmentConfig
+from sentid.cli import build_parser, main
+from sentid.decode import DecoderConfig
+from sentid.model import InterpConfig, ModelConfig
 
 from synth import synthetic_corpus
 
@@ -435,3 +442,107 @@ class TestStdinAndAggregate:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run("evaluate", "--aggregate", str(empty)) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"granularity": "word"}',
+            "[1]",
+            "string-score",
+            "bool-score",
+            "[" * 100_000,
+        ],
+        ids=["missing-keys", "array", "string-score", "bool-score", "deep-nesting"],
+    )
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
+        from sentid.evaluation import bio_f1
+        from sentid.labels import LabelSeq
+
+        good = bio_f1(LabelSeq("word", "BIO"), LabelSeq("word", "BIO")).to_dict()
+        if text.endswith("-score"):
+            text = json.dumps({**good, "span_f1": "1.0" if text.startswith("string") else True})
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "report_a.json").write_text(json.dumps(good))
+        (runs / "report_x.json").write_text(text)
+        assert run("evaluate", "--aggregate", str(runs)) == 2
+        assert "report_x.json" in capsys.readouterr().err
+
+
+class TestConfigFlags:
+    """Every config flag defaults to its dataclass field, through one source."""
+
+    COMMANDS = {
+        "train": ["train", "--corpus", "c", "--out", "m"],
+        "decode": ["decode", "--probs", "p", "--method", "eos"],
+        "augment": ["augment", "--corpus", "c", "--count", "1", "--out", "o"],
+    }
+    FLAGS = {
+        "train": ("epochs", "window", "hash_dim", "lr", "uni", "pcc", "pda", "ptr", "max_tokens"),
+        "decode": ("threshold", "lam"),
+        "augment": ("pcc", "pda", "ptr", "max_tokens"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_omitted_config_flags_parse_to_none(self, command):
+        args = vars(build_parser().parse_args(self.COMMANDS[command]))
+        assert {dest: args[dest] for dest in self.FLAGS[command]} == dict.fromkeys(
+            self.FLAGS[command]
+        )
+
+    @pytest.fixture
+    def built(self, monkeypatch, tmp_path):
+        """The config objects each command builds, with its work stubbed out."""
+        seen = {}
+
+        def fake_train(corpus, aug_cfg, seed, model_cfg):
+            seen.update(augment=aug_cfg, model=model_cfg)
+            return SimpleNamespace(head_names=())
+
+        def fake_decode(matrices, method, decoder, interp):
+            seen.update(decoder=decoder, interp=interp)
+            return []
+
+        def fake_generate(corpus, cfg, seed, count):
+            seen.update(augment=cfg)
+            return []
+
+        monkeypatch.setattr(model_mod, "train", fake_train)
+        monkeypatch.setattr(model_mod, "save_model", lambda model, path: None)
+        monkeypatch.setattr(pipeline_mod, "decode_documents", fake_decode)
+        monkeypatch.setattr(augment_mod, "generate_examples", fake_generate)
+        monkeypatch.setattr(augment_mod, "write_examples", lambda path, examples: None)
+        corpus = tmp_path / "c.jsonl"
+        synthetic_corpus(4, seed=0).save(corpus)
+        probs = tmp_path / "p.tsv"
+        probs.write_text("#probs v1 uni=1\n0\tx\t0.5\t0.5\t0.5\t0.5\n")
+        paths = {"c": str(corpus), "p": str(probs), "m": str(tmp_path / "m"), "o": str(tmp_path / "o")}
+
+        def build(command, *flags):
+            seen.clear()
+            argv = [paths.get(a, a) for a in self.COMMANDS[command]]
+            assert main(argv + list(flags)) == 0
+            return dict(seen)
+
+        return build
+
+    def test_bare_commands_build_dataclass_defaults(self, built):
+        assert built("train") == {"augment": AugmentConfig(), "model": ModelConfig()}
+        assert built("decode") == {"decoder": DecoderConfig(), "interp": InterpConfig()}
+        assert built("augment") == {"augment": AugmentConfig()}
+
+    def test_given_flags_set_their_fields(self, built):
+        seen = built(
+            "train", "--epochs", "3", "--window", "2", "--hash-dim", "4096", "--lr", "0.1",
+            "--uni", "--pcc", "0.2", "--pda", "0.1", "--ptr", "0.0", "--max-tokens", "64",
+        )
+        assert seen["model"] == ModelConfig(
+            window_radius=2, hash_dim=4096, epochs=3, learning_rate=0.1, include_uni=True
+        )
+        assert seen["augment"] == AugmentConfig(p_cc=0.2, p_da=0.1, p_tr=0.0, max_tokens=64)
+        seen = built("decode", "--threshold", "0.3", "--lambda", "0.7")
+        assert (seen["decoder"], seen["interp"]) == (
+            DecoderConfig(candidate_threshold=0.3), InterpConfig(lam=0.7)
+        )
+        seen = built("augment", "--pcc", "0.9", "--max-tokens", "8")
+        assert seen["augment"] == AugmentConfig(p_cc=0.9, max_tokens=8)

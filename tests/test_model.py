@@ -1,6 +1,7 @@
 """Probability model: features, training, prediction, interpolation, files."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,26 +134,21 @@ class TestPredict:
         m = predict(model, [])
         assert m.n == 0
 
-    def test_uni_heads_require_uni_model(self):
-        model = ClassifierModel.zeros(CFG, seed=0)
-        with pytest.raises(ValueError):
-            predict(model, ["x"], include_uni=True)
-
     def test_uni_prediction_shape(self):
         cfg = ModelConfig(window_radius=2, hash_dim=2**12, epochs=1, include_uni=True)
         model = train(pattern_corpus(), AugmentConfig(), seed=0, model_cfg=cfg)
-        m = predict(model, ["a", "b", "."], include_uni=True)
+        m = predict(model, ["a", "b", "."])
         assert m.has_uni and m.p_bos_uni.shape == (3,)
 
     def test_uni_restriction_on_scores(self):
         # perturbing right context never changes the left-only end head score
         cfg = ModelConfig(window_radius=3, hash_dim=2**12, epochs=1, include_uni=True)
         model = train(pattern_corpus(), AugmentConfig(), seed=0, model_cfg=cfg)
-        a = predict(model, ["a", "b0", ".", "x", "y"], include_uni=True)
-        b = predict(model, ["a", "b0", ".", "CHANGED", "TOKENS"], include_uni=True)
+        a = predict(model, ["a", "b0", ".", "x", "y"])
+        b = predict(model, ["a", "b0", ".", "CHANGED", "TOKENS"])
         assert a.p_eos_uni[2] == b.p_eos_uni[2]
-        a2 = predict(model, ["x", "y", "a", "b0", "."], include_uni=True)
-        b2 = predict(model, ["Q", "R", "a", "b0", "."], include_uni=True)
+        a2 = predict(model, ["x", "y", "a", "b0", "."])
+        b2 = predict(model, ["Q", "R", "a", "b0", "."])
         assert a2.p_bos_uni[2] == b2.p_bos_uni[2]
 
     def test_pure_function(self):
@@ -178,13 +174,12 @@ class TestWindowMixingOncePerSide:
         return counter
 
     def test_predict(self, calls):
-        cfg = ModelConfig(window_radius=2, hash_dim=2**12, epochs=1, include_uni=True)
-        model = ClassifierModel.zeros(cfg, seed=0)
+        cfg = ModelConfig(window_radius=2, hash_dim=2**12, epochs=1)
         words = ["a", "b", "."]
-        predict(model, words)
+        predict(ClassifierModel.zeros(cfg, seed=0), words)
         assert calls == [(-2, 2)]
         calls.clear()
-        predict(model, words, include_uni=True)
+        predict(ClassifierModel.zeros(replace(cfg, include_uni=True), seed=0), words)
         assert sorted(calls) == [(-2, 0), (-2, 2), (0, 2)]
 
     @pytest.mark.parametrize("include_uni, sides", [(False, 1), (True, 3)])

@@ -10,6 +10,9 @@ import pytest
 
 import sentid
 from sentid import model as model_mod
+from sentid.cli import CLI_METHODS
+from sentid.cli import main as cli_main
+from sentid.corpus import Corpus
 from sentid.model import ProbMatrix, write_prob_documents
 from sentid.pipeline import (
     ConfigError,
@@ -20,6 +23,24 @@ from sentid.pipeline import (
 )
 
 from synth import synthetic_corpus
+
+
+def external_probs(tmp_path, evalc, uni: bool, seed: int = 0):
+    """A random probability file whose documents are consecutive units of `evalc`."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    k = 0
+    units = evalc.units
+    while k < len(units):
+        step = min(int(rng.integers(2, 5)), len(units) - k)
+        chunk = units[k : k + step]
+        k += step
+        words = [w for u in chunk for w in u.words]
+        n = len(words)
+        docs.append((words, ProbMatrix(*(rng.random(n) for _ in range(4 if uni else 2)))))
+    probs_path = tmp_path / "ext.tsv"
+    write_prob_documents(probs_path, docs)
+    return probs_path
 
 
 def base_config(tmp_path, **overrides):
@@ -137,19 +158,7 @@ class TestRunPipeline:
         evalc = synthetic_corpus(12, seed=5)
         eval_path = tmp_path / "eval.jsonl"
         evalc.save(eval_path)
-        rng = np.random.default_rng(0)
-        docs = []
-        k = 0
-        units = evalc.units
-        while k < len(units):
-            step = min(int(rng.integers(2, 5)), len(units) - k)
-            chunk = units[k : k + step]
-            k += step
-            words = [w for u in chunk for w in u.words]
-            n = len(words)
-            docs.append((words, ProbMatrix(rng.random(n), rng.random(n))))
-        probs_path = tmp_path / "ext.tsv"
-        write_prob_documents(probs_path, docs)
+        probs_path = external_probs(tmp_path, evalc, uni=False)
         data = {
             "seeds": [0],
             "granularities": ["word"],
@@ -161,6 +170,55 @@ class TestRunPipeline:
         }
         aggregates = run_pipeline(config_from_dict(data))
         assert ("ext", "word") in aggregates
+
+    @pytest.mark.parametrize("uni", [False, True])
+    @pytest.mark.parametrize("method", ["eos", "eos_force", "bos_eos"])
+    def test_decode_command_matches_probs_mode(self, tmp_path, method, uni):
+        # the CLI and the pipeline decode a probability file through one path
+        evalc = synthetic_corpus(30, seed=7)
+        eval_path = tmp_path / "eval.jsonl"
+        evalc.save(eval_path)
+        probs_path = external_probs(tmp_path, evalc, uni=uni, seed=3)
+        data = {
+            "seeds": [0],
+            "method": method,
+            "granularities": ["word"],
+            "paths": {
+                "eval_corpus": str(eval_path),
+                "probs": str(probs_path),
+                "output_dir": str(tmp_path / "runs"),
+            },
+            "decoder": {"candidate_threshold": 0.2},
+            "interp": {"lam": 0.3},
+        }
+        run_pipeline(config_from_dict(data))
+        cli_spans = tmp_path / "cli_spans.jsonl"
+        cli_method = {v: k for k, v in CLI_METHODS.items()}[method]
+        assert cli_main([
+            "decode", "--probs", str(probs_path), "--method", cli_method,
+            "--threshold", "0.2", "--lambda", "0.3", "--out", str(cli_spans),
+        ]) == 0
+        pipeline_spans = tmp_path / "runs" / f"spans_seed0_ext_{method}.jsonl"
+        assert cli_spans.read_bytes() == pipeline_spans.read_bytes()
+
+    def test_misaligned_probs_fail_in_evaluate_after_writing_spans(self, tmp_path):
+        evalc = synthetic_corpus(12, seed=5)
+        eval_path = tmp_path / "eval.jsonl"
+        evalc.save(eval_path)
+        # the probabilities cover one unit fewer than the evaluation corpus
+        probs_path = external_probs(tmp_path, Corpus(evalc.units[:-1]), uni=True)
+        data = {
+            "seeds": [0],
+            "paths": {
+                "eval_corpus": str(eval_path),
+                "probs": str(probs_path),
+                "output_dir": str(tmp_path / "runs"),
+            },
+        }
+        with pytest.raises(PipelineError, match="evaluate") as info:
+            run_pipeline(config_from_dict(data))
+        assert info.value.stage == "evaluate"
+        assert (tmp_path / "runs" / "spans_seed0_ext_bos_eos.jsonl").exists()
 
     def test_treebank_only_cache_keyed_on_config(self, tmp_path, monkeypatch):
         # with no train_corpus path the cache key once was the literal "mem",
