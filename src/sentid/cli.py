@@ -93,7 +93,7 @@ def cmd_predict(args) -> int:
     model = model_mod.load_model(args.model)
     with open(args.input, encoding="utf-8") as f:
         docs = [line.split() for line in f if line.strip()]
-    pairs = [(words, model_mod.predict(model, words)) for words in docs]
+    pairs = list(zip(docs, model_mod.predict(model, docs)))
     model_mod.write_prob_documents(args.out, pairs)
     print(f"wrote probabilities for {len(pairs)} documents -> {args.out}")
     return 0

@@ -65,11 +65,11 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d) -> "EvalReport":
-        """Inverse of to_dict; a missing key or a mistyped value raises EvalError."""
+        """Inverse of to_dict; a missing key or a mistyped or out-of-range value raises EvalError."""
         per_label = {
             lab: LabelScore(
-                *(_typed(s, k, _NUMBER) for k in ("precision", "recall", "f1")),
-                *(_typed(s, k, (int,)) for k in ("support", "predicted")),
+                *(_score(s, k) for k in ("precision", "recall", "f1")),
+                *(_count(s, k) for k in ("support", "predicted")),
             )
             for lab, s in _typed(d, "labels", (dict,)).items()
         }
@@ -79,13 +79,9 @@ class EvalReport:
         return cls(
             granularity=_typed(d, "granularity", (str,)),
             per_label=per_label,
-            **{name: _typed(d, name, _NUMBER) for name in SCORE_NAMES},
+            **{name: _score(d, name) for name in SCORE_NAMES},
             flags=tuple(flags),
         )
-
-
-# JSON types of a report's numbers; a bool is no number here
-_NUMBER = (int, float)
 
 
 def _typed(d, key: str, types: tuple):
@@ -95,6 +91,23 @@ def _typed(d, key: str, types: tuple):
     if type(d[key]) not in types:
         raise EvalError(f"{key}: expected {types[-1].__name__}, got {d[key]!r}")
     return d[key]
+
+
+def _score(d, key: str):
+    """d[key], a number in [0, 1]."""
+    v = _typed(d, key, (int, float))  # exact types: a bool is no number here
+    # written so that NaN fails too: every comparison with NaN is false
+    if not 0.0 <= v <= 1.0:
+        raise EvalError(f"{key}: expected a score in [0, 1], got {v!r}")
+    return v
+
+
+def _count(d, key: str) -> int:
+    """d[key], an integer >= 0."""
+    v = _typed(d, key, (int,))
+    if v < 0:
+        raise EvalError(f"{key}: expected a count >= 0, got {v!r}")
+    return v
 
 
 def _prf(tp: int, pred: int, gold: int) -> tuple[float, float, float]:

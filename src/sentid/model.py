@@ -190,17 +190,71 @@ def _side_window(side: str, radius: int) -> tuple[int, int]:
     return lo * radius, hi * radius
 
 
-def _side_indices(
-    hashes: np.ndarray, tok_ptr: np.ndarray, sides: Iterable[str], cfg: ModelConfig
+# A group gathers consecutive documents until it holds this many tokens, so
+# that the fixed cost of each numpy call is paid per group, not per document,
+# while peak memory stays bounded by the longer of one group and the longest
+# document.
+_GROUP_TOKENS = 128
+
+
+def _groups(items: Iterable, words) -> Iterator[list]:
+    """Consecutive runs of `items` holding at least _GROUP_TOKENS words each.
+
+    `words(item)` is an item's document.  A document of _GROUP_TOKENS words
+    or more forms its own group; the last group may be smaller.
+    """
+    group, size = [], 0
+    for item in items:
+        n = len(words(item))
+        if group and n >= _GROUP_TOKENS:
+            yield group
+            group, size = [], 0
+        group.append(item)
+        size += n
+        if size >= _GROUP_TOKENS:
+            yield group
+            group, size = [], 0
+    if group:
+        yield group
+
+
+def _group_rows(
+    hasher: _TokenHasher, docs: Sequence[Sequence[str]], sides: Iterable[str], cfg: ModelConfig
 ) -> dict:
-    """CSR feature indices of every position, mixed once per distinct side."""
-    n = tok_ptr.shape[0] - 1
+    """CSR feature indices of every token of `docs`, in order, mixed once per distinct side.
+
+    The documents are laid out as one sequence with `window_radius` pad
+    positions before, between and after them, each holding the single pad
+    hash.  A window that runs past a document's edge then sees the pad entry
+    at each offset outside it, as a window over that document alone would,
+    so every token's row equals its row in a document of its own.  The pad
+    rows are dropped.
+    """
+    r = cfg.window_radius
+    lengths = np.array([len(d) for d in docs], dtype=np.int64)
+    hashes, tok_ptr = hasher.csr([w for d in docs for w in d])
+    n_real = tok_ptr.shape[0] - 1
+    n = n_real + r * (len(docs) + 1)
+    real = np.arange(n_real, dtype=np.int64) + r * (1 + np.repeat(np.arange(len(docs)), lengths))
+    is_real = np.zeros(n, dtype=bool)
+    is_real[real] = True
+    seg_len = np.ones(n, dtype=np.int64)
+    seg_len[real] = np.diff(tok_ptr)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(seg_len, out=ptr[1:])
+    group_hashes = np.full(ptr[n], _PAD_HASH, dtype=np.uint64)
+    group_hashes[np.repeat(is_real, seg_len)] = hashes
+
     mask = np.uint64(cfg.hash_dim - 1)
     out = {}
     for side in sides:
         if side not in out:
-            lo, hi = _side_window(side, cfg.window_radius)
-            out[side] = _kernels.window_indices(hashes, tok_ptr, n, lo, hi, mask, _PAD_HASH)
+            lo, hi = _side_window(side, r)
+            idx, row_ptr = _kernels.window_indices(group_hashes, ptr, n, lo, hi, mask, _PAD_HASH)
+            row_len = np.diff(row_ptr)
+            real_ptr = np.zeros(n_real + 1, dtype=np.int64)
+            np.cumsum(row_len[real], out=real_ptr[1:])
+            out[side] = idx[np.repeat(is_real, row_len)], real_ptr
     return out
 
 
@@ -234,8 +288,11 @@ def train(
 
     Inputs are regenerated each epoch from a stream keyed by (seed, epoch),
     so the model sees a different concatenation and augmentation of the
-    units in every pass.  Updates run row by row in a fixed head order;
-    results are a pure function of (corpus, configs, seed).
+    units in every pass.  Each head's updates run row by row, in stream
+    order; the heads have separate weights and the rate is fixed within an
+    epoch, so featurizing and updating a group of examples at a time gives
+    the same weights as one example at a time.  Results are a pure function
+    of (corpus, configs, seed).
     """
     if not corpus.units:
         raise ValueError("cannot train on an empty corpus")
@@ -244,11 +301,11 @@ def train(
     sides = [HEAD_SIDES[name] for name in model.head_names]
     for epoch in range(model_cfg.epochs):
         lr = model_cfg.learning_rate * model_cfg.lr_decay**epoch
-        for ex in example_stream(corpus, augment_cfg, seed, epoch):
-            hashes, tok_ptr = hasher.csr(ex.words)
-            rows = _side_indices(hashes, tok_ptr, sides, model_cfg)
-            bos_t = ex.gold.bos_flags.astype(np.float64)
-            eos_t = ex.gold.eos_flags.astype(np.float64)
+        stream = example_stream(corpus, augment_cfg, seed, epoch)
+        for group in _groups(stream, lambda ex: ex.words):
+            rows = _group_rows(hasher, [ex.words for ex in group], sides, model_cfg)
+            bos_t = np.concatenate([ex.gold.bos_flags for ex in group]).astype(np.float64)
+            eos_t = np.concatenate([ex.gold.eos_flags for ex in group]).astype(np.float64)
             for name in model.head_names:
                 idx, ptr = rows[HEAD_SIDES[name]]
                 targets = bos_t if name.startswith("bos") else eos_t
@@ -256,21 +313,28 @@ def train(
     return model
 
 
-def predict(model: ClassifierModel, words: Sequence[str]) -> ProbMatrix:
-    """Per-position sigmoid score of every head the model has."""
+def predict(model: ClassifierModel, docs: Iterable[Sequence[str]]) -> list[ProbMatrix]:
+    """Per-position sigmoid score of every head the model has, for each document.
+
+    `docs` is a sequence of documents, each a sequence of words; the result
+    holds one ProbMatrix per document, in order.  Documents are featurized
+    and scored in groups, with one token hasher for the whole call; every
+    score equals that of the document scored alone.
+    """
     cfg = model.config
-    hashes, tok_ptr = _TokenHasher(cfg).csr(words)
-    rows = _side_indices(hashes, tok_ptr, [HEAD_SIDES[name] for name in model.head_names], cfg)
-    scores = {}
-    for name in model.head_names:
-        idx, ptr = rows[HEAD_SIDES[name]]
-        scores[name] = _kernels.score_rows(model.weights[name], idx, ptr)
-    return ProbMatrix(
-        p_bos=scores["bos_bi"],
-        p_eos=scores["eos_bi"],
-        p_bos_uni=scores.get("bos_uni"),
-        p_eos_uni=scores.get("eos_uni"),
-    )
+    hasher = _TokenHasher(cfg)
+    sides = [HEAD_SIDES[name] for name in model.head_names]
+    out = []
+    for group in _groups(docs, lambda d: d):
+        rows = _group_rows(hasher, group, sides, cfg)
+        bounds = np.cumsum([len(d) for d in group])[:-1]
+        # head_names follow ProbMatrix's field order: bos_bi, eos_bi, bos_uni, eos_uni
+        columns = [
+            np.split(_kernels.score_rows(model.weights[name], *rows[HEAD_SIDES[name]]), bounds)
+            for name in model.head_names
+        ]
+        out.extend(ProbMatrix(*doc_columns) for doc_columns in zip(*columns))
+    return out
 
 
 def save_model(model: ClassifierModel, path) -> None:
@@ -310,10 +374,10 @@ def load_model(path) -> ClassifierModel:
             raise ValueError(f"{path}: bad model header: {exc!r}") from exc
         size = cfg.hash_dim + 1
         for name in model.head_names:
-            buf = f.read(size * 8)
-            if len(buf) != size * 8:
+            w = np.empty(size, dtype="<f8")
+            if f.readinto(w) != size * 8:
                 raise ValueError(f"{path}: truncated weights for head {name}")
-            model.weights[name] = np.frombuffer(buf, dtype="<f8").copy()
+            model.weights[name] = w
     return model
 
 

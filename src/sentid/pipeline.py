@@ -236,7 +236,7 @@ def _run_seed(cfg: PipelineConfig, seed: int) -> dict:
         tag = f"seed{seed}_pcc{_pcc_tag(p_cc)}"
         try:
             docs = _eval_docs(eval_corpus, cfg, p_cc, seed)
-            matrices = [model_mod.predict(model, ex.words) for ex in docs]
+            matrices = model_mod.predict(model, [ex.words for ex in docs])
             model_mod.write_prob_documents(
                 os.path.join(out_dir, f"probs_{tag}.tsv"),
                 [(list(ex.words), m) for ex, m in zip(docs, matrices)],

@@ -4,10 +4,13 @@ Everything here is deliberately brute force: the identification oracle
 enumerates every valid flag assignment and scores it directly from the
 objective's definition, and the metric oracles recount confusion cells and
 span sets from scratch.  Nothing imports the decoding or evaluation code
-paths under test.  The loop references at the end are the row- and
+paths under test.  The loop references are the row- and
 character-at-a-time code that the array paths (kernels, probability reader,
 label spans, char rendering, label counts) replaced; they take only the data
-and error types from the package.
+and error types from the package.  The per-document model references at the
+end featurize, score and train one document at a time; they share the token
+hasher and the kernels with the package, so grouped results must equal
+theirs bit for bit.
 """
 
 import math
@@ -15,7 +18,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from sentid.model import ProbFileError, ProbMatrix
+from sentid import _kernels
+from sentid.augment import example_stream
+from sentid.model import (
+    _PAD_HASH,
+    HEAD_SIDES,
+    SIDE_WINDOWS,
+    ClassifierModel,
+    ProbFileError,
+    ProbMatrix,
+    _TokenHasher,
+)
 
 
 @lru_cache(maxsize=None)
@@ -336,3 +349,44 @@ def window_indices_loop(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash):
                 indices.append(_splitmix64(int(h) ^ salt) & int(dim_mask))
         indptr.append(len(indices))
     return np.array(indices, np.int64), np.array(indptr, np.int64)
+
+
+def _document_rows(hasher, words, sides, cfg) -> dict:
+    """Feature indices of one document on its own, mixed once per distinct side."""
+    hashes, tok_ptr = hasher.csr(words)
+    mask = np.uint64(cfg.hash_dim - 1)
+    out = {}
+    for side in sides:
+        if side not in out:
+            lo, hi = (k * cfg.window_radius for k in SIDE_WINDOWS[side])
+            out[side] = _kernels.window_indices(hashes, tok_ptr, len(words), lo, hi, mask, _PAD_HASH)
+    return out
+
+
+def predict_per_document(model, words) -> ProbMatrix:
+    """Scores of every head of `model` on one document, featurized on its own."""
+    sides = [HEAD_SIDES[name] for name in model.head_names]
+    rows = _document_rows(_TokenHasher(model.config), words, sides, model.config)
+    return ProbMatrix(*(
+        _kernels.score_rows(model.weights[name], *rows[HEAD_SIDES[name]])
+        for name in model.head_names
+    ))
+
+
+def train_per_example(corpus, augment_cfg, seed, model_cfg) -> ClassifierModel:
+    """`model.train`, one example at a time: every head's SGD over the example, in head order."""
+    model = ClassifierModel.zeros(model_cfg, seed)
+    hasher = _TokenHasher(model_cfg)
+    sides = [HEAD_SIDES[name] for name in model.head_names]
+    for epoch in range(model_cfg.epochs):
+        lr = model_cfg.learning_rate * model_cfg.lr_decay**epoch
+        for ex in example_stream(corpus, augment_cfg, seed, epoch):
+            rows = _document_rows(hasher, ex.words, sides, model_cfg)
+            targets = {
+                "bos": ex.gold.bos_flags.astype(np.float64),
+                "eos": ex.gold.eos_flags.astype(np.float64),
+            }
+            for name in model.head_names:
+                idx, ptr = rows[HEAD_SIDES[name]]
+                _kernels.sgd_rows(model.weights[name], idx, ptr, targets[name[:3]], lr)
+    return model

@@ -448,19 +448,37 @@ class TestStdinAndAggregate:
         [
             '{"granularity": "word"}',
             "[1]",
-            "string-score",
-            "bool-score",
+            (("span_f1",), "1.0"),
+            (("span_f1",), True),
             "[" * 100_000,
+            (("span_f1",), float("nan")),
+            (("macro_f1",), float("inf")),
+            (("span_recall",), 7.5),
+            (("weighted_f1",), -0.25),
+            (("labels", "B", "f1"), float("nan")),
+            (("labels", "I", "precision"), 1.5),
+            (("labels", "B", "support"), -1),
+            (("labels", "O", "predicted"), -3),
         ],
-        ids=["missing-keys", "array", "string-score", "bool-score", "deep-nesting"],
+        ids=[
+            "missing-keys", "array", "string-score", "bool-score", "deep-nesting",
+            "nan-score", "inf-score", "score-above-one", "negative-score",
+            "nan-label-score", "label-score-above-one", "negative-support", "negative-predicted",
+        ],
     )
     def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
         from sentid.evaluation import bio_f1
         from sentid.labels import LabelSeq
 
         good = bio_f1(LabelSeq("word", "BIO"), LabelSeq("word", "BIO")).to_dict()
-        if text.endswith("-score"):
-            text = json.dumps({**good, "span_f1": "1.0" if text.startswith("string") else True})
+        if isinstance(text, tuple):  # one value of a good report replaced
+            (*keys, last), value = text
+            bad = json.loads(json.dumps(good))
+            target = bad
+            for key in keys:
+                target = target[key]
+            target[last] = value
+            text = json.dumps(bad)  # NaN and Infinity as json.load reads them
         runs = tmp_path / "runs"
         runs.mkdir()
         (runs / "report_a.json").write_text(json.dumps(good))

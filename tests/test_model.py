@@ -1,6 +1,7 @@
 """Probability model: features, training, prediction, interpolation, files."""
 
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +13,14 @@ from sentid import _kernels
 from sentid.augment import AugmentConfig, example_stream
 from sentid.corpus import Corpus
 from sentid.model import (
+    _GROUP_TOKENS,
     ClassifierModel,
     InterpConfig,
     ModelConfig,
     ProbFileError,
     ProbMatrix,
-    _side_indices,
+    _group_rows,
+    _groups,
     _TokenHasher,
     interpolate,
     iter_prob_documents,
@@ -28,8 +31,8 @@ from sentid.model import (
     write_prob_documents,
 )
 
-from oracles import iter_prob_documents_rows
-from synth import unit_from_words
+from oracles import iter_prob_documents_rows, predict_per_document, train_per_example
+from synth import synthetic_corpus, unit_from_words
 
 CFG = ModelConfig(window_radius=2, hash_dim=2**12, epochs=2)
 
@@ -44,8 +47,7 @@ def nsu(*words):
 
 def side_rows(words, side):
     """Feature indices of each position of one document, window restricted by side."""
-    hashes, tok_ptr = _TokenHasher(CFG).csr(words)
-    idx, ptr = _side_indices(hashes, tok_ptr, (side,), CFG)[side]
+    idx, ptr = _group_rows(_TokenHasher(CFG), [words], (side,), CFG)[side]
     return [idx[ptr[i] : ptr[i + 1]] for i in range(len(words))]
 
 
@@ -95,7 +97,7 @@ class TestTrain:
     def test_eos_learns_final_punct(self):
         corp = pattern_corpus()
         model = train(corp, AugmentConfig(p_da=0.0, p_tr=0.0), seed=0, model_cfg=CFG)
-        m = predict(model, ["a", "b1", ".", "a", "b2", "."])
+        m = predict(model, [["a", "b1", ".", "a", "b2", "."]])[0]
         assert m.p_eos[2] > m.p_eos[0]
         assert m.p_eos[2] > m.p_eos[1]
         assert m.p_bos[0] > m.p_bos[1]
@@ -125,41 +127,43 @@ class TestTrain:
 class TestPredict:
     def test_outputs_in_unit_interval(self):
         model = train(pattern_corpus(), AugmentConfig(), seed=0, model_cfg=CFG)
-        m = predict(model, ["anything", "at", "all", "!"])
+        m = predict(model, [["anything", "at", "all", "!"]])[0]
         for v in (m.p_bos, m.p_eos):
             assert (v >= 0).all() and (v <= 1).all()
 
     def test_zero_tokens(self):
         model = ClassifierModel.zeros(CFG, seed=0)
-        m = predict(model, [])
+        m = predict(model, [[]])[0]
         assert m.n == 0
+        assert predict(model, []) == []
 
     def test_uni_prediction_shape(self):
         cfg = ModelConfig(window_radius=2, hash_dim=2**12, epochs=1, include_uni=True)
         model = train(pattern_corpus(), AugmentConfig(), seed=0, model_cfg=cfg)
-        m = predict(model, ["a", "b", "."])
+        m = predict(model, [["a", "b", "."]])[0]
         assert m.has_uni and m.p_bos_uni.shape == (3,)
 
     def test_uni_restriction_on_scores(self):
         # perturbing right context never changes the left-only end head score
         cfg = ModelConfig(window_radius=3, hash_dim=2**12, epochs=1, include_uni=True)
         model = train(pattern_corpus(), AugmentConfig(), seed=0, model_cfg=cfg)
-        a = predict(model, ["a", "b0", ".", "x", "y"])
-        b = predict(model, ["a", "b0", ".", "CHANGED", "TOKENS"])
+        a, b = predict(model, [["a", "b0", ".", "x", "y"], ["a", "b0", ".", "CHANGED", "TOKENS"]])
         assert a.p_eos_uni[2] == b.p_eos_uni[2]
-        a2 = predict(model, ["x", "y", "a", "b0", "."])
-        b2 = predict(model, ["Q", "R", "a", "b0", "."])
+        a2, b2 = predict(model, [["x", "y", "a", "b0", "."], ["Q", "R", "a", "b0", "."]])
         assert a2.p_bos_uni[2] == b2.p_bos_uni[2]
 
     def test_pure_function(self):
         model = train(pattern_corpus(), AugmentConfig(), seed=0, model_cfg=CFG)
         words = ["a", "b2", "."]
-        m1, m2 = predict(model, words), predict(model, words)
+        m1, m2 = predict(model, [words])[0], predict(model, [words])[0]
         assert np.array_equal(m1.p_bos, m2.p_bos) and np.array_equal(m1.p_eos, m2.p_eos)
 
 
 class TestWindowMixingOncePerSide:
-    """bos_bi and eos_bi share the "both" window, so it is mixed once."""
+    """Window mixing runs once per distinct side per group of documents.
+
+    bos_bi and eos_bi share the "both" window, so it is mixed once.
+    """
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -175,21 +179,124 @@ class TestWindowMixingOncePerSide:
 
     def test_predict(self, calls):
         cfg = ModelConfig(window_radius=2, hash_dim=2**12, epochs=1)
-        words = ["a", "b", "."]
-        predict(ClassifierModel.zeros(cfg, seed=0), words)
+        docs = [["a", "b", "."]] * 10
+        predict(ClassifierModel.zeros(cfg, seed=0), docs)
         assert calls == [(-2, 2)]
         calls.clear()
-        predict(ClassifierModel.zeros(replace(cfg, include_uni=True), seed=0), words)
+        predict(ClassifierModel.zeros(replace(cfg, include_uni=True), seed=0), docs)
         assert sorted(calls) == [(-2, 0), (-2, 2), (0, 2)]
+        calls.clear()
+        # 3 groups: two close at _GROUP_TOKENS tokens, the last holds the remainder
+        docs = [["a"] * (_GROUP_TOKENS // 2)] * 5
+        predict(ClassifierModel.zeros(cfg, seed=0), docs)
+        assert calls == [(-2, 2)] * 3
 
     @pytest.mark.parametrize("include_uni, sides", [(False, 1), (True, 3)])
     def test_train(self, calls, include_uni, sides):
         cfg = ModelConfig(window_radius=2, hash_dim=2**12, epochs=2, include_uni=include_uni)
         corpus, aug = pattern_corpus(), AugmentConfig()
         train(corpus, aug, seed=3, model_cfg=cfg)
-        examples = sum(1 for e in range(2) for _ in example_stream(corpus, aug, 3, e))
-        assert len(calls) == sides * examples
+        groups = examples = 0
+        for e in range(2):
+            size = 0
+            for ex in example_stream(corpus, aug, 3, e):
+                assert len(ex.words) < _GROUP_TOKENS  # so a group closes only at the bound
+                examples += 1
+                size += len(ex.words)
+                if size >= _GROUP_TOKENS:
+                    groups, size = groups + 1, 0
+            groups += size > 0
+        assert groups < examples
+        assert len(calls) == sides * groups
         assert len(set(calls)) == sides
+
+
+def random_model(cfg: ModelConfig, seed: int = 0) -> ClassifierModel:
+    """A model with every weight nonzero, so that any wrong feature index shows."""
+    rng = np.random.default_rng(seed)
+    model = ClassifierModel.zeros(cfg, seed)
+    for name in model.head_names:
+        model.weights[name][:] = rng.normal(size=cfg.hash_dim + 1)
+    return model
+
+
+VOCAB = ("The", "cat", "sat", ".", "A", "dog!", "12:30", "PM", "***", "x")
+
+
+def random_docs(lengths, seed: int = 0) -> list:
+    rng = np.random.default_rng(seed)
+    return [[str(w) for w in rng.choice(VOCAB, size=n)] for n in lengths]
+
+
+G = _GROUP_TOKENS
+DOC_LENGTHS = {
+    "empty-and-one-token": [0, 1, 3, 0, 1, 0],
+    "longer-than-a-group": [5, 3 * G, 2],
+    "closes-at-bound": [G - 28, 28, 4, G, 1],
+    "many-short": [7, 12, 30, 2, 50, 9, 40, 15, 22, 1, 60, 33],
+}
+
+
+class TestGroupedParity:
+    """Grouped featurization gives every document the rows it has on its own."""
+
+    @pytest.mark.parametrize(
+        "lengths, groups",
+        [
+            ([G - 28, 28, 4], [[G - 28, 28], [4]]),  # closes exactly at the bound
+            ([G - 1, 1, 1], [[G - 1, 1], [1]]),
+            ([5, G + 1, 3], [[5], [G + 1], [3]]),  # a long document stands alone
+            ([G, 0, 2], [[G], [0, 2]]),
+            ([0, 0, 1], [[0, 0, 1]]),
+        ],
+    )
+    def test_groups(self, lengths, groups):
+        docs = [["w"] * n for n in lengths]
+        assert [[len(d) for d in g] for g in _groups(docs, lambda d: d)] == groups
+
+    @pytest.mark.parametrize("lengths", DOC_LENGTHS.values(), ids=DOC_LENGTHS.keys())
+    @pytest.mark.parametrize("include_uni", [False, True], ids=["bi", "uni"])
+    @pytest.mark.parametrize("radius", [0, 5])
+    def test_predict_matches_per_document(self, radius, include_uni, lengths):
+        model = random_model(ModelConfig(window_radius=radius, hash_dim=2**12, include_uni=include_uni))
+        docs = random_docs(lengths)
+        got = predict(model, docs)
+        assert len(got) == len(docs)
+        for words, m in zip(docs, got):
+            ref = predict_per_document(model, words)
+            for name in ("p_bos", "p_eos", "p_bos_uni", "p_eos_uni"):
+                a, b = getattr(m, name), getattr(ref, name)
+                assert (a is None) == (b is None)
+                assert a is None or a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("p_cc", [0.5, 0.02], ids=["short-examples", "long-examples"])
+    @pytest.mark.parametrize("include_uni", [False, True], ids=["bi", "uni"])
+    @pytest.mark.parametrize("radius", [0, 5])
+    def test_train_matches_per_example(self, radius, include_uni, p_cc):
+        corpus, aug = synthetic_corpus(80, seed=1), AugmentConfig(p_cc=p_cc)
+        cfg = ModelConfig(window_radius=radius, hash_dim=2**12, epochs=2, include_uni=include_uni)
+        if p_cc < 0.5:
+            assert any(len(ex.words) > G for ex in example_stream(corpus, aug, 3, 0))
+        got = train(corpus, aug, seed=3, model_cfg=cfg)
+        ref = train_per_example(corpus, aug, 3, cfg)
+        for name in ref.head_names:
+            assert got.weights[name].tobytes() == ref.weights[name].tobytes()
+
+    def test_peak_memory_bounded_by_group(self):
+        # featurizing a whole batch at once would grow the peak with the batch
+        model = random_model(ModelConfig(hash_dim=2**12, include_uni=True))
+
+        def peak(docs):
+            tracemalloc.start()
+            try:
+                predict(model, docs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = random_docs([10] * 40, seed=1), random_docs([10] * 400, seed=2)
+        peak(few)  # warm-up: first-call allocations are not the batch's
+        assert peak(many) <= 1.5 * peak(few)
 
 
 class TestSerialization:
@@ -203,7 +310,15 @@ class TestSerialization:
         for h in model.head_names:
             assert np.array_equal(loaded.weights[h], model.weights[h])
         words = ["a", "b0", ".", "%"]
-        assert np.array_equal(predict(loaded, words).p_eos, predict(model, words).p_eos)
+        assert np.array_equal(predict(loaded, [words])[0].p_eos, predict(model, [words])[0].p_eos)
+
+    @pytest.mark.parametrize("cut, head", [(1, "eos_bi"), (8 * (CFG.hash_dim + 1) + 8, "bos_bi")])
+    def test_truncated_weights_rejected(self, tmp_path, cut, head):
+        path = tmp_path / "model.bin"
+        save_model(ClassifierModel.zeros(CFG, seed=0), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=f"truncated weights for head {head}"):
+            load_model(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"

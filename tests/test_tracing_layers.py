@@ -27,3 +27,20 @@ def test_every_layer_target_is_a_package_function():
         if not inspect.isfunction(getattr(target, "__func__", target)):
             missing.append(f"{layer}: sentid.{module}.{attr_path}")
     assert missing == []
+
+
+def test_counted_arguments_keep_their_places():
+    """The tracer's counters read arguments by position.
+
+    It takes ``args[2]`` of ``_kernels.window_indices`` as the number of rows
+    mixed, and wraps ``_TokenHasher.csr`` as ``csr(hasher, words)``, counting
+    ``len(words)`` lookups.  A moved or added parameter would make those
+    counts silently wrong.
+    """
+    from sentid import _kernels
+    from sentid.model import _TokenHasher
+
+    assert list(inspect.signature(_kernels.window_indices).parameters)[2] == "n"
+    params = list(inspect.signature(_TokenHasher.csr).parameters.values())
+    assert [p.name for p in params][:1] == ["self"] and len(params) == 2
+    assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
