@@ -22,65 +22,74 @@ _MIX_C = 0x94D049BB133111EB
 # of tokens [0, i) that ends inside an open span (cur_is) or outside
 # (cur_os).  Each token first passes a begin-flag update, then an end-flag
 # update.  Skipped positions (candidate masks 0) leave the state untouched,
-# which is exactly equivalent to pinning that flag's probability to 0.
+# which is exactly equivalent to pinning that flag's probability to 0.  A
+# position with both masks 0 changes neither the state nor the backtrack, so
+# both loops visit candidate positions only, on Python floats: the same IEEE
+# double operations, in the same order, as numpy scalars would perform.
 # ---------------------------------------------------------------------------
 
 
 def dp_decode(lb1, lb0, le1, le0, bos_ok, eos_ok):
     """(best objective, begin flags, end flags) of the argmax labeling."""
     n = lb1.shape[0]
-    # bp_bos[i]: open-state at i was reached by opening a span at i
-    # bp_eos[i]: outside-state at i+1 was reached by closing a span at i
-    bp_bos = np.zeros(n, np.uint8)
-    bp_eos = np.zeros(n, np.uint8)
+    cand = np.flatnonzero(bos_ok | eos_ok)
+    # opened[k]: the open state after candidate k was reached by opening a span there
+    # closed[k]: the outside state after candidate k was reached by closing a span there
+    opened = []
+    closed = []
     cur_is = NEG_INF
     cur_os = 0.0
-    for i in range(n):
-        if bos_ok[i]:
-            keep = cur_is + lb0[i]
-            open_ = cur_os + lb1[i]
+    for b_ok, e_ok, b1, b0, e1, e0 in zip(
+        bos_ok[cand].tolist(), eos_ok[cand].tolist(),
+        lb1[cand].tolist(), lb0[cand].tolist(), le1[cand].tolist(), le0[cand].tolist(),
+    ):
+        if b_ok:
+            keep = cur_is + b0
+            open_ = cur_os + b1
             if open_ > keep:
                 is_p = open_
-                bp_bos[i] = 1
+                opened.append(True)
             else:
                 is_p = keep
-            os_p = cur_os + lb0[i]
+                opened.append(False)
+            os_p = cur_os + b0
         else:
             is_p = cur_is
             os_p = cur_os
-        if eos_ok[i]:
-            cur_is = is_p + le0[i]
-            close = is_p + le1[i]
-            stay = os_p + le0[i]
+            opened.append(False)
+        if e_ok:
+            cur_is = is_p + e0
+            close = is_p + e1
+            stay = os_p + e0
             if close >= stay:
                 cur_os = close
-                bp_eos[i] = 1
+                closed.append(True)
             else:
                 cur_os = stay
+                closed.append(False)
         else:
             cur_is = is_p
             cur_os = os_p
+            closed.append(False)
 
+    bos_at = []
+    eos_at = []
+    inside = False  # state while walking backwards: True = open-span state
+    for k in range(len(cand) - 1, -1, -1):
+        if not inside:
+            if not closed[k]:
+                continue
+            eos_at.append(k)
+        # the open state after candidate k descends from the one after its begin update
+        if opened[k]:
+            bos_at.append(k)
+            inside = False
+        else:
+            inside = True
     bos_flags = np.zeros(n, np.uint8)
     eos_flags = np.zeros(n, np.uint8)
-    inside = False  # state while walking backwards: True = open-span state
-    for i in range(n - 1, -1, -1):
-        if inside:
-            after_bos = True  # open state at i+1 always descends from is'
-        else:
-            if eos_ok[i] and bp_eos[i]:
-                eos_flags[i] = 1
-                after_bos = True
-            else:
-                after_bos = False
-        if after_bos:
-            if bos_ok[i] and bp_bos[i]:
-                bos_flags[i] = 1
-                inside = False
-            else:
-                inside = True
-        else:
-            inside = False
+    bos_flags[cand[bos_at]] = 1
+    eos_flags[cand[eos_at]] = 1
     return cur_os, bos_flags, eos_flags
 
 

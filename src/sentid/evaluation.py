@@ -212,7 +212,7 @@ def to_granularity(labels: LabelSeq, granularity: str, words) -> LabelSeq:
         raise EvalError("char-level scoring needs the document words")
     if len(words) != len(labels):
         raise EvalError(f"word count {len(words)} does not match labels {len(labels)}")
-    lengths = [len(w) for w in words]
+    lengths = list(map(len, words))
     separators = [1] * (len(words) - 1) + [0] if words else []
     return coarse_to_chars(labels, lengths, separators)
 

@@ -35,7 +35,12 @@ class LabelSeq:
     def __post_init__(self):
         if self.granularity not in GRANULARITIES:
             raise LabelError(f"unknown granularity {self.granularity!r}")
-        bad = set(self.labels) - set("BIO")
+        labels = self.labels
+        # at C speed: an ASCII string is valid when deleting B, I and O leaves nothing
+        if type(labels) is str and labels.isascii():
+            if not labels.encode("ascii").translate(None, b"BIO"):
+                return
+        bad = set(labels) - set("BIO")
         if bad:
             raise LabelError(f"labels contain {sorted(bad)!r}, expected B/I/O")
 
@@ -147,7 +152,24 @@ def boundaries_to_bio(b: BoundarySeq, granularity: str = "word") -> LabelSeq:
 
 
 def spans_to_labels(n: int, spans: Sequence[tuple[int, int]], granularity: str = "word") -> LabelSeq:
-    """Render sorted, non-overlapping half-open spans as BIO."""
+    """Render sorted, non-overlapping half-open spans as BIO.
+
+    Spans out of order or overlapping are painted one over the other, in the
+    given order; a span outside [0, n) raises LabelError.
+    """
+    parts = []
+    pos = 0
+    for start, end in spans:
+        if not (pos <= start < end <= n):
+            return _paint_spans(n, spans, granularity)
+        parts.append("O" * (start - pos))
+        parts.append("B" + "I" * (end - start - 1))
+        pos = end
+    parts.append("O" * (n - pos))
+    return LabelSeq(granularity, "".join(parts))
+
+
+def _paint_spans(n: int, spans: Sequence[tuple[int, int]], granularity: str) -> LabelSeq:
     labs = ["O"] * n
     for start, end in spans:
         if not (0 <= start < end <= n):

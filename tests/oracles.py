@@ -6,8 +6,8 @@ objective's definition, and the metric oracles recount confusion cells and
 span sets from scratch.  Nothing imports the decoding or evaluation code
 paths under test.  The loop references are the row- and
 character-at-a-time code that the array paths (kernels, probability reader,
-label spans, char rendering, label counts) replaced; they take only the data
-and error types from the package.  The per-document model references at the
+label spans, span rendering, char rendering, label counts) replaced; they
+take only the data and error types from the package.  The per-document model references at the
 end featurize, score and train one document at a time; they share the token
 hasher and the kernels with the package, so grouped results must equal
 theirs bit for bit.
@@ -20,6 +20,7 @@ import numpy as np
 
 from sentid import _kernels
 from sentid.augment import example_stream
+from sentid.labels import LabelError
 from sentid.model import (
     _PAD_HASH,
     HEAD_SIDES,
@@ -237,6 +238,18 @@ def coarse_to_chars_loop(labels: str, lengths, separators) -> str:
     return "".join(out)
 
 
+def spans_to_labels_loop(n: int, spans) -> str:
+    """BIO of half-open spans painted one token at a time, later spans over earlier."""
+    labs = ["O"] * n
+    for start, end in spans:
+        if not (0 <= start < end <= n):
+            raise LabelError(f"span ({start}, {end}) out of range for length {n}")
+        labs[start] = "B"
+        for i in range(start + 1, end):
+            labs[i] = "I"
+    return "".join(labs)
+
+
 def label_counts(gold: str, pred: str):
     """(gold, predicted, true-positive) cell counts per label, one position at a time."""
     counts = tuple({lab: 0 for lab in "BIO"} for _ in range(3))
@@ -246,6 +259,68 @@ def label_counts(gold: str, pred: str):
         if g == p:
             counts[2][g] += 1
     return counts
+
+
+def dp_decode_loop(lb1, lb0, le1, le0, bos_ok, eos_ok):
+    """The span DP visiting every position, on numpy scalars.
+
+    Positions whose candidate masks are both 0 pass through unchanged; the
+    kernel skips them, so its results must equal these bit for bit.
+    """
+    n = lb1.shape[0]
+    # bp_bos[i]: open-state at i was reached by opening a span at i
+    # bp_eos[i]: outside-state at i+1 was reached by closing a span at i
+    bp_bos = np.zeros(n, np.uint8)
+    bp_eos = np.zeros(n, np.uint8)
+    cur_is = -math.inf
+    cur_os = 0.0
+    for i in range(n):
+        if bos_ok[i]:
+            keep = cur_is + lb0[i]
+            open_ = cur_os + lb1[i]
+            if open_ > keep:
+                is_p = open_
+                bp_bos[i] = 1
+            else:
+                is_p = keep
+            os_p = cur_os + lb0[i]
+        else:
+            is_p = cur_is
+            os_p = cur_os
+        if eos_ok[i]:
+            cur_is = is_p + le0[i]
+            close = is_p + le1[i]
+            stay = os_p + le0[i]
+            if close >= stay:
+                cur_os = close
+                bp_eos[i] = 1
+            else:
+                cur_os = stay
+        else:
+            cur_is = is_p
+            cur_os = os_p
+
+    bos_flags = np.zeros(n, np.uint8)
+    eos_flags = np.zeros(n, np.uint8)
+    inside = False  # state while walking backwards: True = open-span state
+    for i in range(n - 1, -1, -1):
+        if inside:
+            after_bos = True  # open state at i+1 always descends from is'
+        else:
+            if eos_ok[i] and bp_eos[i]:
+                eos_flags[i] = 1
+                after_bos = True
+            else:
+                after_bos = False
+        if after_bos:
+            if bos_ok[i] and bp_bos[i]:
+                bos_flags[i] = 1
+                inside = False
+            else:
+                inside = True
+        else:
+            inside = False
+    return cur_os, bos_flags, eos_flags
 
 
 def span_dp(lb1, lb0, le1, le0, bos_ok, eos_ok):

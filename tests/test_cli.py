@@ -178,6 +178,26 @@ class TestTrainPredictDecodeEvaluate:
         assert run("evaluate", "--gold", str(corpus), "--pred", str(spans)) == 2
         assert "bad span record on line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (["B", "X"], "labels contain ['X'], expected B/I/O"),
+            (["B", "I"], "labels do not render su_spans"),
+            (5, "'int' object is not iterable"),
+            ("Bé", "labels contain ['é'], expected B/I/O"),
+            ("B\ud800", "labels contain ['\\ud800'], expected B/I/O"),
+        ],
+    )
+    def test_evaluate_bad_span_labels_is_data_error(self, tmp_path, capsys, labels, message):
+        rec = {"text": "a b", "words": ["a", "b"], "char_offsets": [[0, 1], [2, 3]], "is_su": True}
+        corpus = tmp_path / "gold.jsonl"
+        corpus.write_text(json.dumps(rec) + "\n")
+        spans = tmp_path / "pred.jsonl"
+        spans.write_text(json.dumps({"spans": [[0, 2]], "labels": labels, "log_prob": 0.0}) + "\n")
+        assert run("evaluate", "--gold", str(corpus), "--pred", str(spans)) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {spans}: bad span record on line 1: {message}\n"
+
     def test_evaluate_alignment_error(self, tmp_path):
         corpus = tmp_path / "gold.jsonl"
         synthetic_corpus(4, seed=3).save(corpus)

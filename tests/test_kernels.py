@@ -6,10 +6,12 @@ accumulations may differ in the last ulps where the kernels sum pairwise.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sentid import _kernels
 
-from oracles import score_rows_loop, sgd_rows_loop, span_dp, window_indices_loop
+from oracles import dp_decode_loop, score_rows_loop, sgd_rows_loop, span_dp, window_indices_loop
 
 
 def random_csr(rng, nrows, dim):
@@ -35,6 +37,54 @@ class TestDpDecodeParity:
             assert got[0] == pytest.approx(ref[0], abs=1e-12)
             assert np.array_equal(got[1], ref[1])
             assert np.array_equal(got[2], ref[2])
+
+
+def dp_inputs(p_bos, p_eos, c):
+    p_bos, p_eos = np.asarray(p_bos, np.float64), np.asarray(p_eos, np.float64)
+    lb1, lb0 = np.log(np.maximum(p_bos, 1e-12)), np.log(np.maximum(1 - p_bos, 1e-12))
+    le1, le0 = np.log(np.maximum(p_eos, 1e-12)), np.log(np.maximum(1 - p_eos, 1e-12))
+    return lb1, lb0, le1, le0, (p_bos >= c).astype(np.uint8), (p_eos >= c).astype(np.uint8)
+
+
+_PROB = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.99, 1.0]))
+
+
+class TestDpDecodeMatchesLoop:
+    """The candidate-only DP against the every-position loop, bit for bit."""
+
+    def assert_identical(self, args):
+        got = _kernels.dp_decode(*args)
+        ref = dp_decode_loop(*args)
+        assert float(got[0]).hex() == float(ref[0]).hex()
+        for g, r in zip(got[1:], ref[1:]):
+            assert g.dtype == np.uint8 and np.array_equal(g, r)
+        return got
+
+    def test_every_position_pruned(self):
+        p = np.random.default_rng(35).random((2, 30)) * 0.099
+        logp, bos, eos = self.assert_identical(dp_inputs(p[0], p[1], 0.1))
+        # no flags, and only candidate positions add their zero-flag terms
+        assert logp == 0.0 and not bos.any() and not eos.any()
+
+    def test_no_position_pruned(self):
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            p = rng.random((2, int(rng.integers(1, 50))))
+            self.assert_identical(dp_inputs(p[0], p[1], 0.0))
+
+    @pytest.mark.parametrize("c", [0.0, 0.1, 0.5, 0.99])
+    def test_one_token(self, c):
+        for p_bos in (0.0, 0.05, 0.3, 0.5, 0.9, 1.0):
+            for p_eos in (0.0, 0.05, 0.3, 0.5, 0.9, 1.0):
+                self.assert_identical(dp_inputs([p_bos], [p_eos], c))
+
+    @given(st.data())
+    def test_random(self, data):
+        n = data.draw(st.integers(1, 40))
+        p_bos = data.draw(st.lists(_PROB, min_size=n, max_size=n))
+        p_eos = data.draw(st.lists(_PROB, min_size=n, max_size=n))
+        c = data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.99]))
+        self.assert_identical(dp_inputs(p_bos, p_eos, c))
 
 
 class TestWindowIndicesParity:

@@ -18,7 +18,7 @@ from sentid.labels import (
     spans_to_labels,
 )
 
-from oracles import coarse_to_chars_loop, label_spans, random_valid_labels
+from oracles import coarse_to_chars_loop, label_spans, random_valid_labels, spans_to_labels_loop
 from synth import unit_from_words
 
 
@@ -26,6 +26,31 @@ class TestLabelSeq:
     def test_rejects_bad_symbols(self):
         with pytest.raises(LabelError):
             LabelSeq("word", "BIX")
+
+    @pytest.mark.parametrize(
+        "labels, exc, message",
+        [
+            (["B", "X"], LabelError, "labels contain ['X'], expected B/I/O"),
+            (5, TypeError, "'int' object is not iterable"),
+            ("BéO", LabelError, "labels contain ['é'], expected B/I/O"),
+            ("B\ud800", LabelError, "labels contain ['\\ud800'], expected B/I/O"),
+        ],
+    )
+    def test_alphabet_errors(self, labels, exc, message):
+        with pytest.raises(exc) as info:
+            LabelSeq("word", labels)
+        assert type(info.value) is exc and str(info.value) == message
+
+    @given(st.text(max_size=20) | st.text("BIOXé", max_size=20))
+    @example("")
+    def test_alphabet_check_matches_set_difference(self, labels):
+        bad = set(labels) - set("BIO")
+        if not bad:
+            assert LabelSeq("word", labels).labels == labels
+            return
+        with pytest.raises(LabelError) as info:
+            LabelSeq("word", labels)
+        assert str(info.value) == f"labels contain {sorted(bad)!r}, expected B/I/O"
 
     def test_rejects_bad_granularity(self):
         with pytest.raises(LabelError):
@@ -205,3 +230,44 @@ class TestSpansToLabels:
     def test_range_check(self):
         with pytest.raises(LabelError):
             spans_to_labels(3, [(1, 4)])
+
+    @staticmethod
+    def outcome(render, n, spans):
+        """The labels rendered, or the type and message of the error raised."""
+        try:
+            return render(n, spans)
+        except ValueError as exc:  # LabelError or a span that does not unpack
+            return type(exc), str(exc)
+
+    def assert_matches_loop(self, n, spans):
+        got = self.outcome(lambda n, sp: spans_to_labels(n, sp).labels, n, spans)
+        assert got == self.outcome(spans_to_labels_loop, n, spans)
+
+    @pytest.mark.parametrize(
+        "n, spans",
+        [
+            (0, []),
+            (4, []),
+            (4, [(0, 4)]),  # full coverage
+            (5, [(0, 2), (2, 3), (3, 5)]),  # adjacent
+            (5, [(3, 5), (0, 2)]),  # unsorted
+            (5, [(0, 3), (2, 5)]),  # overlapping
+            (5, [(0, 4), (1, 3)]),  # nested
+            (3, [(1, 4)]),  # out of range
+            (3, [(-1, 2)]),
+            (3, [(1, 1)]),  # empty span
+            (5, [(3, 4), (0, 9)]),  # out of range after an unsorted span
+            (4, [(0, 1), (2,)]),  # a malformed span after a rendered one
+        ],
+    )
+    def test_matches_loop(self, n, spans):
+        self.assert_matches_loop(n, spans)
+
+    @given(st.data())
+    def test_matches_loop_random(self, data):
+        n = data.draw(st.integers(0, 12))
+        cuts = sorted(data.draw(st.sets(st.integers(0, n), max_size=8)))
+        sorted_spans = list(zip(cuts[::2], cuts[1::2]))
+        end = st.integers(-1, n + 1)
+        any_spans = st.lists(st.tuples(end, end), max_size=5)
+        self.assert_matches_loop(n, data.draw(st.just(sorted_spans) | any_spans))

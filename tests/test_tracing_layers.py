@@ -34,13 +34,20 @@ def test_counted_arguments_keep_their_places():
 
     It takes ``args[2]`` of ``_kernels.window_indices`` as the number of rows
     mixed, and wraps ``_TokenHasher.csr`` as ``csr(hasher, words)``, counting
-    ``len(words)`` lookups.  A moved or added parameter would make those
-    counts silently wrong.
+    ``len(words)`` lookups.  Its decoder counters read ``decode_document(m,
+    method, cfg)`` by position or keyword, and the ``su_spans`` and ``labels``
+    of the ``SpanResult`` it returns.  A moved, renamed or added parameter
+    would make those counts silently wrong.
     """
-    from sentid import _kernels
+    import dataclasses
+
+    from sentid import _kernels, decode
     from sentid.model import _TokenHasher
 
     assert list(inspect.signature(_kernels.window_indices).parameters)[2] == "n"
     params = list(inspect.signature(_TokenHasher.csr).parameters.values())
     assert [p.name for p in params][:1] == ["self"] and len(params) == 2
     assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert list(inspect.signature(decode.decode_document).parameters) == ["m", "method", "cfg"]
+    fields = [f.name for f in dataclasses.fields(decode.SpanResult)]
+    assert "su_spans" in fields and "labels" in fields
