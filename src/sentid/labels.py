@@ -154,30 +154,23 @@ def boundaries_to_bio(b: BoundarySeq, granularity: str = "word") -> LabelSeq:
 def spans_to_labels(n: int, spans: Sequence[tuple[int, int]], granularity: str = "word") -> LabelSeq:
     """Render sorted, non-overlapping half-open spans as BIO.
 
-    Spans out of order or overlapping are painted one over the other, in the
-    given order; a span outside [0, n) raises LabelError.
+    A span outside [0, n), or one that starts before the previous span ends,
+    raises LabelError.
     """
     parts = []
     pos = 0
     for start, end in spans:
-        if not (pos <= start < end <= n):
-            return _paint_spans(n, spans, granularity)
+        if not (0 <= start < end <= n):
+            raise LabelError(f"span ({start}, {end}) out of range for length {n}")
+        if start < pos:
+            raise LabelError(
+                f"span ({start}, {end}) out of order: the previous span ends at {pos}"
+            )
         parts.append("O" * (start - pos))
         parts.append("B" + "I" * (end - start - 1))
         pos = end
     parts.append("O" * (n - pos))
     return LabelSeq(granularity, "".join(parts))
-
-
-def _paint_spans(n: int, spans: Sequence[tuple[int, int]], granularity: str) -> LabelSeq:
-    labs = ["O"] * n
-    for start, end in spans:
-        if not (0 <= start < end <= n):
-            raise LabelError(f"span ({start}, {end}) out of range for length {n}")
-        labs[start] = "B"
-        for i in range(start + 1, end):
-            labs[i] = "I"
-    return LabelSeq(granularity, "".join(labs))
 
 
 def chars_to_coarse(

@@ -239,14 +239,20 @@ def coarse_to_chars_loop(labels: str, lengths, separators) -> str:
 
 
 def spans_to_labels_loop(n: int, spans) -> str:
-    """BIO of half-open spans painted one token at a time, later spans over earlier."""
+    """BIO of sorted, non-overlapping half-open spans painted one token at a time."""
     labs = ["O"] * n
+    pos = 0
     for start, end in spans:
         if not (0 <= start < end <= n):
             raise LabelError(f"span ({start}, {end}) out of range for length {n}")
+        if start < pos:
+            raise LabelError(
+                f"span ({start}, {end}) out of order: the previous span ends at {pos}"
+            )
         labs[start] = "B"
         for i in range(start + 1, end):
             labs[i] = "I"
+        pos = end
     return "".join(labs)
 
 

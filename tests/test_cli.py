@@ -179,24 +179,29 @@ class TestTrainPredictDecodeEvaluate:
         assert "bad span record on line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "labels, message",
+        "spans, labels, message",
         [
-            (["B", "X"], "labels contain ['X'], expected B/I/O"),
-            (["B", "I"], "labels do not render su_spans"),
-            (5, "'int' object is not iterable"),
-            ("Bé", "labels contain ['é'], expected B/I/O"),
-            ("B\ud800", "labels contain ['\\ud800'], expected B/I/O"),
+            ([[0, 2]], ["B", "X"], "labels contain ['X'], expected B/I/O"),
+            ([[0, 2]], ["B", "I"], "labels do not render su_spans"),
+            ([[0, 2]], 5, "'int' object is not iterable"),
+            ([[0, 2]], "Bé", "labels contain ['é'], expected B/I/O"),
+            ([[0, 2]], "B\ud800", "labels contain ['\\ud800'], expected B/I/O"),
+            # overlapping and unsorted spans used to load, painted, and score with exit 0
+            ([[0, 1], [0, 2]], "BI", "span (0, 2) out of order: the previous span ends at 1"),
+            ([[1, 2], [0, 1]], "BB", "span (0, 1) out of order: the previous span ends at 2"),
         ],
     )
-    def test_evaluate_bad_span_labels_is_data_error(self, tmp_path, capsys, labels, message):
+    def test_evaluate_bad_span_record_is_data_error(
+        self, tmp_path, capsys, spans, labels, message
+    ):
         rec = {"text": "a b", "words": ["a", "b"], "char_offsets": [[0, 1], [2, 3]], "is_su": True}
         corpus = tmp_path / "gold.jsonl"
         corpus.write_text(json.dumps(rec) + "\n")
-        spans = tmp_path / "pred.jsonl"
-        spans.write_text(json.dumps({"spans": [[0, 2]], "labels": labels, "log_prob": 0.0}) + "\n")
-        assert run("evaluate", "--gold", str(corpus), "--pred", str(spans)) == 2
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"spans": spans, "labels": labels, "log_prob": 0.0}) + "\n")
+        assert run("evaluate", "--gold", str(corpus), "--pred", str(pred)) == 2
         err = capsys.readouterr().err
-        assert err == f"data error: {spans}: bad span record on line 1: {message}\n"
+        assert err == f"data error: {pred}: bad span record on line 1: {message}\n"
 
     def test_evaluate_alignment_error(self, tmp_path):
         corpus = tmp_path / "gold.jsonl"

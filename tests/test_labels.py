@@ -250,9 +250,9 @@ class TestSpansToLabels:
             (4, []),
             (4, [(0, 4)]),  # full coverage
             (5, [(0, 2), (2, 3), (3, 5)]),  # adjacent
-            (5, [(3, 5), (0, 2)]),  # unsorted
-            (5, [(0, 3), (2, 5)]),  # overlapping
-            (5, [(0, 4), (1, 3)]),  # nested
+            (5, [(3, 5), (0, 2)]),  # unsorted: LabelError
+            (5, [(0, 3), (2, 5)]),  # overlapping: LabelError
+            (5, [(0, 4), (1, 3)]),  # nested: LabelError
             (3, [(1, 4)]),  # out of range
             (3, [(-1, 2)]),
             (3, [(1, 1)]),  # empty span
