@@ -102,12 +102,12 @@ def cmd_predict(args) -> int:
 def cmd_decode(args) -> int:
     cfg = _from_flags(decode_mod.DecoderConfig, args, candidate_threshold="threshold")
     interp = _from_flags(model_mod.InterpConfig, args, lam="lam")
+    # only the matrices are kept: the tokens are not needed to decode
     if args.probs == "-":
-        docs = model_mod.iter_prob_documents(sys.stdin)
+        matrices = [m for _, m in model_mod.iter_prob_documents(sys.stdin)]
     else:
         with open(args.probs, encoding="utf-8") as f:
-            docs = model_mod.iter_prob_documents(f)
-    matrices = [m for _, m in docs]
+            matrices = [m for _, m in model_mod.iter_prob_documents(f)]
     results = pipeline_mod.decode_documents(matrices, CLI_METHODS[args.method], cfg, interp)
     if args.out:
         decode_mod.write_span_file(args.out, results)

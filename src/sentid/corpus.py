@@ -9,6 +9,7 @@ non-sentential unit.
 
 import io
 import json
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
@@ -234,7 +235,7 @@ def classify_unit(sent: ConlluSentence, rules: RelationRuleSet = DEFAULT_RULES) 
     return any(strip_subtype(rel) in wanted for _, rel in sent.deprels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unit:
     text: str
     words: tuple
@@ -305,6 +306,10 @@ class Corpus:
                     ).validate()
                 except (KeyError, ValueError, TypeError, RecursionError) as exc:  # deep JSON nesting
                     raise ValueError(f"{path}: bad corpus record on line {lineno}: {exc}") from exc
+                # A corpus repeats few distinct words, so the units share one
+                # string per word.  Only once validate() has found every word a
+                # string: its errors show the record's own values.
+                object.__setattr__(unit, "words", tuple(map(sys.intern, unit.words)))
                 units.append(unit)
         return cls(units=units, split=split)
 

@@ -16,6 +16,7 @@ labeling that omits it.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,12 +177,15 @@ def read_span_file(path) -> list[SpanResult]:
             try:
                 rec = json.loads(line)
                 spans = tuple(tuple(sp) for sp in rec["spans"])
-                # exact types: a bool is not a span end
+                # exact types: a bool is not a span end, nor a string a log_prob
                 if any(type(x) is not int for sp in spans for x in sp):
                     raise ValueError("span ends must be integers")
+                log_prob = rec["log_prob"]
+                if type(log_prob) not in (int, float) or not math.isfinite(log_prob):
+                    raise ValueError(f"log_prob must be a finite number, got {log_prob!r}")
                 r = SpanResult(
                     su_spans=spans,
-                    log_prob=float(rec["log_prob"]),
+                    log_prob=float(log_prob),
                     labels=LabelSeq("word", rec["labels"]),
                 ).validate()
             # OverflowError: float() of a huge integer; RecursionError: deeply nested JSON

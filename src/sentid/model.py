@@ -378,6 +378,8 @@ def load_model(path) -> ClassifierModel:
             if f.readinto(w) != size * 8:
                 raise ValueError(f"{path}: truncated weights for head {name}")
             model.weights[name] = w
+        if f.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the last head")
     return model
 
 
@@ -405,17 +407,22 @@ def write_prob_documents(path, docs: Iterable[tuple[Sequence[str], ProbMatrix]])
 
 _PROB_COLUMNS = ("p_bos", "p_eos", "p_bos_uni", "p_eos_uni")
 
+# Characters of text per read of a probability file: the reader holds one
+# batch of rows at a time, besides the documents it has parsed.
+_BATCH_CHARS = 1 << 16
+
 
 def _line_batches(stream) -> Iterator[list[str]]:
-    """Lines of a text stream without their ends, about 64 KiB of text at a time.
+    """Lines of a text stream without their ends, about _BATCH_CHARS of text at a time.
 
     A line ends at "\n", "\r\n" or a lone "\r", whether or not the stream
     translates newlines itself (``sys.stdin`` does not).  Unlike
     ``str.splitlines()``, no other character ends a line, so a token that
-    holds a form feed or U+2028 stays inside its row.
+    holds a form feed or U+2028 stays inside its row.  A batch ends at the
+    end of a line.
     """
     while True:
-        batch = stream.readlines(1 << 16)
+        batch = stream.readlines(_BATCH_CHARS)
         if not batch:
             return
         text = "".join(batch)
@@ -427,12 +434,13 @@ def _line_batches(stream) -> Iterator[list[str]]:
         yield lines
 
 
-def _check_prob_rows(rows: list[str], lineno: int, ncols: int) -> None:
+def _check_prob_rows(rows: list[str], lineno: int, ncols: int, first: int) -> None:
     """Raise the error of the first malformed row; `lineno` is the first row's line number.
 
-    Runs only when a whole-document check failed.  It returns without error
-    when the rows are valid after all, e.g. with indices such as "01" or "+1"
-    that int() accepts.
+    `first` is the index the first row must carry.  Runs only when a
+    whole-slice check failed.  It returns without error when the rows are
+    valid after all, e.g. with indices such as "01" or "+1" that int()
+    accepts.
     """
     for i, line in enumerate(rows):
         row = lineno + i
@@ -445,8 +453,8 @@ def _check_prob_rows(rows: list[str], lineno: int, ncols: int) -> None:
             idx = int(parts[0])
         except ValueError:
             raise ProbFileError(f"row {row}: bad index {parts[0]!r}") from None
-        if idx != i:
-            raise ProbFileError(f"row {row}: index {idx}, expected {i}")
+        if idx != first + i:
+            raise ProbFileError(f"row {row}: index {idx}, expected {first + i}")
         for name, text in zip(_PROB_COLUMNS, parts[2:]):
             try:
                 v = float(text)
@@ -471,34 +479,52 @@ def _prob_columns(fields: list[str], ncols: int, n: int) -> Optional[list[np.nda
     return None
 
 
-def _prob_document(rows: list[str], lineno: int, ncols: int) -> tuple[list[str], ProbMatrix]:
-    """Tokens and matrix of one document's rows, parsed a column at a time."""
+def _prob_rows(
+    rows: list[str], lineno: int, ncols: int, first: int
+) -> tuple[list[str], list[np.ndarray]]:
+    """Tokens and probability columns of a run of one document's rows, parsed a column at a time.
+
+    `first` is the index the first row must carry, and `lineno` its line
+    number.
+    """
     n = len(rows)
     fields = "\t".join(rows).split("\t")
     well_formed = (
         set(map(str.count, rows, repeat("\t", n))) == {ncols - 1}
-        and fields[0::ncols] == list(map(str, range(n)))
+        and fields[0::ncols] == list(map(str, range(first, first + n)))
     )
     cols = _prob_columns(fields, ncols, n) if well_formed else None
     if cols is None:
-        _check_prob_rows(rows, lineno, ncols)
+        _check_prob_rows(rows, lineno, ncols, first)
         cols = _prob_columns(fields, ncols, n)
-    return fields[1::ncols], ProbMatrix(*cols)
+    return fields[1::ncols], cols
+
+
+def _join_pieces(pieces: list[tuple[list[str], list[np.ndarray]]]) -> tuple[list[str], ProbMatrix]:
+    """One document from the (tokens, columns) of its consecutive pieces."""
+    tokens = list(chain.from_iterable(toks for toks, _ in pieces))
+    columns = [np.concatenate(col) for col in zip(*(cols for _, cols in pieces))]
+    return tokens, ProbMatrix(*columns)
 
 
 def iter_prob_documents(stream) -> list[tuple[list[str], ProbMatrix]]:
     """Parse a probability file (text stream, str or bytes) into (tokens, matrix) pairs.
 
-    A text stream is read line by line and only the current document's rows
-    are held.  Errors name the first malformed row in file order.
+    A text stream is read one line batch at a time, and the rows of each
+    batch are parsed before the next batch is read, so a document longer
+    than a batch is parsed in pieces and joined when it ends.  Besides the
+    parsed documents, the reader holds one batch, however long a document
+    is; bytes, a str or a binary stream are first held whole, as text.
+    Errors name the first malformed row in file order.
     """
     if not isinstance(stream, io.TextIOBase):
         data = stream.read() if hasattr(stream, "read") else stream
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         stream = io.StringIO(data)
-    lines = chain.from_iterable(_line_batches(stream))
-    header = next(lines, "")
+    batches = _line_batches(stream)
+    batch = next(batches, [""])
+    header = batch[0]
     if not header.startswith("#probs v1"):
         raise ProbFileError("missing '#probs v1' header")
     uni = False
@@ -507,13 +533,21 @@ def iter_prob_documents(stream) -> list[tuple[list[str], ProbMatrix]]:
             uni = part == "uni=1"
     ncols = 6 if uni else 4
     docs = []
-    rows: list[str] = []
-    for lineno, line in enumerate(lines, start=2):
-        if line.strip():
-            rows.append(line)
-        elif rows:
-            docs.append(_prob_document(rows, lineno - len(rows), ncols))
-            rows = []
-    if rows:
-        docs.append(_prob_document(rows, lineno + 1 - len(rows), ncols))
+    pieces = []  # (tokens, columns) of the current document's rows so far
+    n_parsed = 0  # rows in those pieces
+    lineno = 2  # line number of the batch's first line
+    for batch in chain([batch[1:]], batches):
+        start = 0
+        for end in [i for i, line in enumerate(batch) if not line.strip()] + [len(batch)]:
+            if start < end:
+                pieces.append(_prob_rows(batch[start:end], lineno + start, ncols, n_parsed))
+                n_parsed += end - start
+            # a blank line ends the document; the end of the batch does not
+            if end < len(batch) and pieces:
+                docs.append(_join_pieces(pieces))
+                pieces, n_parsed = [], 0
+            start = end + 1
+        lineno += len(batch)
+    if pieces:
+        docs.append(_join_pieces(pieces))
     return docs

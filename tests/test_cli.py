@@ -203,6 +203,19 @@ class TestTrainPredictDecodeEvaluate:
         err = capsys.readouterr().err
         assert err == f"data error: {pred}: bad span record on line 1: {message}\n"
 
+    @pytest.mark.parametrize("log_prob", ["-1.5", "inf", True, float("nan")])
+    def test_evaluate_bad_log_prob_is_data_error(self, tmp_path, capsys, log_prob):
+        rec = {"text": "a b", "words": ["a", "b"], "char_offsets": [[0, 1], [2, 3]], "is_su": True}
+        corpus = tmp_path / "gold.jsonl"
+        corpus.write_text(json.dumps(rec) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        span = {"spans": [[0, 2]], "labels": "BI", "log_prob": log_prob}
+        pred.write_text(json.dumps(span) + "\n")
+        assert run("evaluate", "--gold", str(corpus), "--pred", str(pred)) == 2
+        message = f"log_prob must be a finite number, got {log_prob!r}"
+        err = capsys.readouterr().err
+        assert err == f"data error: {pred}: bad span record on line 1: {message}\n"
+
     def test_evaluate_alignment_error(self, tmp_path):
         corpus = tmp_path / "gold.jsonl"
         synthetic_corpus(4, seed=3).save(corpus)
@@ -420,6 +433,18 @@ class TestExitCodes:
             "predict", "--model", str(model), "--input", str(docs), "--out", str(tmp_path / "p")
         ) == 2
         assert "bad_model.bin" in capsys.readouterr().err
+
+    def test_model_with_trailing_bytes_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        model_mod.save_model(model_mod.ClassifierModel.zeros(ModelConfig(hash_dim=2**4), 0), model)
+        model.write_bytes(model.read_bytes() + b"trailer")
+        docs = tmp_path / "docs.txt"
+        docs.write_text("a b .\n")
+        assert run(
+            "predict", "--model", str(model), "--input", str(docs), "--out", str(tmp_path / "p")
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {model}: unexpected bytes after the last head\n"
 
 
 class TestStdinAndAggregate:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import tempfile
 
 import pytest
@@ -358,6 +359,51 @@ class TestCorpusIO:
         path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, field: value}) + "\n")
         with pytest.raises(ValueError, match="line 2"):
             Corpus.load(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("words", [12], "word 12 at (0, 2): expected a string and two ints"),
+            ("char_offsets", [[0, True]], "word 'ab' at (0, True): expected a string and two ints"),
+        ],
+    )
+    def test_wrong_type_message(self, tmp_path, field, value, message):
+        # words are interned only after validate(): intern() of a non-string
+        # would raise its own TypeError first
+        rec = {"text": "ab", "words": ["ab"], "char_offsets": [[0, 2]], "is_su": False}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, field: value}) + "\n")
+        with pytest.raises(ValueError) as info:
+            Corpus.load(path)
+        assert str(info.value) == f"{path}: bad corpus record on line 2: {message}"
+
+    def test_loaded_units_share_word_strings(self, tmp_path):
+        # longer than one character: CPython shares one-character strings anyway
+        two = Unit("ab cd", ("ab", "cd"), True, ((0, 2), (3, 5)))
+        corp = Corpus([two, two, Unit("cd", ("cd",), False, ((0, 2),))])
+        path = tmp_path / "corpus.jsonl"
+        corp.save(path)
+        loaded = Corpus.load(path)
+        assert loaded.units == corp.units
+        first, second, third = (u.words for u in loaded.units)
+        assert first[0] is second[0] and first[1] is second[1] is third[0]
+
+    def test_unit_equality_and_hash(self, tmp_path):
+        # value semantics over the four fields, as a frozen dataclass without slots has
+        u = Unit("a b", ("a", "b"), True, ((0, 1), (2, 3)))
+        same = Unit("a b", tuple("a b".split()), True, ((0, 1), (2, 3)))
+        assert u == same and hash(u) == hash(same)
+        assert hash(u) == hash(("a b", ("a", "b"), True, ((0, 1), (2, 3))))
+        assert u != Unit("a b", ("a", "b"), False, ((0, 1), (2, 3)))
+        assert u != ("a b", ("a", "b"), True, ((0, 1), (2, 3)))
+        assert len({u, same}) == 1
+        with pytest.raises(AttributeError):
+            u.is_su = False
+        assert pickle.loads(pickle.dumps(u)) == u
+        path = tmp_path / "corpus.jsonl"
+        Corpus([u]).save(path)
+        [loaded] = Corpus.load(path).units
+        assert loaded == u and hash(loaded) == hash(u)
 
     def test_gold_word_labels(self):
         corp = convert_treebank(parse_conllu(THANK_YOU + FILE_METADATA))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -217,6 +218,27 @@ class TestMethodsAndIO:
         with pytest.raises(ValueError, match="line 1"):
             read_span_file(path)
 
+    @pytest.mark.parametrize(
+        "log_prob, shown",
+        [('"-1.5"', "'-1.5'"), ('"inf"', "'inf'"), ("true", "True"), ("null", "None"),
+         ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("[-1.5]", "[-1.5]")],
+    )
+    def test_log_prob_must_be_a_finite_number(self, tmp_path, log_prob, shown):
+        # float() used to accept the string, the bool and the non-finite values
+        path = tmp_path / "spans.jsonl"
+        path.write_text('{"spans": [], "labels": "O", "log_prob": -1.5}\n'
+                        '{"spans": [], "labels": "O", "log_prob": ' + log_prob + "}\n")
+        message = f"bad span record on line 2: log_prob must be a finite number, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_span_file(path)
+
+    @pytest.mark.parametrize("log_prob", ["0", "-7", "-1.5", "-1e-300", "0.0"])
+    def test_finite_int_or_float_log_prob_loads(self, tmp_path, log_prob):
+        path = tmp_path / "spans.jsonl"
+        path.write_text('{"spans": [], "labels": "O", "log_prob": ' + log_prob + "}\n")
+        [r] = read_span_file(path)
+        assert type(r.log_prob) is float and r.log_prob == float(log_prob)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DecoderConfig(candidate_threshold=1.0)
@@ -276,3 +298,4 @@ class TestReadSpanFileFuzz:
                 return
             for r in results:
                 assert r.validate() is r
+                assert type(r.log_prob) is float and np.isfinite(r.log_prob)

@@ -3,6 +3,7 @@
 import io
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentid import _kernels
+from sentid import model as model_mod
 from sentid.augment import AugmentConfig, example_stream
 from sentid.corpus import Corpus
 from sentid.model import (
@@ -320,6 +322,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"truncated weights for head {head}"):
             load_model(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # bytes after the last head used to be ignored
+        path = tmp_path / "model.bin"
+        save_model(ClassifierModel.zeros(CFG, seed=0), path)
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(ValueError, match="unexpected bytes after the last head"):
+            load_model(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a model\n")
@@ -523,6 +533,84 @@ class TestProbReaderMatchesRowReader:
         # io.StringIO, like sys.stdin, leaves "\r\n" and lone "\r" untranslated
         assert _outcome(iter_prob_documents, io.StringIO(text)) == expected
         assert _outcome(iter_prob_documents, io.BytesIO(text.encode("utf-8"))) == expected
+
+
+class TestProbReaderInPieces:
+    """Documents longer than a line batch are parsed in pieces and joined."""
+
+    @settings(max_examples=200)
+    @given(text=prob_file_texts(), batch_chars=st.integers(1, 60))
+    def test_same_documents_or_same_error(self, text, batch_chars):
+        expected = _outcome(iter_prob_documents_rows, text)
+        with mock.patch.object(model_mod, "_BATCH_CHARS", batch_chars):
+            assert _outcome(iter_prob_documents, text) == expected
+            assert _outcome(iter_prob_documents, io.StringIO(text)) == expected
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("5\tf\t0.5\tx", "row 9: p_eos is not a number: 'x'"),
+            ("5\tf\t0.5", "row 9: expected 4 columns (uni=0), got 3"),
+            ("6\tf\t0.5\t0.5", "row 9: index 6, expected 5"),
+            ("x\tf\t0.5\t0.5", "row 9: bad index 'x'"),
+            ("5\tf\t1.5\t0.5", "row 9: p_bos=1.5 outside [0, 1]"),
+            ("05\tf\t0.5\t0.5", None),  # int() accepts "05"
+            ("+5\tf\t0.5\t0.5", None),
+        ],
+    )
+    @pytest.mark.parametrize("batch_chars", [1, 20, 1 << 16])
+    def test_row_in_a_later_piece(self, row, error, batch_chars):
+        # a first document of one row, then one of 8 rows whose sixth is `row`
+        rows = [f"{i}\t{t}\t0.{i + 1}\t0.25" for i, t in enumerate("abcdefgh")]
+        rows[5] = row
+        text = "#probs v1 uni=0\n0\tz\t1\t0\n\n" + "\n".join(rows) + "\n"
+        with mock.patch.object(model_mod, "_BATCH_CHARS", batch_chars):
+            got = _outcome(iter_prob_documents, io.StringIO(text))
+        assert got == _outcome(iter_prob_documents_rows, text)
+        if error is not None:
+            assert got == ("error", error)
+        else:
+            [_, (tokens, _)] = got
+            assert tokens == list("abcdefgh")
+
+    def test_document_split_across_batches_is_bit_identical(self):
+        rng = np.random.default_rng(4)
+        docs = [
+            ([f"t{i}" for i in range(n)], ProbMatrix(*(rng.random(n) for _ in range(4))))
+            for n in (1, 300, 2, 5000)
+        ]
+        buf = io.StringIO()
+        buf.write("#probs v1 uni=1\n")
+        for d, (tokens, m) in enumerate(docs):
+            buf.write("\n" if d else "")
+            for i in range(m.n):
+                values = (m.p_bos[i], m.p_eos[i], m.p_bos_uni[i], m.p_eos_uni[i])
+                buf.write("\t".join([str(i), tokens[i], *map(repr, map(float, values))]) + "\n")
+        text = buf.getvalue()
+        assert len(text) > 2 * model_mod._BATCH_CHARS  # the last document spans batches
+        expected = _outcome(iter_prob_documents_rows, text)
+        assert _outcome(iter_prob_documents, io.StringIO(text)) == expected
+        assert [tokens for tokens, _ in docs] == [tokens for tokens, _ in expected]
+
+    def test_peak_memory_bounded_by_batch(self, tmp_path):
+        # parsing a whole document at once would grow the peak with the document
+        def peak(n_docs):
+            rows = 40_000 // n_docs
+            doc = "".join(f"{i}\tw\t0.25\t0.5\n" for i in range(rows))
+            path = tmp_path / f"probs{n_docs}.tsv"
+            path.write_text("#probs v1 uni=0\n" + "\n".join([doc] * n_docs))
+            with open(path, encoding="utf-8") as f:
+                tracemalloc.start()
+                try:
+                    docs = iter_prob_documents(f)
+                    top = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert [m.n for _, m in docs] == [rows] * n_docs
+            return top
+
+        peak(20)  # warm-up: first-call allocations are not the document's
+        assert peak(1) <= 1.5 * peak(20)
 
 
 class TestProbMatrix:

@@ -51,3 +51,23 @@ def test_counted_arguments_keep_their_places():
     assert list(inspect.signature(decode.decode_document).parameters) == ["m", "method", "cfg"]
     fields = [f.name for f in dataclasses.fields(decode.SpanResult)]
     assert "su_spans" in fields and "labels" in fields
+
+
+def test_timed_readers_are_whole_file_calls(tmp_path):
+    """perfbench times a layer per call.
+
+    A generator function would return at once and leave the parse to the
+    caller's loop, outside the layer: ``model.read_probs`` and
+    ``corpus.load`` would read about 0 s.  Both readers must be plain
+    functions that return every record.
+    """
+    from sentid import corpus, model
+
+    for reader in (model.iter_prob_documents, corpus.Corpus.load.__func__):
+        assert not inspect.isgeneratorfunction(reader)
+    docs = model.iter_prob_documents("#probs v1 uni=0\n0\ta\t0.5\t0.5\n")
+    assert type(docs) is list and len(docs) == 1
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"text": "a", "words": ["a"], "char_offsets": [[0, 1]], "is_su": true}\n')
+    loaded = corpus.Corpus.load(path)
+    assert type(loaded.units) is list and len(loaded.units) == 1
