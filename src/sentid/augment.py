@@ -285,13 +285,13 @@ def example_stream(corpus: Corpus, cfg: AugmentConfig, seed: int, epoch: int = 0
             yield example
 
 
-def generate_examples(corpus: Corpus, cfg: AugmentConfig, seed: int, count: int, augment: bool = True):
+def generate_examples(corpus: Corpus, cfg: AugmentConfig, seed: int, count: int):
     """Exactly `count` examples, wrapping over fresh epochs as needed."""
     out = []
     epoch = 0
     while len(out) < count:
         produced = False
-        for ex in example_stream(corpus, cfg, seed, epoch, augment=augment):
+        for ex in example_stream(corpus, cfg, seed, epoch):
             produced = True
             out.append(ex)
             if len(out) == count:

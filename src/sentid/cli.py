@@ -18,7 +18,6 @@ from . import decode as decode_mod
 from . import evaluation, model as model_mod
 from . import pipeline as pipeline_mod
 from .fileio import write_json
-from .labels import LabelError
 from .pipeline import ConfigError
 
 CLI_METHODS = {"eos": "eos", "eos-force": "eos_force", "bosEos": "bos_eos"}
@@ -68,7 +67,7 @@ def cmd_convert(args) -> int:
     sents = []
     for p in paths:
         sents.extend(corpus_mod.parse_conllu_file(p))
-    corp = corpus_mod.convert_treebank(sents, rules, split=args.split)
+    corp = corpus_mod.convert_treebank(sents, rules)
     corp.save(args.output)
     if args.stats:
         write_json(args.stats, corpus_mod.compute_stats(corp).to_dict())
@@ -168,7 +167,11 @@ def cmd_evaluate(args) -> int:
                 # RecursionError: JSON nested too deeply for the parser
                 except (ValueError, RecursionError) as exc:
                     raise ValueError(f"{p}: {exc}") from exc
-        agg = evaluation.aggregate(reports)
+        agg = evaluation.aggregate(reports)  # first: mixed granularities keep their error
+        # a pipeline report's name gives its setting; other names are pooled as they are
+        pairs = {pipeline_mod.report_setting(os.path.basename(p)) for p in paths} - {None}
+        if len(pairs) > 1:
+            raise ValueError(f"mixed (setting, method) pairs {sorted(pairs)}")
         print(format_aggregate(agg))
         if args.out:
             write_json(args.out, agg.to_dict())
@@ -209,7 +212,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rules", default="default", help="relation rules JSON or 'default'")
     p.add_argument("--output", required=True)
     p.add_argument("--stats", default="", help="also write corpus statistics JSON")
-    p.add_argument("--split", default="train", choices=("train", "dev", "test"))
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("train", help="train the begin/end probability model")
@@ -264,15 +266,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-DATA_ERRORS = (
-    corpus_mod.ConlluError,
-    model_mod.ProbFileError,
-    LabelError,
-    evaluation.EvalError,
-    pipeline_mod.PipelineError,
-    FileNotFoundError,
-    ValueError,
-)
+DATA_ERRORS = (ValueError, FileNotFoundError, pipeline_mod.PipelineError)
 
 
 def main(argv=None) -> int:

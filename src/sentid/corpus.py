@@ -267,7 +267,6 @@ class Unit:
 @dataclass
 class Corpus:
     units: list
-    split: str = "train"
 
     def __len__(self) -> int:
         return len(self.units)
@@ -288,7 +287,7 @@ class Corpus:
             f.writelines(self.records())
 
     @classmethod
-    def load(cls, path, split: str = "train") -> "Corpus":
+    def load(cls, path) -> "Corpus":
         units = []
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
@@ -311,11 +310,11 @@ class Corpus:
                 # string: its errors show the record's own values.
                 object.__setattr__(unit, "words", tuple(map(sys.intern, unit.words)))
                 units.append(unit)
-        return cls(units=units, split=split)
+        return cls(units=units)
 
 
 def convert_treebank(
-    sents: Iterable[ConlluSentence], rules: RelationRuleSet = DEFAULT_RULES, split: str = "train"
+    sents: Iterable[ConlluSentence], rules: RelationRuleSet = DEFAULT_RULES
 ) -> Corpus:
     """One unit per sentence, in order, with its SU/NSU classification."""
     units = [
@@ -327,7 +326,7 @@ def convert_treebank(
         )
         for s in sents
     ]
-    return Corpus(units=units, split=split)
+    return Corpus(units=units)
 
 
 def gold_word_labels(units: Sequence[Unit]) -> labels_mod.LabelSeq:

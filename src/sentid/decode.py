@@ -68,10 +68,6 @@ def _flags_to_spans(bos_flags, eos_flags) -> tuple:
     return tuple(zip(starts, ends))
 
 
-def _empty_result() -> SpanResult:
-    return SpanResult(su_spans=(), log_prob=0.0, labels=LabelSeq("word", ""))
-
-
 def segment_eos_only(
     m, force_last: bool = False, cfg: DecoderConfig = DecoderConfig()
 ) -> SpanResult:
@@ -85,10 +81,8 @@ def segment_eos_only(
     """
     p_eos = np.asarray(m.p_eos, dtype=np.float64)
     n = p_eos.shape[0]
-    if n == 0:
-        return _empty_result()
     eos = p_eos >= 0.5
-    if force_last:
+    if force_last and n:
         eos[n - 1] = True
     le1, le0 = clamped_logs(p_eos, cfg.prob_floor)
     log_prob = float(np.where(eos, le1, le0).sum())
@@ -115,8 +109,6 @@ def _dp_inputs(m, cfg: DecoderConfig):
 
 def identify(m, cfg: DecoderConfig = DecoderConfig()) -> SpanResult:
     """Argmax span extraction over begin/end flag assignments."""
-    if m.n == 0:
-        return _empty_result()
     logp, bos, eos = _kernels.dp_decode(*_dp_inputs(m, cfg))
     spans = _flags_to_spans(bos, eos)
     return SpanResult(

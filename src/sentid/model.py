@@ -8,7 +8,6 @@ and its left context.  Externally computed probabilities can be loaded from
 tab-separated probability files instead.
 """
 
-import io
 import json
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -23,6 +22,11 @@ from .corpus import Corpus
 from .fileio import atomic_open
 
 MODEL_FORMAT = "sentid-model"
+# A model's weights are only valid with the featuriser that trained them, so
+# this version also versions `token_base_features`, `_PAD_HASH` and the window
+# mixing of `_kernels.window_indices`: bump it when any of them changes.
+# `load_model` rejects any other version, and the pipeline's model cache key
+# includes it.
 MODEL_VERSION = 1
 
 HEAD_NAMES = ("bos_bi", "eos_bi", "bos_uni", "eos_uni")
@@ -508,20 +512,14 @@ def _join_pieces(pieces: list[tuple[list[str], list[np.ndarray]]]) -> tuple[list
 
 
 def iter_prob_documents(stream) -> list[tuple[list[str], ProbMatrix]]:
-    """Parse a probability file (text stream, str or bytes) into (tokens, matrix) pairs.
+    """Parse a probability file from a text stream into (tokens, matrix) pairs.
 
-    A text stream is read one line batch at a time, and the rows of each
-    batch are parsed before the next batch is read, so a document longer
-    than a batch is parsed in pieces and joined when it ends.  Besides the
-    parsed documents, the reader holds one batch, however long a document
-    is; bytes, a str or a binary stream are first held whole, as text.
+    The stream is read one line batch at a time, and the rows of each batch
+    are parsed before the next batch is read, so a document longer than a
+    batch is parsed in pieces and joined when it ends.  Besides the parsed
+    documents, the reader holds one batch, however long a document is.
     Errors name the first malformed row in file order.
     """
-    if not isinstance(stream, io.TextIOBase):
-        data = stream.read() if hasattr(stream, "read") else stream
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        stream = io.StringIO(data)
     batches = _line_batches(stream)
     batch = next(batches, [""])
     header = batch[0]

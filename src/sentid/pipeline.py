@@ -11,6 +11,7 @@ seed) and reused when present.
 import hashlib
 import json
 import os
+import re
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 
 from . import decode as decode_mod
@@ -71,6 +72,12 @@ class PipelineConfig:
         for p in self.eval_p_cc:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"eval.p_cc_values: {p} not in [0, 1]")
+        # a split's corpus comes from one source: a corpus file is never a cache
+        for corpus, treebank in (
+            ("train_corpus", "treebank_train"), ("eval_corpus", "treebank_eval")
+        ):
+            if getattr(self.paths, corpus) and getattr(self.paths, treebank):
+                raise ConfigError(f"paths: set paths.{corpus} or paths.{treebank}, not both")
 
 
 # top-level keys; a section's keys are the fields of its config dataclass
@@ -179,20 +186,32 @@ def _pcc_tag(p_cc: float) -> str:
     return str(p_cc).replace(".", "_")
 
 
+# report_seed{S}_{setting}_{granularity}_{method}.json, as _decode_and_score names
+# a report; the setting is pcc{_pcc_tag(p_cc)} or ext
+_REPORT_NAME = re.compile(
+    rf"report_seed-?\d+_(pcc[0-9e_-]+|ext)_(?:{'|'.join(GRANULARITIES)})"
+    rf"_({'|'.join(decode_mod.METHODS)})\.json"
+)
+
+
+def report_setting(name: str):
+    """(setting, method) of a pipeline report's file name, or None for any other name."""
+    match = _REPORT_NAME.fullmatch(name)
+    return match.groups() if match else None
+
+
 def _eval_docs(eval_corpus: Corpus, cfg: PipelineConfig, p_cc: float, seed: int):
     """Concatenation-only evaluation inputs (gold units, no augmentation)."""
-    stream_cfg = replace(cfg.augment, p_cc=p_cc, p_da=0.0, p_tr=0.0)
+    stream_cfg = replace(cfg.augment, p_cc=p_cc)
     return list(example_stream(eval_corpus, stream_cfg, seed, epoch=0, augment=False))
 
 
-def _ensure_corpus(corpus_path: str, treebank_path: str, rules, split: str) -> Corpus:
+def _ensure_corpus(corpus_path: str, treebank_path: str, rules) -> Corpus:
+    """The corpus file, or else the treebank converted under `rules` (in memory, on every run)."""
     if corpus_path and os.path.exists(corpus_path):
-        return Corpus.load(corpus_path, split=split)
+        return Corpus.load(corpus_path)
     if treebank_path:
-        corp = convert_treebank(parse_conllu_file(treebank_path), rules, split=split)
-        if corpus_path:
-            corp.save(corpus_path)
-        return corp
+        return convert_treebank(parse_conllu_file(treebank_path), rules)
     raise FileNotFoundError(f"no corpus at {corpus_path!r} and no treebank to convert")
 
 
@@ -205,12 +224,10 @@ def _run_seed(cfg: PipelineConfig, seed: int) -> dict:
     os.makedirs(out_dir, exist_ok=True)
 
     try:
-        eval_corpus = _ensure_corpus(
-            cfg.paths.eval_corpus, cfg.paths.treebank_eval, cfg.rules, "test"
-        )
+        eval_corpus = _ensure_corpus(cfg.paths.eval_corpus, cfg.paths.treebank_eval, cfg.rules)
         if not cfg.paths.probs:
             train_corpus = _ensure_corpus(
-                cfg.paths.train_corpus, cfg.paths.treebank_train, cfg.rules, "train"
+                cfg.paths.train_corpus, cfg.paths.treebank_train, cfg.rules
             )
     except (OSError, ValueError) as exc:
         raise PipelineError("load-corpus", exc) from exc

@@ -488,6 +488,65 @@ class TestStdinAndAggregate:
         table = capsys.readouterr().out
         assert "macro_f1" in table and "±" in table
 
+    def test_aggregate_pipeline_run_of_two_settings_is_data_error(self, tmp_path, capsys):
+        # these reports of two p_cc values were pooled as one setting (n=2), with exit 0
+        train, evalc = tmp_path / "train.jsonl", tmp_path / "eval.jsonl"
+        synthetic_corpus(60, seed=11).save(train)
+        synthetic_corpus(30, seed=12).save(evalc)
+        cfg = {
+            "seeds": [0],
+            "granularities": ["word"],
+            "paths": {"train_corpus": str(train), "eval_corpus": str(evalc),
+                      "output_dir": str(tmp_path / "runs")},
+            "model": {"window_radius": 2, "hash_dim": 2**12, "epochs": 1},
+            "eval": {"p_cc_values": [0.5, 0.0]},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("pipeline", "--config", str(cfg_path)) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--aggregate", str(tmp_path / "runs")) == 2
+        assert capsys.readouterr().err == (
+            "data error: mixed (setting, method) pairs"
+            " [('pcc0_0', 'bos_eos'), ('pcc0_5', 'bos_eos')]\n"
+        )
+
+    @pytest.mark.parametrize(
+        "names, error",
+        [
+            (["report_seed0_pcc0_5_word_bos_eos.json", "report_seed1_pcc0_5_word_bos_eos.json"],
+             None),
+            (["report_seed0_ext_char_eos.json", "report_seed0_ext_char_eos_force.json"],
+             "mixed (setting, method) pairs [('ext', 'eos'), ('ext', 'eos_force')]"),
+            (["report_seed0_pcc1e-05_word_eos.json", "report_seed0_ext_word_eos.json"],
+             "mixed (setting, method) pairs [('ext', 'eos'), ('pcc1e-05', 'eos')]"),
+            # mixed granularities are named first, as before
+            (["report_seed0_pcc0_5_word_eos.json", "report_seed0_pcc0_0_char_eos.json"],
+             "mixed granularities ['char', 'word']"),
+            # names the pipeline does not write are pooled as they are
+            (["report_seed4_pcc0_word_eos_force.json", "report_a.json", "report_b.json"], None),
+            (["report_a.json", "report_seed0_pcc0_5_word_magic.json"], None),
+        ],
+        ids=["one-setting", "two-methods", "two-settings", "two-granularities",
+             "one-setting-and-others", "others"],
+    )
+    def test_aggregate_reads_setting_from_names(self, tmp_path, capsys, names, error):
+        from sentid.evaluation import bio_f1
+        from sentid.labels import LabelSeq
+
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for name in names:
+            gran = "char" if "_char_" in name else "word"
+            report = bio_f1(LabelSeq(gran, "BIO"), LabelSeq(gran, "BII"))
+            (runs / name).write_text(json.dumps(report.to_dict()))
+        code = run("evaluate", "--aggregate", str(runs))
+        captured = capsys.readouterr()
+        if error is None:
+            assert code == 0 and f"n={len(names)}," in captured.out
+        else:
+            assert code == 2 and captured.err == f"data error: {error}\n"
+
     def test_aggregate_empty_dir_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

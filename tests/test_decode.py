@@ -11,12 +11,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sentid.decode import (
+    METHODS,
     DecoderConfig,
     decode_document,
     identify,
     nsu_log_score,
     read_span_file,
     segment_eos_only,
+    span_record,
     write_span_file,
 )
 from sentid.labels import LabelSeq, bio_to_boundaries
@@ -25,6 +27,9 @@ from sentid.model import ProbMatrix
 from oracles import brute_force_identify, score_labeling
 
 C0 = DecoderConfig(candidate_threshold=0.0)
+
+# an empty document goes through the same code as any other
+EMPTY_RECORD = '{"spans": [], "labels": "", "log_prob": 0.0}'
 
 
 def mat(p_bos, p_eos):
@@ -70,9 +75,9 @@ class TestSegmentEosOnly:
             r = segment_eos_only(mat(np.full_like(p, 0.5), p), force_last=True)
             assert "O" not in r.labels.labels
 
-    def test_empty_input(self):
-        r = segment_eos_only(mat([], []))
-        assert r.su_spans == () and r.labels.labels == ""
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_input(self, method):
+        assert span_record(decode_document(mat([], []), method)) == EMPTY_RECORD
 
     def test_log_prob_is_objective_value(self):
         p = np.array([0.1, 0.9, 0.2])
@@ -96,9 +101,9 @@ class TestIdentify:
         r = identify(mat([0.9, 0.1, 0.8, 0.1], [0.1, 0.9, 0.1, 0.9]), DecoderConfig())
         assert r.su_spans == ((0, 2), (2, 4))
 
-    def test_empty_input(self):
-        r = identify(mat([], []), C0)
-        assert r.su_spans == () and r.log_prob == 0.0
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_input(self, method):
+        assert span_record(decode_document(mat([], []), method, C0)) == EMPTY_RECORD
 
     def test_oracle_equivalence_small(self):
         rng = np.random.default_rng(101)

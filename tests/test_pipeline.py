@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sentid
 from sentid import model as model_mod
@@ -14,11 +16,15 @@ from sentid.cli import CLI_METHODS
 from sentid.cli import main as cli_main
 from sentid.corpus import Corpus
 from sentid.model import ProbMatrix, write_prob_documents
+from sentid.decode import METHODS
 from sentid.pipeline import (
+    GRANULARITIES,
     ConfigError,
     PipelineError,
+    _pcc_tag,
     config_from_dict,
     load_config,
+    report_setting,
     run_pipeline,
 )
 
@@ -65,6 +71,32 @@ def base_config(tmp_path, **overrides):
     }
     data.update(overrides)
     return data
+
+
+def treebank_config(tmp_path) -> dict:
+    """A one-seed config whose training and evaluation corpora come from a toy treebank."""
+    blocks = []
+    for k in range(30):
+        blocks.append(
+            f"1\tThe\t_\t_\t_\t_\t2\tdet\t_\t_\n"
+            f"2\tcat{k % 5}\t_\t_\t_\t_\t3\tnsubj\t_\t_\n"
+            f"3\tslept\t_\t_\t_\t_\t0\troot\t_\tSpaceAfter=No\n"
+            f"4\t.\t_\t_\t_\t_\t3\tpunct\t_\t_"
+        )
+        blocks.append(f"1\t{k:02d}/01\t_\t_\t_\t_\t0\troot\t_\t_")
+    treebank = tmp_path / "toy.conllu"
+    treebank.write_text("\n\n".join(blocks) + "\n")
+    return {
+        "seeds": [0],
+        "granularities": ["word"],
+        "paths": {
+            "treebank_train": str(treebank),
+            "treebank_eval": str(treebank),
+            "output_dir": str(tmp_path / "runs"),
+        },
+        "model": {"window_radius": 2, "hash_dim": 2**12, "epochs": 1},
+        "eval": {"p_cc_values": [0.5]},
+    }
 
 
 class TestConfig:
@@ -223,28 +255,7 @@ class TestRunPipeline:
     def test_treebank_only_cache_keyed_on_config(self, tmp_path, monkeypatch):
         # with no train_corpus path the cache key once was the literal "mem",
         # so a changed epochs count reloaded the old model
-        blocks = []
-        for k in range(30):
-            blocks.append(
-                f"1\tThe\t_\t_\t_\t_\t2\tdet\t_\t_\n"
-                f"2\tcat{k % 5}\t_\t_\t_\t_\t3\tnsubj\t_\t_\n"
-                f"3\tslept\t_\t_\t_\t_\t0\troot\t_\tSpaceAfter=No\n"
-                f"4\t.\t_\t_\t_\t_\t3\tpunct\t_\t_"
-            )
-            blocks.append(f"1\t{k:02d}/01\t_\t_\t_\t_\t0\troot\t_\t_")
-        treebank = tmp_path / "toy.conllu"
-        treebank.write_text("\n\n".join(blocks) + "\n")
-        data = {
-            "seeds": [0],
-            "granularities": ["word"],
-            "paths": {
-                "treebank_train": str(treebank),
-                "treebank_eval": str(treebank),
-                "output_dir": str(tmp_path / "runs"),
-            },
-            "model": {"window_radius": 2, "hash_dim": 2**12, "epochs": 1},
-            "eval": {"p_cc_values": [0.5]},
-        }
+        data = treebank_config(tmp_path)
         trained = []
         real_train = model_mod.train
 
@@ -262,6 +273,32 @@ class TestRunPipeline:
         models = sorted((tmp_path / "runs").glob("model_seed0_*.bin"))
         assert len(models) == 2
         assert sorted(model_mod.load_model(m).config.epochs for m in models) == [1, 3]
+
+    def test_corpus_path_is_never_a_cache(self, tmp_path, capsys):
+        # a corpus path once doubled as an unkeyed cache of the converted
+        # treebank: set next to the treebank, it kept the first run's
+        # conversion, so a changed rules section reused the stale corpus and
+        # its model, with exit 0
+        data = treebank_config(tmp_path)
+        run_pipeline(config_from_dict(data))
+        written = {p.relative_to(tmp_path).parts[0] for p in tmp_path.rglob("*")}
+        assert written == {"toy.conllu", "runs"}
+        assert not list((tmp_path / "runs").glob("*corpus*"))
+        data["rules"] = {"core_arguments": [], "noncore_dependents": []}
+        run_pipeline(config_from_dict(data))  # every unit is now an NSU
+        assert len(list((tmp_path / "runs").glob("model_seed0_*.bin"))) == 2
+
+        for split, treebank in (("train", "treebank_train"), ("eval", "treebank_eval")):
+            both = json.loads(json.dumps(data))
+            both["paths"][f"{split}_corpus"] = str(tmp_path / f"{split}.jsonl")
+            message = f"paths: set paths.{split}_corpus or paths.{treebank}, not both"
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                config_from_dict(both)
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(both))
+            assert cli_main(["pipeline", "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / f"{split}.jsonl").exists()
 
     def test_import_does_not_load_process_pool(self):
         # run_pipeline imports the pool only when it runs seeds in parallel
@@ -285,3 +322,48 @@ class TestRunPipeline:
         b = par[(0.5, "word")]
         assert a.metrics["macro_f1"] == b.metrics["macro_f1"]
         assert a.metrics["span_f1"] == b.metrics["span_f1"]
+
+
+class TestReportNames:
+    """`evaluate --aggregate` reads a report's setting and method from its file name."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        setting=st.one_of(
+            st.floats(0.0, 1.0).map(lambda p: "pcc" + _pcc_tag(p)),
+            st.integers(0, 1).map(lambda p: "pcc" + _pcc_tag(p)),
+            st.just("ext"),
+        ),
+        gran=st.sampled_from(GRANULARITIES),
+        method=st.sampled_from(METHODS),
+    )
+    def test_round_trip(self, seed, setting, gran, method):
+        # the name _decode_and_score writes; "eos_force" is not "eos" with a suffix
+        assert report_setting(f"report_seed{seed}_{setting}_{gran}_{method}.json") == (
+            setting, method
+        )
+
+    def test_pipeline_names_round_trip(self, tmp_path):
+        data = base_config(tmp_path, seeds=[3], method="eos_force")
+        data["eval"] = {"p_cc_values": [0.5, 1e-05, 0]}
+        run_pipeline(config_from_dict(data))
+        names = sorted(p.name for p in (tmp_path / "runs").glob("report_*.json"))
+        assert len(names) == 6
+        assert {report_setting(n) for n in names} == {
+            ("pcc0_5", "eos_force"), ("pcc1e-05", "eos_force"), ("pcc0", "eos_force")
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "report_a.json",
+            "report_seed0.json",
+            "report_seed0_pcc0_5_word_magic.json",
+            "report_seed0_pcc0_5_token_bos_eos.json",
+            "report_seed0_pccx_word_bos_eos.json",
+            "report_seed0_pcc0_5_word_bos_eos.json.bak",
+            "aggregate_pcc0_5_word_bos_eos.json",
+        ],
+    )
+    def test_other_names_give_none(self, name):
+        assert report_setting(name) is None
