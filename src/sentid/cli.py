@@ -266,7 +266,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-DATA_ERRORS = (ValueError, FileNotFoundError, pipeline_mod.PipelineError)
+# OSError: any file-system error (a missing file, a directory given as a file, ...)
+DATA_ERRORS = (ValueError, OSError, pipeline_mod.PipelineError)
 
 
 def main(argv=None) -> int:

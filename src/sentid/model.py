@@ -115,6 +115,12 @@ class ModelConfig:
             raise ValueError("hash_dim must be a power of two")
         if self.window_radius < 0:
             raise ValueError("window_radius must be non-negative")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs!r}")
+        if not 0.0 < self.learning_rate < float("inf"):  # also false for NaN
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay!r}")
 
 
 def _hash(s: str) -> int:

@@ -1,7 +1,8 @@
 """End-to-end experiment loop: train, predict, decode, evaluate, aggregate.
 
-Each seed runs the full chain on freshly drawn evaluation inputs; reports
-are aggregated across seeds per (evaluation p_cc, granularity).  Every stage
+A run reads its inputs once and shares them with every seed; each seed runs
+the full chain on freshly drawn evaluation inputs, and reports are
+aggregated across seeds per (evaluation p_cc, granularity).  Every stage
 output is a pure function of its inputs, the configuration, and the seed, so
 re-running a stage reproduces its artifacts byte for byte; trained models
 are cached in the output directory under a fingerprint of (corpus, config,
@@ -12,7 +13,9 @@ import hashlib
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
+from itertools import repeat
 
 from . import decode as decode_mod
 from . import evaluation, model as model_mod
@@ -33,6 +36,9 @@ class PipelineError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):  # a worker process sends the error back pickled
+        return type(self), (self.stage, self.cause)
 
 
 GRANULARITIES = ("word", "char")
@@ -64,6 +70,10 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds: at least one seed is required")
+        for i, seed in enumerate(self.seeds):
+            # a repeated seed would pool one model's reports as if they were runs
+            if seed in self.seeds[:i]:
+                raise ConfigError(f"seeds: seed {seed} is given more than once")
         if self.method not in decode_mod.METHODS:
             raise ConfigError(f"method: {self.method!r} not in {decode_mod.METHODS}")
         for g in self.granularities:
@@ -208,34 +218,48 @@ def _eval_docs(eval_corpus: Corpus, cfg: PipelineConfig, p_cc: float, seed: int)
 
 def _ensure_corpus(corpus_path: str, treebank_path: str, rules) -> Corpus:
     """The corpus file, or else the treebank converted under `rules` (in memory, on every run)."""
-    if corpus_path and os.path.exists(corpus_path):
+    if corpus_path:
         return Corpus.load(corpus_path)
     if treebank_path:
         return convert_treebank(parse_conllu_file(treebank_path), rules)
     raise FileNotFoundError(f"no corpus at {corpus_path!r} and no treebank to convert")
 
 
-def _run_seed(cfg: PipelineConfig, seed: int) -> dict:
-    """Full train/predict/decode/evaluate chain for one seed.
+@contextmanager
+def _stage(name: str):
+    """Raise an OSError or ValueError of the block as a PipelineError of stage `name`."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise PipelineError(name, exc) from exc
+
+
+def _load_inputs(cfg: PipelineConfig) -> tuple:
+    """(evaluation corpus, training corpus or None, external matrices or None)."""
+    paths = cfg.paths
+    with _stage("load-corpus"):
+        eval_corpus = _ensure_corpus(paths.eval_corpus, paths.treebank_eval, cfg.rules)
+        if not paths.probs:
+            train_corpus = _ensure_corpus(paths.train_corpus, paths.treebank_train, cfg.rules)
+            return eval_corpus, train_corpus, None
+    with _stage("load-probs"), open(paths.probs, encoding="utf-8") as f:
+        return eval_corpus, None, [m for _, m in model_mod.iter_prob_documents(f)]
+
+
+def _run_seed(cfg: PipelineConfig, seed: int, inputs: tuple) -> dict:
+    """Full train/predict/decode/evaluate chain for one seed on the run's `inputs`.
 
     Returns {(p_cc, granularity): EvalReport}.
     """
+    eval_corpus, train_corpus, matrices = inputs
+    if matrices is not None:
+        return _decode_and_score(
+            cfg, f"seed{seed}_ext", "ext", matrices,
+            lambda: gold_documents(eval_corpus.units, [m.n for m in matrices]),
+        )
+
     out_dir = cfg.paths.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-
-    try:
-        eval_corpus = _ensure_corpus(cfg.paths.eval_corpus, cfg.paths.treebank_eval, cfg.rules)
-        if not cfg.paths.probs:
-            train_corpus = _ensure_corpus(
-                cfg.paths.train_corpus, cfg.paths.treebank_train, cfg.rules
-            )
-    except (OSError, ValueError) as exc:
-        raise PipelineError("load-corpus", exc) from exc
-
-    if cfg.paths.probs:
-        return _run_seed_external_probs(cfg, seed, eval_corpus)
-
-    try:
+    with _stage("train"):
         fp = _fingerprint(train_corpus, cfg, seed)
         model_path = os.path.join(out_dir, f"model_seed{seed}_{fp}.bin")
         if os.path.exists(model_path):
@@ -245,21 +269,17 @@ def _run_seed(cfg: PipelineConfig, seed: int) -> dict:
                 train_corpus, cfg.augment, seed=seed, model_cfg=cfg.model
             )
             model_mod.save_model(model, model_path)
-    except (OSError, ValueError) as exc:
-        raise PipelineError("train", exc) from exc
 
     reports = {}
     for p_cc in cfg.eval_p_cc:
         tag = f"seed{seed}_pcc{_pcc_tag(p_cc)}"
-        try:
+        with _stage("predict"):
             docs = _eval_docs(eval_corpus, cfg, p_cc, seed)
             matrices = model_mod.predict(model, [ex.words for ex in docs])
             model_mod.write_prob_documents(
                 os.path.join(out_dir, f"probs_{tag}.tsv"),
                 [(list(ex.words), m) for ex, m in zip(docs, matrices)],
             )
-        except (ValueError, OSError) as exc:
-            raise PipelineError("predict", exc) from exc
 
         reports.update(_decode_and_score(
             cfg, tag, p_cc, matrices,
@@ -283,12 +303,10 @@ def _decode_and_score(cfg: PipelineConfig, tag: str, setting, matrices, gold_doc
     is called only once the span file is written.  Returns {(setting, granularity): EvalReport}.
     """
     out_dir = cfg.paths.output_dir
-    try:
+    with _stage("decode"):
         results = decode_documents(matrices, cfg.method, cfg.decoder, cfg.interp)
         write_span_file(os.path.join(out_dir, f"spans_{tag}_{cfg.method}.jsonl"), results)
-    except (ValueError, OSError) as exc:
-        raise PipelineError("decode", exc) from exc
-    try:
+    with _stage("evaluate"):
         scored = [(gold, res.labels, words) for (gold, words), res in zip(gold_docs(), results)]
         reports = {}
         for gran in cfg.granularities:
@@ -298,8 +316,6 @@ def _decode_and_score(cfg: PipelineConfig, tag: str, setting, matrices, gold_doc
                 os.path.join(out_dir, f"report_{tag}_{gran}_{cfg.method}.json"), report.to_dict()
             )
         return reports
-    except (ValueError, OSError) as exc:
-        raise PipelineError("evaluate", exc) from exc
 
 
 def _align_docs_to_units(units, doc_lengths):
@@ -333,28 +349,18 @@ def gold_documents(units, doc_lengths) -> list[tuple[LabelSeq, list[str]]]:
     ]
 
 
-def _run_seed_external_probs(cfg: PipelineConfig, seed: int, eval_corpus: Corpus) -> dict:
-    try:
-        with open(cfg.paths.probs, encoding="utf-8") as f:
-            matrices = [m for _, m in model_mod.iter_prob_documents(f)]
-    except (OSError, ValueError) as exc:
-        raise PipelineError("load-probs", exc) from exc
-    return _decode_and_score(
-        cfg, f"seed{seed}_ext", "ext", matrices,
-        lambda: gold_documents(eval_corpus.units, [m.n for m in matrices]),
-    )
-
-
 def run_pipeline(cfg: PipelineConfig, parallel_seeds: bool = False) -> dict:
     """Run every seed and aggregate; returns {(p_cc, gran): AggregateReport}."""
+    os.makedirs(cfg.paths.output_dir, exist_ok=True)
+    inputs = _load_inputs(cfg)
     if parallel_seeds and len(cfg.seeds) > 1:
         # imported here so that `import sentid` does not load the process pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(len(cfg.seeds), os.cpu_count() or 1)) as pool:
-            per_seed = list(pool.map(_run_seed_star, [(cfg, s) for s in cfg.seeds]))
+            per_seed = list(pool.map(_run_seed, repeat(cfg), cfg.seeds, repeat(inputs)))
     else:
-        per_seed = [_run_seed(cfg, s) for s in cfg.seeds]
+        per_seed = [_run_seed(cfg, s, inputs) for s in cfg.seeds]
 
     aggregates = {}
     for key in per_seed[0]:
@@ -366,7 +372,3 @@ def run_pipeline(cfg: PipelineConfig, parallel_seeds: bool = False) -> dict:
         )
         write_json(path, agg.to_dict())
     return aggregates
-
-
-def _run_seed_star(args):
-    return _run_seed(*args)

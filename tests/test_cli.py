@@ -357,6 +357,31 @@ class TestPipelineCommand:
         cfg_path.write_text('{"seeds": [1], "x": ' + "[" * 100_000)
         assert run("pipeline", "--config", str(cfg_path)) == 1
 
+    def test_repeated_seed_is_usage_error(self, tmp_path, capsys):
+        # [0, 0] used to aggregate one model's report twice as n=2, std 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seeds": [3, 0, 3]}))
+        assert run("pipeline", "--config", str(cfg_path)) == 1
+        assert capsys.readouterr().err == "error: seeds: seed 3 is given more than once\n"
+
+    def test_seed_error_exits_2_with_and_without_parallel_seeds(self, tmp_path, capsys):
+        # a worker's PipelineError used to fail to unpickle: BrokenProcessPool, exit 3
+        train = tmp_path / "train.jsonl"
+        train.write_text("")
+        evalc = tmp_path / "eval.jsonl"
+        synthetic_corpus(10, seed=12).save(evalc)
+        cfg = {
+            "seeds": [0, 1],
+            "paths": {"train_corpus": str(train), "eval_corpus": str(evalc),
+                      "output_dir": str(tmp_path / "runs")},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        expected = "data error: stage 'train' failed: cannot train on an empty corpus\n"
+        for extra in ([], ["--parallel-seeds"]):
+            assert run("pipeline", "--config", str(cfg_path), *extra) == 2
+            assert capsys.readouterr().err == expected
+
     def test_seed_override_runs_single_seed(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"
         evalc = tmp_path / "eval.jsonl"
@@ -409,6 +434,46 @@ class TestExitCodes:
             "augment", "--corpus", str(corpus_path), "--count", "1",
             "--pcc", "2.0", "--out", str(tmp_path / "x"),
         ) == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--epochs", "0"), "epochs must be at least 1, got 0"),
+            (("--epochs", "-2"), "epochs must be at least 1, got -2"),
+            (("--lr", "-0.5"), "learning_rate must be finite and > 0, got -0.5"),
+            (("--lr", "nan"), "learning_rate must be finite and > 0, got nan"),
+            (("--lr", "inf"), "learning_rate must be finite and > 0, got inf"),
+        ],
+        ids=["zero-epochs", "negative-epochs", "negative-lr", "nan-lr", "inf-lr"],
+    )
+    def test_untrainable_model_flags_are_usage_errors(
+        self, tmp_path, capsys, corpus_path, flags, message
+    ):
+        # each of these used to save a model with untrained, saturated or NaN weights, with exit 0
+        model = tmp_path / "m.bin"
+        assert run("train", "--corpus", str(corpus_path), "--out", str(model), *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["decode", "evaluate", "train", "pipeline"])
+    def test_directory_for_a_file_is_data_error(self, tmp_path, capsys, corpus_path, command):
+        # an OSError other than FileNotFoundError used to print a traceback and exit 3
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        taken = tmp_path / "taken"
+        taken.write_text("a file where the output directory should go\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seeds": [0], "paths": {"output_dir": str(taken)}}))
+        argv, errno = {
+            "decode": (["decode", "--probs", str(folder), "--method", "eos"], 21),
+            "evaluate": (["evaluate", "--gold", str(folder), "--pred", str(folder)], 21),
+            "train": (["train", "--corpus", str(corpus_path), "--out", str(folder),
+                       "--epochs", "1", "--hash-dim", "16"], 21),
+            "pipeline": (["pipeline", "--config", str(cfg_path)], 17),
+        }[command]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: [Errno {errno}] ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "header",

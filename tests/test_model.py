@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -352,6 +353,25 @@ class TestSerialization:
         save_model(ClassifierModel.zeros(CFG, seed=0), path)
         path.write_bytes(path.read_bytes() + b"garbage")
         with pytest.raises(ValueError, match="unexpected bytes after the last head"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 0), ("epochs", -2), ("learning_rate", 0.0), ("learning_rate", -0.5),
+         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+         ("lr_decay", 0.0), ("lr_decay", 1.5), ("lr_decay", float("nan"))],
+    )
+    def test_untrainable_config_rejected(self, tmp_path, field, value):
+        # these used to train (or load) a model with untrained, saturated or NaN weights
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+        path = tmp_path / "model.bin"
+        save_model(ClassifierModel.zeros(CFG, seed=0), path)
+        header, weights = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["config"][field] = value
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + weights)
+        with pytest.raises(ValueError, match=f"bad model header: ValueError.*{field}"):
             load_model(path)
 
     def test_rejects_garbage(self, tmp_path):

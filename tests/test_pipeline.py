@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import sentid
 from sentid import model as model_mod
+from sentid import pipeline as pipeline_mod
 from sentid.cli import CLI_METHODS
 from sentid.cli import main as cli_main
 from sentid.corpus import Corpus
@@ -99,6 +100,34 @@ def treebank_config(tmp_path) -> dict:
     }
 
 
+def probs_config(tmp_path) -> dict:
+    """A one-seed config that decodes an external probability file against an evaluation corpus."""
+    evalc = synthetic_corpus(12, seed=5)
+    eval_path = tmp_path / "eval.jsonl"
+    evalc.save(eval_path)
+    return {
+        "seeds": [0],
+        "granularities": ["word"],
+        "paths": {
+            "eval_corpus": str(eval_path),
+            "probs": str(external_probs(tmp_path, evalc, uni=True)),
+            "output_dir": str(tmp_path / "runs"),
+        },
+    }
+
+
+SOURCES = {
+    "corpus": base_config,
+    "treebank": treebank_config,
+    "probs": probs_config,
+}
+
+
+def artifacts(directory) -> dict:
+    """{file name: bytes} of every file a run wrote to `directory`."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
 class TestConfig:
     def test_defaults(self, tmp_path):
         cfg = config_from_dict({"seeds": [1]})
@@ -126,6 +155,19 @@ class TestConfig:
     def test_seeds_required(self):
         with pytest.raises(ConfigError, match="seeds"):
             config_from_dict({})
+
+    def test_repeated_seed_rejected(self):
+        # [0, 0] used to aggregate one model's reports as two runs, with std 0
+        with pytest.raises(ConfigError, match="^seeds: seed 0 is given more than once$"):
+            config_from_dict({"seeds": [0, 1, 0]})
+
+    @pytest.mark.parametrize(
+        "model", [{"epochs": 0}, {"learning_rate": -0.5}, {"lr_decay": 1.5}],
+        ids=["zero-epochs", "negative-lr", "lr-decay-above-one"],
+    )
+    def test_untrainable_model_section_rejected(self, model):
+        with pytest.raises(ConfigError, match=f"^model: {next(iter(model))} "):
+            config_from_dict({"seeds": [1], "model": model})
 
     def test_lambda_range_checked(self):
         with pytest.raises(ConfigError, match="interp"):
@@ -311,17 +353,71 @@ class TestRunPipeline:
         assert out.stdout.strip() == "False"
 
     def test_parallel_seeds_matches_sequential(self, tmp_path):
-        data = base_config(tmp_path, seeds=[0, 1])
-        cfg = config_from_dict(data)
-        seq = run_pipeline(cfg)
-        par_dir = tmp_path / "runs_par"
-        data["paths"]["output_dir"] = str(par_dir)
-        cfg_par = config_from_dict(data)
-        par = run_pipeline(cfg_par, parallel_seeds=True)
-        a = seq[(0.5, "word")]
-        b = par[(0.5, "word")]
-        assert a.metrics["macro_f1"] == b.metrics["macro_f1"]
-        assert a.metrics["span_f1"] == b.metrics["span_f1"]
+        for source, make_config in SOURCES.items():
+            root = tmp_path / source
+            root.mkdir()
+            data = make_config(root)
+            data["seeds"] = [0, 1]
+            seq = run_pipeline(config_from_dict(data))
+            data["paths"]["output_dir"] = str(root / "runs_par")
+            par = run_pipeline(config_from_dict(data), parallel_seeds=True)
+            assert par == seq
+            assert artifacts(root / "runs_par") == artifacts(root / "runs")
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_inputs_read_once_per_run(self, tmp_path, monkeypatch, source):
+        # every seed used to load or convert both corpora, and read the probability file, again
+        data = SOURCES[source](tmp_path)
+        data["seeds"] = [0, 1, 2]
+        reads = []
+
+        def counting(name, fn):
+            return lambda *args: reads.append(name) or fn(*args)
+
+        monkeypatch.setattr(Corpus, "load", staticmethod(counting("load", Corpus.load)))
+        for name in ("convert_treebank", "parse_conllu_file"):
+            monkeypatch.setattr(pipeline_mod, name, counting(name, getattr(pipeline_mod, name)))
+        monkeypatch.setattr(
+            model_mod, "iter_prob_documents", counting("probs", model_mod.iter_prob_documents)
+        )
+        run_pipeline(config_from_dict(data))
+        expected = {
+            "corpus": ["load", "load"],
+            "treebank": ["parse_conllu_file", "convert_treebank"] * 2,
+            "probs": ["load", "probs"],
+        }
+        assert reads == expected[source]
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_seed_outputs_do_not_depend_on_earlier_seeds(self, tmp_path, source):
+        # the seeds of a run share its inputs, so a seed must leave them as it found them
+        data = SOURCES[source](tmp_path)
+        data["seeds"] = [1]
+        data["paths"]["output_dir"] = str(tmp_path / "alone")
+        run_pipeline(config_from_dict(data))
+        data["seeds"] = [0, 1]
+        data["paths"]["output_dir"] = str(tmp_path / "after")
+        run_pipeline(config_from_dict(data))
+        alone = artifacts(tmp_path / "alone")
+        seed1 = {n: b for n, b in artifacts(tmp_path / "after").items() if "seed1_" in n}
+        assert seed1 == {n: b for n, b in alone.items() if "seed1_" in n}
+        assert seed1
+
+    def test_missing_corpus_names_its_path(self, tmp_path):
+        data = base_config(tmp_path)
+        missing = tmp_path / "missing.jsonl"
+        data["paths"]["eval_corpus"] = str(missing)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(config_from_dict(data))
+        assert str(info.value) == (
+            f"stage 'load-corpus' failed: [Errno 2] No such file or directory: '{missing}'"
+        )
+        del data["paths"]["eval_corpus"]
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(config_from_dict(data))
+        assert str(info.value) == (
+            "stage 'load-corpus' failed: no corpus at '' and no treebank to convert"
+        )
 
 
 class TestReportNames:
