@@ -4,8 +4,9 @@ Inputs are built by joining L consecutive corpus units, L drawn from a
 geometric distribution with parameter p_cc (p_cc = 0 means "as many units as
 fit").  Units are optionally perturbed before joining (re-casing or stripping
 trailing end punctuation), and the assembled example's edge units may be
-truncated, in which case the fragment no longer counts as sentential and its
-begin/end flags are cleared.
+truncated, in which case the fragment no longer counts as sentential.  An
+example's gold flags come from its units' provenance alone, by the rule of
+`corpus.unit_spans`.
 """
 
 import json
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, Unit
+from .corpus import Corpus, Unit, unit_spans
 from .fileio import atomic_open
 from .labels import BoundarySeq
 
@@ -55,6 +56,9 @@ class UnitProvenance:
     token_count: int
     is_su: bool
     transforms: tuple = ()
+
+    def __len__(self) -> int:
+        return self.token_count
 
 
 @dataclass(frozen=True)
@@ -114,9 +118,7 @@ def _apply_transform(unit: Unit, name: str, cfg: AugmentConfig) -> Unit:
         words = [w.upper() for w in unit.words]
     elif name == "title":
         words = [w.capitalize() for w in unit.words]
-    else:  # strip_punct: operates on the final word only
-        if not unit.words:
-            return unit
+    else:  # strip_punct: operates on the final word only (a unit has at least one)
         stripped = strip_end_punctuation(unit.words[-1], cfg.punct_set, cfg.end_punct_set)
         if stripped == unit.words[-1]:
             return unit
@@ -141,6 +143,15 @@ def augment_unit(unit: Unit, cfg: AugmentConfig, rng: np.random.Generator) -> tu
     return _apply_transform(unit, name, cfg), name
 
 
+def _example(words, provenance) -> TrainingExample:
+    """The example of `words`, its gold flags bounding the SU spans of `provenance`."""
+    bos = np.zeros(len(words), dtype=bool)
+    eos = np.zeros(len(words), dtype=bool)
+    for start, end in unit_spans(provenance):
+        bos[start] = eos[end - 1] = True
+    return TrainingExample(tuple(words), BoundarySeq(bos, eos), tuple(provenance))
+
+
 def _assemble(units, unit_indices, transforms, cfg: AugmentConfig) -> TrainingExample:
     """Join units under the token cap, reducing the unit count if needed."""
     used = []
@@ -154,8 +165,6 @@ def _assemble(units, unit_indices, transforms, cfg: AugmentConfig) -> TrainingEx
             break
 
     words = []
-    bos = []
-    eos = []
     provenance = []
     clipped = False
     for k, u in enumerate(used):
@@ -170,11 +179,7 @@ def _assemble(units, unit_indices, transforms, cfg: AugmentConfig) -> TrainingEx
             is_su = False
             clipped = True
             u_transforms = u_transforms + ("clip_tail",)
-        start = len(words)
         words.extend(u_words)
-        if is_su and u_words:
-            bos.append(start)
-            eos.append(start + len(u_words) - 1)
         provenance.append(
             UnitProvenance(
                 unit_index=unit_indices[k],
@@ -185,27 +190,16 @@ def _assemble(units, unit_indices, transforms, cfg: AugmentConfig) -> TrainingEx
         )
         if clipped:
             break
-    gold = BoundarySeq.from_indices(len(words), bos, eos)
-    return TrainingExample(words=tuple(words), gold=gold, provenance=tuple(provenance))
+    return _example(words, provenance)
 
 
 def concat_units(corpus: Corpus, start_index: int, L: int, cfg: AugmentConfig) -> TrainingExample:
     """Join up to L consecutive units starting at start_index (no transforms)."""
     if not 0 <= start_index < len(corpus.units):
         raise IndexError(f"start_index {start_index} out of range")
-    stop = len(corpus.units) if L >= UNBOUNDED_LENGTH else min(start_index + L, len(corpus.units))
+    stop = min(start_index + L, len(corpus.units))
     units = corpus.units[start_index:stop]
     return _assemble(units, list(range(start_index, stop)), None, cfg)
-
-
-def _clear_unit_flags(example: TrainingExample, unit_pos: int) -> TrainingExample:
-    start = sum(p.token_count for p in example.provenance[:unit_pos])
-    end = start + example.provenance[unit_pos].token_count
-    bos = example.gold.bos_flags.copy()
-    eos = example.gold.eos_flags.copy()
-    bos[start:end] = False
-    eos[start:end] = False
-    return replace(example, gold=BoundarySeq(bos, eos))
 
 
 def truncate_edges(
@@ -223,9 +217,6 @@ def truncate_edges(
         first = example.provenance[0]
         j = int(rng.integers(0, first.token_count))
         if j > 0:
-            words = example.words[j:]
-            bos = example.gold.bos_flags[j:].copy()
-            eos = example.gold.eos_flags[j:].copy()
             prov = (
                 replace(
                     first,
@@ -234,17 +225,12 @@ def truncate_edges(
                     transforms=first.transforms + ("truncate_head",),
                 ),
             ) + example.provenance[1:]
-            example = TrainingExample(words=words, gold=BoundarySeq(bos, eos), provenance=prov)
-            example = _clear_unit_flags(example, 0)
-    if example.words and rng.random() < cfg.p_tr:
+            example = _example(example.words[j:], prov)
+    if rng.random() < cfg.p_tr:
         last = example.provenance[-1]
         j = int(rng.integers(0, last.token_count))
         dropped = last.token_count - 1 - j
         if dropped > 0:
-            keep = len(example.words) - dropped
-            words = example.words[:keep]
-            bos = example.gold.bos_flags[:keep].copy()
-            eos = example.gold.eos_flags[:keep].copy()
             prov = example.provenance[:-1] + (
                 replace(
                     last,
@@ -253,8 +239,7 @@ def truncate_edges(
                     transforms=last.transforms + ("truncate_tail",),
                 ),
             )
-            example = TrainingExample(words=words, gold=BoundarySeq(bos, eos), provenance=prov)
-            example = _clear_unit_flags(example, len(example.provenance) - 1)
+            example = _example(example.words[: len(example.words) - dropped], prov)
     return example
 
 
@@ -270,7 +255,7 @@ def example_stream(corpus: Corpus, cfg: AugmentConfig, seed: int, epoch: int = 0
     cursor = 0
     while cursor < len(units):
         L = sample_length(cfg, rng)
-        stop = len(units) if L >= UNBOUNDED_LENGTH else min(cursor + L, len(units))
+        stop = min(cursor + L, len(units))
         window = units[cursor:stop]
         transforms = None
         if augment:

@@ -178,7 +178,7 @@ def cmd_evaluate(args) -> int:
         return 0
     corp = corpus_mod.Corpus.load(args.gold)
     results = decode_mod.read_span_file(args.pred)
-    gold_docs = pipeline_mod.gold_documents(corp.units, [r.n for r in results])
+    gold_docs = corpus_mod.gold_documents(corp.units, [r.n for r in results])
     report = evaluation.evaluate_documents(
         [(gold, res.labels, words) for (gold, words), res in zip(gold_docs, results)],
         args.granularity,

@@ -250,6 +250,8 @@ class Unit:
             raise ValueError("text must be a string")
         if type(self.is_su) is not bool:
             raise ValueError(f"is_su must be true or false, got {self.is_su!r}")
+        if not self.words:
+            raise ValueError("a unit needs at least one word")
         if len(self.words) != len(self.char_offsets):
             raise ValueError("words and char_offsets must align")
         prev_end = 0
@@ -329,13 +331,42 @@ def convert_treebank(
     return Corpus(units=units)
 
 
-def gold_word_labels(units: Sequence[Unit]) -> labels_mod.LabelSeq:
-    """Word labels of consecutive units: B I* over each SU unit, O* over each NSU unit."""
-    parts = []
+def unit_spans(units) -> Iterator[tuple[int, int]]:
+    """Word span of each SU unit among consecutive units; an NSU unit's words are in no span.
+
+    A unit is anything with a length in words and an `is_su` flag.
+    """
+    pos = 0
     for u in units:
-        n = len(u.words)
-        parts.append(("B" + "I" * (n - 1)) if u.is_su else "O" * n)
-    return labels_mod.LabelSeq("word", "".join(parts))
+        n = len(u)
+        if u.is_su:
+            yield pos, pos + n
+        pos += n
+
+
+def gold_word_labels(units: Sequence) -> labels_mod.LabelSeq:
+    """Word labels of consecutive units (as `unit_spans` takes them): B I* per SU unit, else O*."""
+    return labels_mod.spans_to_labels(sum(map(len, units)), unit_spans(units))
+
+
+def gold_documents(units, doc_lengths) -> list[tuple[labels_mod.LabelSeq, list[str]]]:
+    """Gold word labels and words of each document, aligned to consecutive units."""
+    docs = []
+    k = 0
+    for target in doc_lengths:
+        start, total = k, 0
+        while total < target:
+            if k >= len(units):
+                raise ValueError("predictions cover more tokens than the corpus")
+            total += len(units[k].words)
+            k += 1
+        if total != target:
+            raise ValueError(f"document of {target} tokens does not align with unit boundaries")
+        chunk = units[start:k]
+        docs.append((gold_word_labels(chunk), [w for u in chunk for w in u.words]))
+    if k != len(units):
+        raise ValueError("predictions cover fewer tokens than the corpus")
+    return docs
 
 
 @dataclass(frozen=True)

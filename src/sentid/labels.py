@@ -13,7 +13,7 @@ Conversion rules:
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,14 +109,6 @@ class BoundarySeq:
         if inside:
             raise LabelError("sequence ends inside an open span")
         return self
-
-    @classmethod
-    def from_indices(cls, n: int, bos: Iterable[int], eos: Iterable[int]) -> "BoundarySeq":
-        b = np.zeros(n, dtype=bool)
-        e = np.zeros(n, dtype=bool)
-        b[list(bos)] = True
-        e[list(eos)] = True
-        return cls(b, e)
 
 
 def bio_to_boundaries(seq: LabelSeq) -> BoundarySeq:

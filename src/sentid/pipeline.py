@@ -20,10 +20,16 @@ from itertools import repeat
 from . import decode as decode_mod
 from . import evaluation, model as model_mod
 from .augment import AugmentConfig, example_stream
-from .corpus import Corpus, RelationRuleSet, convert_treebank, gold_word_labels, parse_conllu_file
+from .corpus import (
+    Corpus,
+    RelationRuleSet,
+    convert_treebank,
+    gold_documents,
+    gold_word_labels,
+    parse_conllu_file,
+)
 from .decode import DecoderConfig, decode_document, write_span_file
 from .fileio import write_json
-from .labels import LabelSeq, boundaries_to_bio
 from .model import InterpConfig, ModelConfig, interpolate
 
 
@@ -74,6 +80,9 @@ class PipelineConfig:
             # a repeated seed would pool one model's reports as if they were runs
             if seed in self.seeds[:i]:
                 raise ConfigError(f"seeds: seed {seed} is given more than once")
+        # every seed would decode the same file into the same reports
+        if self.paths.probs and len(self.seeds) > 1:
+            raise ConfigError(f"seeds: a run on paths.probs takes one seed, got {len(self.seeds)}")
         if self.method not in decode_mod.METHODS:
             raise ConfigError(f"method: {self.method!r} not in {decode_mod.METHODS}")
         for g in self.granularities:
@@ -216,13 +225,15 @@ def _eval_docs(eval_corpus: Corpus, cfg: PipelineConfig, p_cc: float, seed: int)
     return list(example_stream(eval_corpus, stream_cfg, seed, epoch=0, augment=False))
 
 
-def _ensure_corpus(corpus_path: str, treebank_path: str, rules) -> Corpus:
-    """The corpus file, or else the treebank converted under `rules` (in memory, on every run)."""
+def _ensure_corpus(paths: PipelinePaths, split: str, rules) -> Corpus:
+    """The split's corpus file, or its treebank converted under `rules` (in memory, each run)."""
+    corpus_path = getattr(paths, f"{split}_corpus")
+    treebank_path = getattr(paths, f"treebank_{split}")
     if corpus_path:
         return Corpus.load(corpus_path)
     if treebank_path:
         return convert_treebank(parse_conllu_file(treebank_path), rules)
-    raise FileNotFoundError(f"no corpus at {corpus_path!r} and no treebank to convert")
+    raise FileNotFoundError(f"no corpus: set paths.{split}_corpus or paths.treebank_{split}")
 
 
 @contextmanager
@@ -238,9 +249,9 @@ def _load_inputs(cfg: PipelineConfig) -> tuple:
     """(evaluation corpus, training corpus or None, external matrices or None)."""
     paths = cfg.paths
     with _stage("load-corpus"):
-        eval_corpus = _ensure_corpus(paths.eval_corpus, paths.treebank_eval, cfg.rules)
+        eval_corpus = _ensure_corpus(paths, "eval", cfg.rules)
         if not paths.probs:
-            train_corpus = _ensure_corpus(paths.train_corpus, paths.treebank_train, cfg.rules)
+            train_corpus = _ensure_corpus(paths, "train", cfg.rules)
             return eval_corpus, train_corpus, None
     with _stage("load-probs"), open(paths.probs, encoding="utf-8") as f:
         return eval_corpus, None, [m for _, m in model_mod.iter_prob_documents(f)]
@@ -283,7 +294,7 @@ def _run_seed(cfg: PipelineConfig, seed: int, inputs: tuple) -> dict:
 
         reports.update(_decode_and_score(
             cfg, tag, p_cc, matrices,
-            lambda: [(boundaries_to_bio(ex.gold), ex.words) for ex in docs],
+            lambda: [(gold_word_labels(ex.provenance), ex.words) for ex in docs],
         ))
     return reports
 
@@ -316,37 +327,6 @@ def _decode_and_score(cfg: PipelineConfig, tag: str, setting, matrices, gold_doc
                 os.path.join(out_dir, f"report_{tag}_{gran}_{cfg.method}.json"), report.to_dict()
             )
         return reports
-
-
-def _align_docs_to_units(units, doc_lengths):
-    """Partition corpus units into documents matching the given token counts."""
-    docs = []
-    k = 0
-    for target in doc_lengths:
-        chunk = []
-        total = 0
-        while total < target:
-            if k >= len(units):
-                raise evaluation.EvalError("predictions cover more tokens than the corpus")
-            chunk.append(units[k])
-            total += len(units[k].words)
-            k += 1
-        if total != target:
-            raise evaluation.EvalError(
-                f"document of {target} tokens does not align with unit boundaries"
-            )
-        docs.append(chunk)
-    if k != len(units):
-        raise evaluation.EvalError("predictions cover fewer tokens than the corpus")
-    return docs
-
-
-def gold_documents(units, doc_lengths) -> list[tuple[LabelSeq, list[str]]]:
-    """Gold word labels and words of each document, aligned to consecutive units."""
-    return [
-        (gold_word_labels(chunk), [w for u in chunk for w in u.words])
-        for chunk in _align_docs_to_units(units, doc_lengths)
-    ]
 
 
 def run_pipeline(cfg: PipelineConfig, parallel_seeds: bool = False) -> dict:

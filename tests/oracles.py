@@ -6,7 +6,7 @@ objective's definition, and the metric oracles recount confusion cells and
 span sets from scratch.  Nothing imports the decoding or evaluation code
 paths under test.  The loop references are the row- and
 character-at-a-time code that the array paths (kernels, probability reader,
-label spans, span rendering, char rendering, label counts) replaced; they
+label spans, span rendering, gold labels, char rendering, label counts) replaced; they
 take only the data and error types from the package.  The per-document model references at the
 end featurize, score and train one document at a time; they share the token
 hasher and the kernels with the package, so grouped results must equal
@@ -254,6 +254,15 @@ def spans_to_labels_loop(n: int, spans) -> str:
             labs[i] = "I"
         pos = end
     return "".join(labs)
+
+
+def gold_word_labels_loop(units) -> str:
+    """Word labels of consecutive units, one unit's string at a time: B I* if SU, else O*."""
+    parts = []
+    for u in units:
+        n = len(u.words)
+        parts.append(("B" + "I" * (n - 1)) if u.is_su else "O" * n)
+    return "".join(parts)
 
 
 def label_counts(gold: str, pred: str):

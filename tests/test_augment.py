@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sentid.augment import (
     UNBOUNDED_LENGTH,
@@ -16,7 +18,8 @@ from sentid.augment import (
     write_examples,
     _apply_transform,
 )
-from sentid.corpus import Corpus, Unit
+from sentid.corpus import Corpus, Unit, gold_word_labels
+from sentid.labels import boundaries_to_bio
 
 from synth import unit_from_words
 
@@ -266,6 +269,23 @@ class TestStream:
                 assert len(ex.words) <= cfg.max_tokens
                 assert len(ex.gold) == len(ex.words)
                 ex.gold.validate()
+
+    @given(
+        shape=st.lists(st.tuples(st.integers(1, 8), st.booleans()), min_size=1, max_size=10),
+        p_cc=st.sampled_from([0.0, 0.5, 1.0]),
+        p_da=st.sampled_from([0.0, 0.5, 1.0]),
+        p_tr=st.sampled_from([0.0, 0.5, 1.0]),
+        max_tokens=st.integers(1, 10),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gold_flags_follow_provenance(self, shape, p_cc, p_da, p_tr, max_tokens, seed):
+        # units of up to 8 words under a cap of 1-10 tokens: the clip path runs too
+        units = [unit_from_words([f"W{i}." for i in range(n)], is_su) for n, is_su in shape]
+        cfg = AugmentConfig(p_cc=p_cc, p_da=p_da, p_tr=p_tr, max_tokens=max_tokens)
+        for ex in example_stream(Corpus(units), cfg, seed):
+            ex.gold.validate()
+            assert boundaries_to_bio(ex.gold) == gold_word_labels(ex.provenance)
+            assert sum(p.token_count for p in ex.provenance) == len(ex.words)
 
     def test_covers_all_units_once(self):
         corpus = small_corpus()

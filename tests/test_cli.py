@@ -216,6 +216,40 @@ class TestTrainPredictDecodeEvaluate:
         err = capsys.readouterr().err
         assert err == f"data error: {pred}: bad span record on line 1: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["evaluate", "--granularity", "word"],
+            ["evaluate", "--granularity", "char"],
+            ["train", "--ptr", "1.0"],
+            ["train"],
+            ["augment", "--count", "2"],
+        ],
+        ids=["evaluate-word", "evaluate-char", "train-truncating", "train", "augment"],
+    )
+    def test_empty_unit_is_data_error(self, tmp_path, capsys, command):
+        # an empty SU unit used to load: evaluate saw 6 gold labels for 5 words,
+        # truncation drew a word from none (numpy's "high <= 0"), and train exited 0
+        empty = {"text": "", "words": [], "char_offsets": [], "is_su": True}
+        words = ["I", "saw", "it", "today", "."]
+        offsets = [[0, 1], [2, 5], [6, 8], [9, 14], [14, 15]]
+        rec = {"text": "I saw it today.", "words": words, "char_offsets": offsets, "is_su": True}
+        corpus = tmp_path / "gold.jsonl"
+        corpus.write_text(json.dumps(empty) + "\n" + json.dumps(rec) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"spans": [], "labels": "O" * 5, "log_prob": 0.0}) + "\n")
+        out = str(tmp_path / "out")
+        args = {
+            "evaluate": ["--gold", str(corpus), "--pred", str(pred)],
+            "train": ["--corpus", str(corpus), "--out", out, "--epochs", "1"],
+            "augment": ["--corpus", str(corpus), "--out", out],
+        }[command[0]]
+        assert run(*command, *args) == 2
+        message = "a unit needs at least one word"
+        assert capsys.readouterr().err == (
+            f"data error: {corpus}: bad corpus record on line 1: {message}\n"
+        )
+
     def test_evaluate_alignment_error(self, tmp_path):
         corpus = tmp_path / "gold.jsonl"
         synthetic_corpus(4, seed=3).save(corpus)

@@ -21,9 +21,14 @@ from sentid.corpus import (
     classify_unit,
     compute_stats,
     convert_treebank,
+    gold_documents,
     gold_word_labels,
     parse_conllu,
+    unit_spans,
 )
+
+from oracles import gold_word_labels_loop
+from synth import unit_from_words
 
 
 def block(*rows):
@@ -365,6 +370,8 @@ class TestCorpusIO:
         [
             ("words", [12], "word 12 at (0, 2): expected a string and two ints"),
             ("char_offsets", [[0, True]], "word 'ab' at (0, True): expected a string and two ints"),
+            # an empty unit used to load, and an SU one to render as "B": a label with no word
+            ("words", [], "a unit needs at least one word"),
         ],
     )
     def test_wrong_type_message(self, tmp_path, field, value, message):
@@ -408,6 +415,40 @@ class TestCorpusIO:
     def test_gold_word_labels(self):
         corp = convert_treebank(parse_conllu(THANK_YOU + FILE_METADATA))
         assert gold_word_labels(corp.units).labels == "BII" + "OOOOOOO"
+
+
+def _units(shape):
+    """Units of the given (word count, is_su) pairs."""
+    return [unit_from_words([f"w{i}" for i in range(n)], is_su) for n, is_su in shape]
+
+
+class TestGoldLabels:
+    def test_unit_spans_of_mixed_run(self):
+        units = _units([(2, False), (3, True), (1, True), (4, False), (1, False), (2, True)])
+        assert list(unit_spans(units)) == [(2, 5), (5, 6), (11, 13)]
+        assert gold_word_labels(units).labels == "OO" + "BII" + "B" + "OOOOO" + "BI"
+        assert list(unit_spans([])) == [] and gold_word_labels([]).labels == ""
+
+    @given(st.lists(st.tuples(st.integers(1, 8), st.booleans()), max_size=12))
+    def test_gold_word_labels_match_per_unit_strings(self, shape):
+        units = _units(shape)
+        labels = gold_word_labels(units)
+        assert labels.granularity == "word"
+        assert labels.labels == gold_word_labels_loop(units)
+
+    def test_gold_documents_align_to_units(self):
+        units = _units([(2, True), (1, False), (3, True)])
+        docs = gold_documents(units, [3, 3])
+        assert [labels.labels for labels, _ in docs] == ["BIO", "BII"]
+        assert [words for _, words in docs] == [["w0", "w1", "w0"], ["w0", "w1", "w2"]]
+        for lengths, message in (
+            ([2, 2, 2], "document of 2 tokens does not align with unit boundaries"),
+            ([3, 3, 1], "predictions cover more tokens than the corpus"),
+            ([3], "predictions cover fewer tokens than the corpus"),
+        ):
+            with pytest.raises(ValueError) as info:
+                gold_documents(units, lengths)
+            assert str(info.value) == message
 
 
 _JSON = st.recursive(
@@ -461,5 +502,6 @@ class TestCorpusLoadFuzz:
             # what loads is well-typed and saves back to the same units
             for u in corp.units:
                 assert isinstance(u.is_su, bool) and all(isinstance(w, str) for w in u.words)
+                assert len(u.words) >= 1
             corp.save(path)
             assert Corpus.load(path).units == corp.units

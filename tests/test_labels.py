@@ -215,12 +215,12 @@ class TestBoundaries:
 
     def test_alternation_validation(self):
         with pytest.raises(LabelError):
-            BoundarySeq.from_indices(3, [0, 1], [2]).validate()
+            BoundarySeq([1, 1, 0], [0, 0, 1]).validate()
         with pytest.raises(LabelError):
-            BoundarySeq.from_indices(3, [], [1]).validate()
+            BoundarySeq([0, 0, 0], [0, 1, 0]).validate()
         with pytest.raises(LabelError):
-            BoundarySeq.from_indices(3, [1], []).validate()
-        BoundarySeq.from_indices(3, [0, 2], [0, 2]).validate()
+            BoundarySeq([0, 1, 0], [0, 0, 0]).validate()
+        BoundarySeq([1, 0, 1], [1, 0, 1]).validate()
 
 
 class TestSpansToLabels:
