@@ -138,36 +138,50 @@ def score_rows(w, indices, indptr):
 # ---------------------------------------------------------------------------
 
 
-def window_indices(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash):
+def window_indices(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash, doc_lens):
+    """CSR feature indices of the window around each of the `n` tokens.
+
+    The tokens are the documents of `doc_lens` (token counts) laid end to
+    end.  A window position outside the focus token's own document
+    contributes the pad hash, so every row equals its row in a document of
+    its own.  Returns one row per token, `n` in all.
+    """
     if n == 0:
         return np.empty(0, np.int64), np.zeros(1, np.int64)
-    # Segment s covers position t = lo + s (s = 0 .. n-1+hi-lo): one pad entry
-    # outside [0, n), else token t's hashes.  Row i is the contiguous run of
-    # segments i .. i+hi-lo, so every row is one slice of the segment entries.
-    t = np.arange(lo, n + hi, dtype=np.int64)
-    inside = (t >= 0) & (t < n)
-    tc = np.clip(t, 0, n - 1)
-    seg_len = np.where(inside, tok_indptr[tc + 1] - tok_indptr[tc], 1)
-    seg_ptr = np.zeros(t.shape[0] + 1, np.int64)
+    # One segment per token, with `gap` pad segments (one pad entry each)
+    # before, between and after the documents, so that no window reaches past
+    # the pads around its own document.  Row i is the contiguous run of
+    # segments first[i] .. first[i]+hi-lo, so every row is one slice of the
+    # segment entries.
+    gap = max(-lo, hi, 0)
+    n_docs = len(doc_lens)
+    tok_seg = np.arange(n, dtype=np.int64) + gap * np.repeat(
+        np.arange(1, n_docs + 1, dtype=np.int64), doc_lens
+    )
+    n_seg = n + gap * (n_docs + 1)
+    is_tok = np.zeros(n_seg, dtype=bool)
+    is_tok[tok_seg] = True
+    seg_len = np.ones(n_seg, np.int64)
+    seg_len[tok_seg] = np.diff(tok_indptr)
+    seg_ptr = np.zeros(n_seg + 1, np.int64)
     np.cumsum(seg_len, out=seg_ptr[1:])
+    seg_vals = np.full(seg_ptr[n_seg], pad_hash, dtype=np.uint64)
+    seg_vals[np.repeat(is_tok, seg_len)] = tok_hashes
+
     width = hi - lo + 1
+    first = tok_seg + lo
+    win_len = seg_len[first[:, None] + np.arange(width)]  # (n, width) entries per window slot
     indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(seg_ptr[width : width + n] - seg_ptr[:n], out=indptr[1:])
+    np.cumsum(win_len.sum(axis=1), out=indptr[1:])
     row_len = np.diff(indptr)
 
-    # hash of every segment entry; the pad hash sits in the slot after the tokens'
-    seg_id = np.repeat(np.arange(t.shape[0], dtype=np.int64), seg_len)
-    seg_src = np.where(inside, tok_indptr[tc], tok_hashes.shape[0])
-    entry_src = seg_src[seg_id] + (np.arange(seg_id.shape[0], dtype=np.int64) - seg_ptr[seg_id])
-    seg_vals = np.append(tok_hashes, np.uint64(pad_hash))[entry_src]
-
-    # gather each row's slice; the salt is segment number - row number + 1
-    pos = np.arange(indptr[n], dtype=np.int64) + np.repeat(seg_ptr[:n] - indptr[:-1], row_len)
-    rel = seg_id[pos] - np.repeat(np.arange(n, dtype=np.int64), row_len) + 1
+    # gather each row's slice; the salt is the window slot + 1
+    pos = np.arange(indptr[n], dtype=np.int64) + np.repeat(seg_ptr[first] - indptr[:-1], row_len)
     x = seg_vals[pos]
+    salt = np.repeat(np.tile(np.arange(1, width + 1, dtype=np.uint64), n), win_len.ravel())
 
     # splitmix64 finalizer, in place (uint64 products wrap)
-    x ^= rel.astype(np.uint64) * np.uint64(_MIX_A)
+    x ^= salt * np.uint64(_MIX_A)
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX_B)
     x ^= x >> np.uint64(27)

@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal error.
 """
 
 import argparse
-import dataclasses
 import glob
 import json
 import os
@@ -190,12 +189,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg = pipeline_mod.load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
-    if args.output_dir:
-        paths = dataclasses.replace(cfg.paths, output_dir=args.output_dir)
-        cfg = dataclasses.replace(cfg, paths=paths)
+    cfg = pipeline_mod.load_config(args.config, seed=args.seed, output_dir=args.output_dir)
     aggregates = pipeline_mod.run_pipeline(cfg, parallel_seeds=args.parallel_seeds)
     for (setting, gran), agg in aggregates.items():
         print(f"== p_cc={setting} {gran}-level ({cfg.method}) ==")

@@ -22,12 +22,13 @@ from .corpus import Corpus
 from .fileio import atomic_open
 
 MODEL_FORMAT = "sentid-model"
-# A model's weights are only valid with the featuriser that trained them, so
-# this version also versions `token_base_features`, `_PAD_HASH` and the window
-# mixing of `_kernels.window_indices`: bump it when any of them changes.
+# The version of the model file layout (see `save_model`).  A model's weights
+# are only valid with the featuriser that trained them, so this version also
+# versions `token_base_features`, `_PAD_HASH` and the window mixing of
+# `_kernels.window_indices`: bump it when the layout or any of them changes.
 # `load_model` rejects any other version, and the pipeline's model cache key
 # includes it.
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 HEAD_NAMES = ("bos_bi", "eos_bi", "bos_uni", "eos_uni")
 
@@ -233,38 +234,19 @@ def _group_rows(
 ) -> dict:
     """CSR feature indices of every token of `docs`, in order, mixed once per distinct side.
 
-    The documents are laid out as one sequence with `window_radius` pad
-    positions before, between and after them, each holding the single pad
-    hash.  A window that runs past a document's edge then sees the pad entry
-    at each offset outside it, as a window over that document alone would,
-    so every token's row equals its row in a document of its own.  The pad
-    rows are dropped.
+    The kernel is told where each document ends, and a window that runs past
+    its document's edge sees the pad hash at each offset outside it, so every
+    token's row equals its row in a document of its own.
     """
-    r = cfg.window_radius
-    lengths = np.array([len(d) for d in docs], dtype=np.int64)
+    lengths = [len(d) for d in docs]
     hashes, tok_ptr = hasher.csr([w for d in docs for w in d])
-    n_real = tok_ptr.shape[0] - 1
-    n = n_real + r * (len(docs) + 1)
-    real = np.arange(n_real, dtype=np.int64) + r * (1 + np.repeat(np.arange(len(docs)), lengths))
-    is_real = np.zeros(n, dtype=bool)
-    is_real[real] = True
-    seg_len = np.ones(n, dtype=np.int64)
-    seg_len[real] = np.diff(tok_ptr)
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(seg_len, out=ptr[1:])
-    group_hashes = np.full(ptr[n], _PAD_HASH, dtype=np.uint64)
-    group_hashes[np.repeat(is_real, seg_len)] = hashes
-
+    n = tok_ptr.shape[0] - 1
     mask = np.uint64(cfg.hash_dim - 1)
     out = {}
     for side in sides:
         if side not in out:
-            lo, hi = _side_window(side, r)
-            idx, row_ptr = _kernels.window_indices(group_hashes, ptr, n, lo, hi, mask, _PAD_HASH)
-            row_len = np.diff(row_ptr)
-            real_ptr = np.zeros(n_real + 1, dtype=np.int64)
-            np.cumsum(row_len[real], out=real_ptr[1:])
-            out[side] = idx[np.repeat(is_real, row_len)], real_ptr
+            lo, hi = _side_window(side, cfg.window_radius)
+            out[side] = _kernels.window_indices(hashes, tok_ptr, n, lo, hi, mask, _PAD_HASH, lengths)
     return out
 
 
@@ -348,18 +330,27 @@ def predict(model: ClassifierModel, docs: Iterable[Sequence[str]]) -> list[ProbM
 
 
 def save_model(model: ClassifierModel, path) -> None:
-    """Versioned binary: one JSON header line, then raw float64 weights."""
+    """Versioned binary: one JSON header line, then each head's nonzero weights.
+
+    The header gives each head's count of nonzero weights.  Per head, in
+    the order of the header's `heads`, follow that many increasing indices
+    as ``<i8`` and then their weights as ``<f8``.  A weight is nonzero by its
+    bit pattern, so -0.0 is stored too.
+    """
+    nonzero = {name: np.flatnonzero(model.weights[name].view(np.int64)) for name in model.head_names}
     header = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "config": asdict(model.config),
         "seed": model.seed,
         "heads": list(model.head_names),
+        "nonzero": {name: int(idx.shape[0]) for name, idx in nonzero.items()},
     }
     with atomic_open(path, binary=True) as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for name in model.head_names:
-            f.write(model.weights[name].astype("<f8").tobytes())
+        for name, idx in nonzero.items():
+            f.write(idx.astype("<i8", copy=False))
+            f.write(model.weights[name][idx].astype("<f8", copy=False))
 
 
 def load_model(path) -> ClassifierModel:
@@ -380,13 +371,27 @@ def load_model(path) -> ClassifierModel:
             model = ClassifierModel(config=cfg, seed=int(header["seed"]))
             if header["heads"] != list(model.head_names):
                 raise ValueError(f"heads {header['heads']!r} do not match the config")
+            counts = header["nonzero"]
+            if not isinstance(counts, dict) or set(counts) != set(model.head_names):
+                raise ValueError(f"nonzero counts {counts!r} do not match the heads")
+            for name, count in counts.items():
+                if type(count) is not int or not 0 <= count <= cfg.hash_dim + 1:
+                    raise ValueError(f"nonzero count {count!r} of head {name}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad model header: {exc!r}") from exc
-        size = cfg.hash_dim + 1
         for name in model.head_names:
-            w = np.empty(size, dtype="<f8")
-            if f.readinto(w) != size * 8:
+            idx = np.empty(counts[name], dtype="<i8")
+            values = np.empty(counts[name], dtype="<f8")
+            if f.readinto(idx) != idx.nbytes or f.readinto(values) != values.nbytes:
                 raise ValueError(f"{path}: truncated weights for head {name}")
+            if (idx[1:] <= idx[:-1]).any():
+                raise ValueError(f"{path}: indices of head {name} are not strictly increasing")
+            if idx.shape[0] and not 0 <= idx[0] <= idx[-1] <= cfg.hash_dim:
+                raise ValueError(f"{path}: an index of head {name} is outside [0, {cfg.hash_dim}]")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: non-finite weight in head {name}")
+            w = np.zeros(cfg.hash_dim + 1, dtype=np.float64)
+            w[idx] = values
             model.weights[name] = w
         if f.read(1):
             raise ValueError(f"{path}: unexpected bytes after the last head")

@@ -174,7 +174,13 @@ def config_from_dict(data: dict) -> PipelineConfig:
     return PipelineConfig(seeds=seeds, **sections)
 
 
-def load_config(path) -> PipelineConfig:
+def load_config(path, seed: int | None = None, output_dir: str = "") -> PipelineConfig:
+    """The pipeline config of a JSON file.
+
+    A `seed` replaces the file's `seeds`, and an `output_dir` its
+    `paths.output_dir`, before the config is checked, so the checks see the
+    run that will be made.
+    """
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -183,6 +189,12 @@ def load_config(path) -> PipelineConfig:
     # RecursionError: JSON nested too deeply for the parser
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    # a value of the wrong type is left in place for config_from_dict to report
+    if isinstance(data, dict):
+        if seed is not None:
+            data["seeds"] = [seed]
+        if output_dir and isinstance(data.get("paths", {}), dict):
+            data["paths"] = {**data.get("paths", {}), "output_dir": output_dir}
     return config_from_dict(data)
 
 

@@ -420,24 +420,31 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def window_indices_loop(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash):
+def window_indices_loop(tok_hashes, tok_indptr, n, lo, hi, dim_mask, pad_hash, doc_lens):
     """Feature indices of every window position, one position and hash at a time.
 
-    Position t of row i contributes each of its tokens' hashes (or the pad hash
-    outside [0, n)), salted with (t - i - lo + 1) times the golden-ratio constant.
+    The `n` tokens are the documents of `doc_lens` laid end to end.  Position
+    t of row i contributes each of its tokens' hashes (or the pad hash outside
+    row i's document), salted with (t - i - lo + 1) times the golden-ratio
+    constant.
     """
+    assert sum(doc_lens) == n
     indices = []
     indptr = [0]
-    for i in range(n):
-        for t in range(i + lo, i + hi + 1):
-            salt = ((t - i - lo + 1) * 0x9E3779B97F4A7C15) & _MASK64
-            if 0 <= t < n:
-                hashes = tok_hashes[tok_indptr[t] : tok_indptr[t + 1]]
-            else:
-                hashes = [pad_hash]
-            for h in hashes:
-                indices.append(_splitmix64(int(h) ^ salt) & int(dim_mask))
-        indptr.append(len(indices))
+    start = 0
+    for length in doc_lens:
+        end = start + length
+        for i in range(start, end):
+            for t in range(i + lo, i + hi + 1):
+                salt = ((t - i - lo + 1) * 0x9E3779B97F4A7C15) & _MASK64
+                if start <= t < end:
+                    hashes = tok_hashes[tok_indptr[t] : tok_indptr[t + 1]]
+                else:
+                    hashes = [pad_hash]
+                for h in hashes:
+                    indices.append(_splitmix64(int(h) ^ salt) & int(dim_mask))
+            indptr.append(len(indices))
+        start = end
     return np.array(indices, np.int64), np.array(indptr, np.int64)
 
 
@@ -449,7 +456,9 @@ def _document_rows(hasher, words, sides, cfg) -> dict:
     for side in sides:
         if side not in out:
             lo, hi = (k * cfg.window_radius for k in SIDE_WINDOWS[side])
-            out[side] = _kernels.window_indices(hashes, tok_ptr, len(words), lo, hi, mask, _PAD_HASH)
+            out[side] = _kernels.window_indices(
+                hashes, tok_ptr, len(words), lo, hi, mask, _PAD_HASH, [len(words)]
+            )
     return out
 
 

@@ -4,6 +4,7 @@ import io
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from sentid import augment as augment_mod
@@ -523,7 +524,7 @@ class TestExitCodes:
     )
     def test_malformed_model_header_is_data_error(self, tmp_path, capsys, header):
         if isinstance(header, dict):
-            header = json.dumps({"format": "sentid-model", "version": 1, **header})
+            header = json.dumps({"format": "sentid-model", "version": model_mod.MODEL_VERSION, **header})
         model = tmp_path / "bad_model.bin"
         model.write_text(header + "\n")
         docs = tmp_path / "docs.txt"
@@ -544,6 +545,28 @@ class TestExitCodes:
         ) == 2
         err = capsys.readouterr().err
         assert err == f"data error: {model}: unexpected bytes after the last head\n"
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda data: data[:-8] + np.float64(np.nan).tobytes(), "non-finite weight in head bos_bi"),
+            (lambda data: data[:-32] + data[-24:-16] + data[-32:-24] + data[-16:],
+             "indices of head bos_bi are not strictly increasing"),
+        ],
+        ids=["nan", "unsorted"],
+    )
+    def test_corrupt_model_weights_are_data_error(self, tmp_path, capsys, corrupt, error):
+        model = model_mod.ClassifierModel.zeros(ModelConfig(hash_dim=2**4), 0)
+        model.weights["bos_bi"][[3, 9]] = [0.5, -1.5]  # eos_bi stays empty, so bos_bi ends the file
+        path = tmp_path / "model.bin"
+        model_mod.save_model(model, path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        docs = tmp_path / "docs.txt"
+        docs.write_text("a b .\n")
+        assert run(
+            "predict", "--model", str(path), "--input", str(docs), "--out", str(tmp_path / "p")
+        ) == 2
+        assert capsys.readouterr().err == f"data error: {path}: {error}\n"
 
 
 class TestStdinAndAggregate:

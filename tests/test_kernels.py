@@ -6,7 +6,7 @@ accumulations may differ in the last ulps where the kernels sum pairwise.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sentid import _kernels
@@ -102,11 +102,44 @@ class TestWindowIndicesParity:
             np.cumsum(counts, out=indptr[1:])
             hashes = rng.integers(0, 2**32, indptr[-1], dtype=np.uint64)
             for lo, hi in windows:
-                ref = window_indices_loop(hashes, indptr, n_tok, lo, hi, mask, pad)
-                got = _kernels.window_indices(hashes, indptr, n_tok, lo, hi, mask, pad)
+                ref = window_indices_loop(hashes, indptr, n_tok, lo, hi, mask, pad, [n_tok])
+                got = _kernels.window_indices(hashes, indptr, n_tok, lo, hi, mask, pad, [n_tok])
                 assert got[0].dtype == np.int64 and got[1].dtype == np.int64
                 assert np.array_equal(got[0], ref[0])
                 assert np.array_equal(got[1], ref[1])
+
+    @given(
+        counts=st.lists(st.lists(st.integers(0, 4), max_size=6), min_size=1, max_size=5),
+        radius=st.integers(0, 4),
+        side=st.sampled_from([(-1, 1), (-1, 0), (0, 1)]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(counts=[[], [2, 1], [], [3]], radius=2, side=(-1, 1), seed=0)  # empty documents
+    @example(counts=[[1, 2], [3]], radius=0, side=(-1, 1), seed=0)
+    @example(counts=[[1, 0, 2, 4]], radius=3, side=(0, 1), seed=0)  # a single document
+    def test_documents_mixed_as_if_alone(self, counts, radius, side, seed):
+        # each row of a call on several documents equals its row in a call on its document alone
+        lo, hi = side[0] * radius, side[1] * radius
+        mask, pad = np.uint64(2**10 - 1), np.uint64(777)
+        doc_lens = [len(c) for c in counts]
+        n = sum(doc_lens)
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum([k for c in counts for k in c], out=indptr[1:])
+        hashes = np.random.default_rng(seed).integers(0, 2**63, indptr[-1], dtype=np.uint64)
+
+        got = _kernels.window_indices(hashes, indptr, n, lo, hi, mask, pad, doc_lens)
+        ref = window_indices_loop(hashes, indptr, n, lo, hi, mask, pad, doc_lens)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        rows, start = [], 0
+        for length in doc_lens:
+            t0 = indptr[start]
+            idx, ptr = window_indices_loop(
+                hashes[t0 : indptr[start + length]], indptr[start : start + length + 1] - t0,
+                length, lo, hi, mask, pad, [length],
+            )
+            rows += [idx[ptr[i] : ptr[i + 1]].tolist() for i in range(length)]
+            start += length
+        assert [got[0][got[1][i] : got[1][i + 1]].tolist() for i in range(n)] == rows
 
 
 class TestSgdParity:

@@ -3,13 +3,14 @@
 import hashlib
 import io
 import json
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentid import _kernels
@@ -59,7 +60,11 @@ def side_rows(words, side):
 # model is valid only with the featuriser that trained it: a change to the
 # features, the pad hash or the window mixing must bump MODEL_VERSION (and add
 # its digest here), or cached models would be reused with other features.
-FEATURE_DIGESTS = {1: "5670b3562fd7637e706e1cdecee9810cca3c1435233d18925f8b0fa171247142"}
+FEATURE_DIGESTS = {
+    1: "5670b3562fd7637e706e1cdecee9810cca3c1435233d18925f8b0fa171247142",
+    # version 2 changed the file layout only: the features are those of version 1
+    2: "5670b3562fd7637e706e1cdecee9810cca3c1435233d18925f8b0fa171247142",
+}
 FEATURE_DOCS = [
     ["Joe", "went", "to", "school", "."],
     ["USA", "12/01", "!!", "Über", "naïve", "e.g."],
@@ -339,10 +344,11 @@ class TestSerialization:
         words = ["a", "b0", ".", "%"]
         assert np.array_equal(predict(loaded, [words])[0].p_eos, predict(model, [words])[0].p_eos)
 
-    @pytest.mark.parametrize("cut, head", [(1, "eos_bi"), (8 * (CFG.hash_dim + 1) + 8, "bos_bi")])
+    # every weight of random_model is nonzero, so each head takes 16 * (hash_dim + 1) bytes
+    @pytest.mark.parametrize("cut, head", [(1, "eos_bi"), (16 * (CFG.hash_dim + 1) + 8, "bos_bi")])
     def test_truncated_weights_rejected(self, tmp_path, cut, head):
         path = tmp_path / "model.bin"
-        save_model(ClassifierModel.zeros(CFG, seed=0), path)
+        save_model(random_model(CFG), path)
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(ValueError, match=f"truncated weights for head {head}"):
             load_model(path)
@@ -379,6 +385,149 @@ class TestSerialization:
         path.write_bytes(b"not a model\n")
         with pytest.raises(ValueError):
             load_model(path)
+
+
+SMALL = ModelConfig(window_radius=1, hash_dim=2**4, epochs=1)
+
+
+def raw_model_file(heads: dict, cfg: ModelConfig = SMALL, **header) -> bytes:
+    """A model file written by hand: `heads` maps each head to its (indices, weights)."""
+    fields = {
+        "format": "sentid-model", "version": model_mod.MODEL_VERSION, "config": asdict(cfg),
+        "seed": 0, "heads": list(heads), "nonzero": {h: len(i) for h, (i, _) in heads.items()},
+        **header,
+    }
+    body = b"".join(
+        np.array(i, "<i8").tobytes() + np.array(w, "<f8").tobytes() for i, w in heads.values()
+    )
+    return json.dumps(fields, sort_keys=True).encode("utf-8") + b"\n" + body
+
+
+def bits(w: np.ndarray) -> list:
+    return w.view("<i8").tolist()
+
+
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1.5]), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+class TestModelFile:
+    """Model files store each head's nonzero weights; loading rebuilds every table bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("model") / "model.bin"
+
+    def test_layout(self, tmp_path):
+        heads = {"bos_bi": ([0, 5, 16], [1.5, -0.0, 2.0]), "eos_bi": ([], [])}
+        path = tmp_path / "model.bin"
+        path.write_bytes(raw_model_file(heads))
+        model = load_model(path)
+        expected = np.zeros(17)
+        expected[[0, 5, 16]] = [1.5, -0.0, 2.0]
+        assert bits(model.weights["bos_bi"]) == bits(expected)
+        assert bits(model.weights["eos_bi"]) == [0] * 17
+        save_model(model, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=100)
+    @given(
+        include_uni=st.booleans(),
+        heads=st.lists(st.lists(_WEIGHTS, min_size=17, max_size=17), min_size=4, max_size=4),
+    )
+    # an all-zero head, a head of -0.0 (every bit pattern nonzero), a bias alone, a dense head
+    @example(
+        include_uni=True,
+        heads=[[0.0] * 17, [-0.0] * 17, [0.0] * 16 + [2.5], [float(i + 1) for i in range(17)]],
+    )
+    def test_round_trip_bit_identical(self, scratch, include_uni, heads):
+        model = ClassifierModel.zeros(replace(SMALL, include_uni=include_uni), seed=3)
+        for name, weights in zip(model.head_names, heads):
+            model.weights[name][:] = weights
+        save_model(model, scratch)
+        loaded = load_model(scratch)
+        assert loaded.config == model.config and loaded.seed == 3
+        assert list(loaded.weights) == list(model.head_names)
+        for name in model.head_names:
+            assert loaded.weights[name].dtype == np.float64
+            assert bits(loaded.weights[name]) == bits(model.weights[name])
+
+    @pytest.mark.parametrize(
+        "bos_bi, error",
+        [
+            (([4, 1], [1.0, 2.0]), "indices of head bos_bi are not strictly increasing"),
+            (([2, 2], [1.0, 2.0]), "indices of head bos_bi are not strictly increasing"),
+            (([-1, 3], [1.0, 2.0]), "an index of head bos_bi is outside [0, 16]"),
+            (([3, 17], [1.0, 2.0]), "an index of head bos_bi is outside [0, 16]"),
+            (([3, 9], [1.0, np.nan]), "non-finite weight in head bos_bi"),
+            (([3, 9], [np.inf, 1.0]), "non-finite weight in head bos_bi"),
+            (([3, 9], [1.0, -np.inf]), "non-finite weight in head bos_bi"),
+        ],
+        ids=["unsorted", "repeated", "negative", "past-bias", "nan", "inf", "-inf"],
+    )
+    def test_bad_head_rejected(self, tmp_path, bos_bi, error):
+        path = tmp_path / "model.bin"
+        path.write_bytes(raw_model_file({"bos_bi": bos_bi, "eos_bi": ([0], [1.0])}))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: {error}"
+
+    @pytest.mark.parametrize(
+        "nonzero, error",
+        [
+            ({"bos_bi": 1}, "nonzero counts {'bos_bi': 1} do not match the heads"),
+            ({"bos_bi": 1, "eos_bi": 1, "bos_uni": 0}, "nonzero counts"),
+            ([1, 1], "nonzero counts [1, 1] do not match the heads"),
+            ({"bos_bi": -1, "eos_bi": 1}, "nonzero count -1 of head bos_bi"),
+            ({"bos_bi": 1, "eos_bi": True}, "nonzero count True of head eos_bi"),
+            ({"bos_bi": 1.0, "eos_bi": 1}, "nonzero count 1.0 of head bos_bi"),
+            ({"bos_bi": 18, "eos_bi": 1}, "nonzero count 18 of head bos_bi"),
+            (None, "KeyError('nonzero')"),
+        ],
+        ids=["missing", "extra", "list", "negative", "bool", "float", "more-than-slots", "no-counts"],
+    )
+    def test_bad_count_rejected(self, tmp_path, nonzero, error):
+        data = raw_model_file({"bos_bi": ([3], [1.0]), "eos_bi": ([0], [1.0])})
+        header, body = data.split(b"\n", 1)
+        header = json.loads(header)
+        if nonzero is None:
+            del header["nonzero"]
+        else:
+            header["nonzero"] = nonzero
+        path = tmp_path / "model.bin"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: bad model header: ")) as exc:
+            load_model(path)
+        assert error in str(exc.value)
+
+    def test_truncated_at_every_byte_rejected(self, tmp_path):
+        model = random_model(replace(SMALL, include_uni=True))
+        model.weights["eos_bi"][::2] = 0.0  # heads of different sizes
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        data = path.read_bytes()
+        body_start = data.index(b"\n") + 1
+        ends = body_start + 16 * np.cumsum(
+            [np.count_nonzero(model.weights[h]) for h in model.head_names]
+        )
+        assert ends[-1] == len(data)
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError) as exc:
+                load_model(path)
+            if cut >= body_start - 1:  # the whole header, with or without its newline
+                head = model.head_names[int(np.searchsorted(ends, cut, side="right"))]
+                assert str(exc.value) == f"{path}: truncated weights for head {head}"
+
+    def test_size_bounded_by_nonzero_weights(self, tmp_path):
+        # the dense layout (8 bytes per weight) took 8 times the bound below
+        cfg = ModelConfig(epochs=2, include_uni=True)
+        model = train(synthetic_corpus(200, seed=0), AugmentConfig(), seed=0, model_cfg=cfg)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        dense = 8 * (cfg.hash_dim + 1) * len(model.head_names)
+        assert path.stat().st_size < dense / 8
 
 
 class TestInterpolate:

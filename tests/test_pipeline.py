@@ -188,6 +188,21 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "runs").exists()
 
+    def test_seed_flag_narrows_probs_run_before_checks(self, tmp_path, capsys):
+        # the flag used to replace the seeds after the two-seed config was rejected (exit 1)
+        data = probs_config(tmp_path)
+        data["seeds"] = [0, 1]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        out_dir = tmp_path / "elsewhere"
+        argv = ["pipeline", "--config", str(cfg_path), "--seed", "1", "--output-dir", str(out_dir)]
+        assert cli_main(argv) == 0
+        assert "n=1" in capsys.readouterr().out
+        assert sorted(p.name for p in out_dir.glob("report_*.json")) == [
+            "report_seed1_ext_word_bos_eos.json"
+        ]
+        assert not (tmp_path / "runs").exists()
+
     def test_bad_method(self):
         with pytest.raises(ConfigError, match="method"):
             config_from_dict({"seeds": [1], "method": "magic"})

@@ -11,6 +11,8 @@ import inspect
 import io
 from pathlib import Path
 
+import numpy as np
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -46,6 +48,12 @@ def test_counted_arguments_keep_their_places():
     from sentid.model import _TokenHasher
 
     assert list(inspect.signature(_kernels.window_indices).parameters)[2] == "n"
+    # ... and that is the number of rows returned, also for a call on several documents
+    hashes = np.arange(6, dtype=np.uint64)
+    tok_ptr = np.array([0, 1, 3, 3, 4, 6], dtype=np.int64)
+    args = (hashes, tok_ptr, 5, -2, 2, np.uint64(2**8 - 1), np.uint64(7), [2, 0, 3])
+    _, indptr = _kernels.window_indices(*args)
+    assert args[2] == len(indptr) - 1
     params = list(inspect.signature(_TokenHasher.csr).parameters.values())
     assert [p.name for p in params][:1] == ["self"] and len(params) == 2
     assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
