@@ -98,23 +98,23 @@ def dp_decode(lb1, lb0, le1, le0, bos_ok, eos_ok):
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid_scalar(z):
-    if z >= 0.0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
-
-
 def sgd_rows(w, indices, indptr, targets, lr):
-    # w[-1] is the bias slot; updates are applied row by row, in order.
-    nrows = indptr.shape[0] - 1
-    for r in range(nrows):
-        idx = indices[indptr[r] : indptr[r + 1]]
-        z = w[-1] + w[idx].sum()
-        p = _sigmoid_scalar(z)
-        g = lr * (targets[r] - p)
+    # w[-1] is the bias slot; updates are applied row by row, in order.  The
+    # bias lives in a local until the end: hashed indices never reach its slot.
+    bias = w[-1]
+    ptr = indptr.tolist()
+    for r, target in enumerate(targets.tolist()):
+        idx = indices[ptr[r] : ptr[r + 1]]
+        z = bias + np.add.reduce(w[idx])  # what .sum() calls, without its wrappers
+        if z >= 0.0:
+            p = 1.0 / (1.0 + np.exp(-z))
+        else:
+            e = np.exp(z)
+            p = e / (1.0 + e)
+        g = lr * (target - p)
         np.add.at(w, idx, g)  # rows may repeat an index on hash collision
-        w[-1] += g
+        bias += g
+    w[-1] = bias
 
 
 def score_rows(w, indices, indptr):

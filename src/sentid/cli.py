@@ -197,18 +197,15 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="sentid", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="CoNLL-U treebank to benchmark corpus")
+def _convert_args(p) -> None:
     p.add_argument("--input", required=True, help="conllu file or directory")
     p.add_argument("--rules", default="default", help="relation rules JSON or 'default'")
     p.add_argument("--output", required=True)
     p.add_argument("--stats", default="", help="also write corpus statistics JSON")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("train", help="train the begin/end probability model")
+
+def _train_args(p) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int)
@@ -221,13 +218,15 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="write per-token probabilities")
+
+def _predict_args(p) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="one whitespace-tokenized document per line")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("decode", help="extract spans from a probability file")
+
+def _decode_args(p) -> None:
     p.add_argument("--probs", required=True, help="probability file or - for stdin")
     p.add_argument("--method", required=True, choices=tuple(CLI_METHODS))
     p.add_argument("--threshold", type=float, help="candidate threshold c")
@@ -235,7 +234,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="", help="span file (default: stdout)")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("augment", help="emit concatenated/augmented examples")
+
+def _augment_args(p) -> None:
     p.add_argument("--corpus", required=True)
     _add_augment_flags(p)
     p.add_argument("--seed", type=int, default=0)
@@ -243,7 +243,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("evaluate", help="score predicted spans against a gold corpus")
+
+def _evaluate_args(p) -> None:
     p.add_argument("--gold", help="gold corpus JSONL")
     p.add_argument("--pred", help="predicted span file")
     p.add_argument("--granularity", default="word", choices=pipeline_mod.GRANULARITIES)
@@ -251,12 +252,40 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="", help="also write the JSON report here")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("pipeline", help="run the full multi-seed experiment")
+
+def _pipeline_args(p) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", default="")
     p.add_argument("--seed", type=int, default=None, help="run a single seed instead of the configured list")
     p.add_argument("--parallel-seeds", action="store_true")
     p.set_defaults(func=cmd_pipeline)
+
+
+# subcommand -> (help, adds its arguments), in the order help lists them
+COMMANDS = {
+    "convert": ("CoNLL-U treebank to benchmark corpus", _convert_args),
+    "train": ("train the begin/end probability model", _train_args),
+    "predict": ("write per-token probabilities", _predict_args),
+    "decode": ("extract spans from a probability file", _decode_args),
+    "augment": ("emit concatenated/augmented examples", _augment_args),
+    "evaluate": ("score predicted spans against a gold corpus", _evaluate_args),
+    "pipeline": ("run the full multi-seed experiment", _pipeline_args),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The parser of every subcommand, or of `command` alone when it names one.
+
+    A subcommand's parser does not depend on the others, so parsing a
+    command line that starts with `command` gives the same result, help and
+    errors either way.
+    """
+    parser = _Parser(prog="sentid", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = [command] if command in COMMANDS else COMMANDS
+    for name in names:
+        help_, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_))
     return parser
 
 
@@ -265,7 +294,9 @@ DATA_ERRORS = (ValueError, OSError, pipeline_mod.PipelineError)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.command == "evaluate" and not args.aggregate:

@@ -8,6 +8,7 @@ results are summarized as mean and sample standard deviation.
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -16,6 +17,13 @@ from .labels import LabelSeq, coarse_to_chars
 LABELS = ("B", "I", "O")
 # the scalar scores of a report, each aggregated across runs
 SCORE_NAMES = ("macro_f1", "weighted_f1", "span_precision", "span_recall", "span_f1")
+# label byte -> index in LABELS
+_INDEX = np.zeros(256, np.uint8)
+_INDEX[[ord(lab) for lab in LABELS]] = range(len(LABELS))
+_B, _I, _O = (LABELS.index(lab) for lab in "BIO")
+# char scoring counts consecutive documents together until they hold this many
+# tokens, so each numpy call serves many short documents and memory stays bounded
+_CHAR_GROUP_TOKENS = 4096
 
 
 class EvalError(ValueError):
@@ -218,14 +226,96 @@ def to_granularity(labels: LabelSeq, granularity: str, words) -> LabelSeq:
 
 
 def evaluate_documents(docs, granularity: str = "word") -> EvalReport:
-    """Pooled report over (gold word labels, predicted word labels, words) documents."""
+    """Pooled report over (gold word labels, predicted word labels, words) documents.
+
+    Char-level counts are taken from the word labels and word lengths, a
+    group of documents at a time (`_add_char_group`).  A document they cannot
+    describe (labels not at word level, words missing or of another count, or
+    an empty word) is rendered by `to_granularity`, whose errors it keeps.
+    """
     ev = Evaluator(granularity=granularity)
+    group = []
+    tokens = 0
     for gold, pred, words in docs:
-        ev.add_labels(
-            to_granularity(gold, granularity, words),
-            to_granularity(pred, granularity, words),
-        )
+        lengths = _char_lengths(gold, pred, words) if granularity == "char" else None
+        if lengths is None:
+            ev.add_labels(
+                to_granularity(gold, granularity, words),
+                to_granularity(pred, granularity, words),
+            )
+            continue
+        group.append((gold.labels, pred.labels, lengths))
+        tokens += len(lengths)
+        if tokens >= _CHAR_GROUP_TOKENS:
+            _add_char_group(ev, group)
+            group = []
+            tokens = 0
+    if group:
+        _add_char_group(ev, group)
     return ev.report()
+
+
+def _char_lengths(gold: LabelSeq, pred: LabelSeq, words):
+    """The word lengths by which `_add_char_group` scores a document, or None if it cannot."""
+    if gold.granularity != "word" or pred.granularity != "word" or words is None:
+        return None
+    if not len(words) == len(gold) == len(pred):
+        return None
+    lengths = list(map(len, words))
+    # an empty word renders no char, or one for a B: the counting rule does not hold
+    return None if 0 in lengths else lengths
+
+
+def _add_char_group(ev: Evaluator, group) -> None:
+    """Pool into `ev` the char-level counts of (gold, pred, word lengths) documents.
+
+    The counts are those of the labels that `to_granularity(labels, "char",
+    words)` renders, without rendering them.  A token of n >= 1 chars holds
+    one char of its own label, then n - 1 chars of I (of O after an O).  The
+    separator after it is I when it is B or I and the next token is I, else
+    O; a document's last token has none.  The documents are laid end to end,
+    each followed by a pad token of label O and length 0, which holds no char
+    and ends every span.  The rendering maps word spans one-to-one onto char
+    spans, so the span counts are the word spans'.
+    """
+    gold = "".join(g + "O" for g, _, _ in group)
+    pred = "".join(p + "O" for _, p, _ in group)
+    lengths = np.fromiter(
+        chain.from_iterable(part for _, _, n in group for part in (n, (0,))), np.int64, len(gold)
+    )
+    real = lengths > 0
+    has_sep = real[:-1] & real[1:]
+    k = len(LABELS)
+    # per token, the confusion cell k * gold + pred of its head, tail and
+    # separator, as uint8; B < I < O, so np.maximum(x, _I) is the tail's label
+    heads, tails, seps = 0, 0, 0
+    span_ends = []  # at each B, the end of its span; 0 elsewhere
+    for labels, scale in ((gold, k), (pred, 1)):
+        x = _INDEX[np.frombuffer(labels.encode("ascii"), np.uint8)]
+        sep = np.full(len(x) - 1, _O, np.uint8)
+        sep[(x[:-1] != _O) & (x[1:] == _I)] = _I
+        heads = heads + scale * x
+        tails = tails + scale * np.maximum(x, _I)
+        seps = seps + scale * sep
+        # a span runs from its B up to the next B or O; a pad always follows
+        stops = np.flatnonzero(x != _I)
+        starts = np.flatnonzero(x == _B)
+        end = np.zeros(len(x), np.intp)
+        end[starts] = stops[np.searchsorted(stops, starts, "right")]
+        span_ends.append(end)
+    confusion = (
+        np.bincount(heads[real], minlength=k * k)
+        + np.bincount(tails, weights=lengths - real, minlength=k * k).astype(np.int64)
+        + np.bincount(seps[has_sep], minlength=k * k)
+    ).reshape(k, k)
+    for i, lab in enumerate(LABELS):
+        ev.gold_count[lab] += int(confusion[i].sum())
+        ev.pred_count[lab] += int(confusion[:, i].sum())
+        ev.tp[lab] += int(confusion[i, i])
+    gold_end, pred_end = span_ends
+    ev.span_tp += int(np.count_nonzero((gold_end == pred_end) & (gold_end > 0)))
+    ev.span_gold += int(np.count_nonzero(gold_end))
+    ev.span_pred += int(np.count_nonzero(pred_end))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,11 @@ label spans, span rendering, gold labels, char rendering, label counts) replaced
 take only the data and error types from the package.  The per-document model references at the
 end featurize, score and train one document at a time; they share the token
 hasher and the kernels with the package, so grouped results must equal
-theirs bit for bit.
+theirs bit for bit.  Two references are earlier versions of package code:
+`evaluate_documents_rendered`, which scores char labels by rendering each
+document with the package's `to_granularity` (counting replaced it), and
+`sgd_rows_numpy`, the SGD kernel before its per-row trims; the package must
+match both exactly.
 """
 
 import math
@@ -20,6 +24,7 @@ import numpy as np
 
 from sentid import _kernels
 from sentid.augment import example_stream
+from sentid.evaluation import EvalReport, Evaluator, to_granularity
 from sentid.labels import LabelError
 from sentid.model import (
     _PAD_HASH,
@@ -222,6 +227,17 @@ def label_spans(labels: str):
     return out
 
 
+def evaluate_documents_rendered(docs, granularity: str = "word") -> EvalReport:
+    """Pooled report with every document rendered at `granularity`, then counted label by label."""
+    ev = Evaluator(granularity=granularity)
+    for gold, pred, words in docs:
+        ev.add_labels(
+            to_granularity(gold, granularity, words),
+            to_granularity(pred, granularity, words),
+        )
+    return ev.report()
+
+
 def coarse_to_chars_loop(labels: str, lengths, separators) -> str:
     """Per-token expansion: B -> B + (n-1) I, I -> n I, O -> n O; separators by context."""
     out = []
@@ -384,6 +400,23 @@ def _sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
+
+
+def sgd_rows_numpy(w, indices, indptr, targets, lr):
+    """The numpy SGD kernel as it was before its per-row trims; w[-1] is the bias slot."""
+
+    def sigmoid(z):
+        if z >= 0.0:
+            return 1.0 / (1.0 + np.exp(-z))
+        e = np.exp(z)
+        return e / (1.0 + e)
+
+    for r in range(indptr.shape[0] - 1):
+        idx = indices[indptr[r] : indptr[r + 1]]
+        z = w[-1] + w[idx].sum()
+        g = lr * (targets[r] - sigmoid(z))
+        np.add.at(w, idx, g)
+        w[-1] += g
 
 
 def sgd_rows_loop(w, indices, indptr, targets, lr):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sentid import augment as augment_mod
+from sentid import cli as cli_mod
 from sentid import model as model_mod
 from sentid import pipeline as pipeline_mod
 from sentid.augment import AugmentConfig
@@ -716,6 +717,42 @@ class TestStdinAndAggregate:
         (runs / "report_x.json").write_text(text)
         assert run("evaluate", "--aggregate", str(runs)) == 2
         assert "report_x.json" in capsys.readouterr().err
+
+
+class TestOneSubcommandParser:
+    """`main` builds only the invoked subcommand's parser, and prints and returns what the full parser does."""
+
+    ARGVS = (
+        [[command, "-h"] for command in cli_mod.COMMANDS]
+        + [[command] for command in cli_mod.COMMANDS]  # a required argument missing
+        + [[], ["-h"], ["bogus"], ["decode", "--probs", "p", "--method", "nope"],
+           ["train", "--corpus", "c", "--out", "m", "--bogus"], ["-h", "decode"]]
+    )
+
+    @staticmethod
+    def outcome(argv, capsys):
+        """(exit code, stdout, stderr) of `sentid argv`; argparse exits after printing help."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_as_full_parser(self, argv, capsys, monkeypatch):
+        one = self.outcome(argv, capsys)
+        full = cli_mod.build_parser
+        monkeypatch.setattr(cli_mod, "build_parser", lambda command=None: full())
+        assert one == self.outcome(argv, capsys)
+        # help exits 0; every other line here is a usage error
+        assert one[0] == (0 if "-h" in argv else 1)
+        assert (one[1] != "") == ("-h" in argv)
+
+    def test_builds_only_the_named_subcommand(self):
+        with pytest.raises(cli_mod.UsageError, match=r"invalid choice: 'train' \(choose from 'decode'\)"):
+            build_parser("decode").parse_args(["train", "--corpus", "c", "--out", "m"])
+        assert build_parser("bogus").parse_args(["decode", "--probs", "p", "--method", "eos"])
 
 
 class TestConfigFlags:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sentid.evaluation import (
@@ -18,7 +18,13 @@ from sentid.evaluation import (
 )
 from sentid.labels import LabelSeq
 
-from oracles import label_counts, naive_label_scores, naive_span_scores, random_valid_labels
+from oracles import (
+    evaluate_documents_rendered,
+    label_counts,
+    naive_label_scores,
+    naive_span_scores,
+    random_valid_labels,
+)
 
 
 def one_document(gold: str, pred: str, words=None) -> list:
@@ -240,3 +246,79 @@ class TestGranularityRendering:
             chars = to_granularity(labels, "char", words)
             assert len(chars) == sum(len(w) for w in words) + max(0, n - 1)
             assert chars.labels.count("B") == labels.labels.count("B")
+
+
+def char_outcome(score, docs):
+    """`score(docs, "char")` as a dict, or the message of the EvalError it raises."""
+    try:
+        return score(docs, "char").to_dict()
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+@st.composite
+def documents(draw, min_length=1):
+    """(gold, pred, words) with any B/I/O labels and words of 0 (if allowed) to 5 chars."""
+    n = draw(st.integers(0, 8))
+    gold, pred = (draw(st.text("BIO", min_size=n, max_size=n)) for _ in range(2))
+    lengths = draw(st.lists(st.integers(min_length, 5), min_size=n, max_size=n))
+    return LabelSeq("word", gold), LabelSeq("word", pred), ["w" * k for k in lengths]
+
+
+def docs_of(*triples):
+    return [(LabelSeq("word", g), LabelSeq("word", p), w) for g, p, w in triples]
+
+
+class TestCharCountsMatchRendering:
+    """Char scoring counts what rendering each document with `to_granularity` would hold."""
+
+    @given(st.lists(documents(), max_size=6))
+    @example(docs_of(("B", "I", ["a"])))  # 1-token documents
+    @example(docs_of(("IOIB", "BIOI", ["ab", "c", "de", "f"]), ("IB", "OB", ["x", "yz"])))
+    @example(docs_of(("BI", "BI", ["a", "b"]), ("II", "BI", ["c", "d"])))  # I opens the next document
+    @example(docs_of(("", "", [])))
+    def test_same_report(self, docs):
+        ours = char_outcome(evaluate_documents, docs)
+        assert isinstance(ours, dict) and ours == char_outcome(evaluate_documents_rendered, docs)
+
+    @given(st.lists(documents(min_length=0), min_size=1, max_size=6))
+    @example(docs_of(("B", "O", [""])))  # an empty B renders one char on one side only
+    @example(docs_of(("BI", "BI", ["ab", "c"]), ("OB", "OO", ["a", ""])))
+    @example(docs_of(("B", "B", [""]), ("BI", "BO", ["a", "bc"])))  # same char lengths: scored
+    def test_empty_words_keep_rendering_and_its_errors(self, docs):
+        assert char_outcome(evaluate_documents, docs) == char_outcome(
+            evaluate_documents_rendered, docs
+        )
+
+    @given(st.lists(st.integers(1, 3000), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+    @example([4095, 1, 1], 0)
+    @example([4096, 2], 1)
+    @example([2047, 2049, 3000], 2)
+    def test_groups_straddle_the_group_size(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        docs = [
+            (
+                LabelSeq("word", "".join(rng.choice(list("BIO"), n))),
+                LabelSeq("word", "".join(rng.choice(list("BIO"), n))),
+                ["w" * k for k in rng.integers(1, 6, n)],
+            )
+            for n in sizes
+        ]
+        ours = char_outcome(evaluate_documents, docs)
+        assert isinstance(ours, dict) and ours == char_outcome(evaluate_documents_rendered, docs)
+
+    @pytest.mark.parametrize(
+        "docs, message",
+        [
+            (docs_of(("B", "O", [""])), "length mismatch: gold 1 vs pred 0"),
+            (docs_of(("BI", "BI", ["a", "b"]), ("OO", "BO", ["", "x"])),
+             "length mismatch: gold 2 vs pred 3"),
+            (docs_of(("BI", "BI", ["a"])), "word count 1 does not match labels 2"),
+            (docs_of(("B", "B", None)), "char-level scoring needs the document words"),
+        ],
+    )
+    def test_errors(self, docs, message):
+        for score in (evaluate_documents, evaluate_documents_rendered):
+            with pytest.raises(EvalError) as info:
+                score(docs, "char")
+            assert str(info.value) == message

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from sentid import _kernels
 
-from oracles import dp_decode_loop, score_rows_loop, sgd_rows_loop, span_dp, window_indices_loop
+from oracles import (
+    dp_decode_loop,
+    score_rows_loop,
+    sgd_rows_loop,
+    sgd_rows_numpy,
+    span_dp,
+    window_indices_loop,
+)
 
 
 def random_csr(rng, nrows, dim):
@@ -167,6 +174,28 @@ class TestSgdParity:
         _kernels.sgd_rows(w, indices, indptr, targets, 0.5)
         assert w[3] == pytest.approx(2 * w[7])
         np.testing.assert_allclose(w, w_ref, rtol=1e-12)
+
+
+    def test_bit_identical_to_former_kernel(self):
+        """The per-row trims change no weight: same reduction, same exp, same order."""
+        rng = np.random.default_rng(37)
+        dim = 64  # small, so rows collide and repeat indices
+        indices, indptr = random_csr(rng, 1000, dim)
+        # an empty row at the start, one in the middle and one at the end
+        counts = np.insert(np.diff(indptr), [0, 500, 1000], 0)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        rows = [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+        assert [] in rows and any(len(set(row)) < len(row) for row in rows)
+        targets = rng.integers(0, 2, len(counts)).astype(np.float64)
+        w = rng.normal(scale=3.0, size=dim + 1)  # scores of both signs
+        w_ref = w.copy()
+        for lr in (0.3, 0.05):
+            _kernels.sgd_rows(w, indices, indptr, targets, lr)
+            sgd_rows_numpy(w_ref, indices, indptr, targets, lr)
+            assert w.view(np.int64).tolist() == w_ref.view(np.int64).tolist()
+        w = np.full(3, -0.0)
+        _kernels.sgd_rows(w, np.empty(0, np.int64), np.zeros(1, np.int64), np.empty(0), 0.3)
+        assert w.view(np.int64).tolist() == np.full(3, -0.0).view(np.int64).tolist()
 
 
 class TestScoreParity:
