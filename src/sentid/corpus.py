@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 from . import labels as labels_mod
-from .fileio import atomic_open
+from .fileio import atomic_open, read_json_lines
 
 # UD v2 relation classes; both sets are user-configurable.
 CORE_ARGUMENTS = frozenset({"nsubj", "obj", "iobj", "csubj", "ccomp", "xcomp"})
@@ -222,7 +222,10 @@ def parse_conllu(data) -> list[ConlluSentence]:
 
 def parse_conllu_file(path) -> list[ConlluSentence]:
     with open(path, "rb") as f:
-        return parse_conllu(f)
+        try:
+            return parse_conllu(f)
+        except UnicodeDecodeError as exc:
+            raise ConlluError(f"{path}: {exc}") from exc
 
 
 def strip_subtype(deprel: str) -> str:
@@ -290,29 +293,26 @@ class Corpus:
 
     @classmethod
     def load(cls, path) -> "Corpus":
-        units = []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    if type(rec["words"]) is not list or type(rec["char_offsets"]) is not list:
-                        raise ValueError("words and char_offsets must be lists")
-                    unit = Unit(
-                        text=rec["text"],
-                        words=tuple(rec["words"]),
-                        is_su=rec["is_su"],
-                        char_offsets=tuple(tuple(o) for o in rec["char_offsets"]),
-                    ).validate()
-                except (KeyError, ValueError, TypeError, RecursionError) as exc:  # deep JSON nesting
-                    raise ValueError(f"{path}: bad corpus record on line {lineno}: {exc}") from exc
-                # A corpus repeats few distinct words, so the units share one
-                # string per word.  Only once validate() has found every word a
-                # string: its errors show the record's own values.
-                object.__setattr__(unit, "words", tuple(map(sys.intern, unit.words)))
-                units.append(unit)
-        return cls(units=units)
+        return cls(units=read_json_lines(path, "corpus", _unit_of_record))
+
+
+def _unit_of_record(rec) -> Unit:
+    words = rec["words"]
+    if type(words) is not list or type(rec["char_offsets"]) is not list:
+        raise ValueError("words and char_offsets must be lists")
+    # A corpus repeats few distinct words, so the units share one string per
+    # word.  intern() rejects a word that is not a string with a message of
+    # its own; such words go in as they are, for validate() to report.
+    try:
+        words = tuple(map(sys.intern, words))
+    except TypeError:
+        words = tuple(words)
+    return Unit(
+        text=rec["text"],
+        words=words,
+        is_su=rec["is_su"],
+        char_offsets=tuple(map(tuple, rec["char_offsets"])),
+    ).validate()
 
 
 def convert_treebank(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .fileio import atomic_open
+from .fileio import atomic_open, read_json_lines
 from .labels import LabelSeq, spans_to_labels
 
 
@@ -160,28 +160,19 @@ def write_span_file(path, results) -> None:
             f.write(span_record(r) + "\n")
 
 
+def _span_result_of_record(rec) -> SpanResult:
+    spans = tuple(map(tuple, rec["spans"]))
+    # exact types: a bool is not a span end, nor a string a log_prob
+    if any(type(x) is not int for sp in spans for x in sp):
+        raise ValueError("span ends must be integers")
+    log_prob = rec["log_prob"]
+    # isfinite() of a huge integer raises OverflowError, which the reader reports
+    if type(log_prob) not in (int, float) or not math.isfinite(log_prob):
+        raise ValueError(f"log_prob must be a finite number, got {log_prob!r}")
+    return SpanResult(
+        su_spans=spans, log_prob=float(log_prob), labels=LabelSeq("word", rec["labels"])
+    ).validate()
+
+
 def read_span_file(path) -> list[SpanResult]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                spans = tuple(tuple(sp) for sp in rec["spans"])
-                # exact types: a bool is not a span end, nor a string a log_prob
-                if any(type(x) is not int for sp in spans for x in sp):
-                    raise ValueError("span ends must be integers")
-                log_prob = rec["log_prob"]
-                if type(log_prob) not in (int, float) or not math.isfinite(log_prob):
-                    raise ValueError(f"log_prob must be a finite number, got {log_prob!r}")
-                r = SpanResult(
-                    su_spans=spans,
-                    log_prob=float(log_prob),
-                    labels=LabelSeq("word", rec["labels"]),
-                ).validate()
-            # OverflowError: float() of a huge integer; RecursionError: deeply nested JSON
-            except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
-                raise ValueError(f"{path}: bad span record on line {lineno}: {exc}") from exc
-            out.append(r)
-    return out
+    return read_json_lines(path, "span", _span_result_of_record)

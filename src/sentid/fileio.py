@@ -1,4 +1,4 @@
-"""Atomic artifact writes.
+"""Atomic artifact writes, and the JSON-lines record reader.
 
 Every artifact (models, probability files, span files, corpora, reports and
 aggregates) is written to a hidden temporary file in its target directory
@@ -7,11 +7,18 @@ written.  A run that fails or is killed mid-write therefore leaves either
 the previous file or none, never a truncated one that a later run would
 load.  The temporary file is not synced to disk, so this guards against a
 failing process, not against power loss.
+
+Corpora and span files are JSON lines, one record per line; both are read by
+`read_json_lines`.
 """
 
 import contextlib
+import gc
 import json
 import os
+
+# The C scanner that json.loads calls, without json.loads's checks around it.
+_scan_once = json.JSONDecoder().scan_once
 
 
 @contextlib.contextmanager
@@ -45,3 +52,56 @@ def write_json(path, obj) -> None:
     with atomic_open(path) as f:
         json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
+
+
+def _parse_line(line: str):
+    """json.loads(line), with the common case taken straight from the scanner.
+
+    The scanner's value is taken when it starts at the line's first character
+    and ends at its newline or at its end.  json.loads would return the same
+    value then: it would skip no whitespace before the value and only the
+    newline after it.  Every other line (leading or trailing whitespace, a
+    BOM, extra data, nesting too deep, a scanner error) goes through
+    json.loads, so it yields json.loads's value or error.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+        # text mode reads CRLF and a lone CR as "\n", which a line holds only at its end
+        if end == len(line) or line[end] == "\n":
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(line)
+
+
+def read_json_lines(path, what: str, build) -> list:
+    """`build(record)` of each JSON line of a UTF-8 file, in order; blank lines are skipped.
+
+    A line that does not parse, or whose record `build` rejects with a
+    KeyError, ValueError, TypeError, OverflowError or RecursionError (JSON
+    nested too deeply), raises ValueError naming the path, `what` and the
+    1-based line number; a file that is not UTF-8 raises ValueError naming
+    the path.  The garbage collector is paused while records are parsed and
+    built: they hold no reference cycles, so a collection would only walk
+    the growing result again and again.  It is a plain function returning
+    a list, not a generator, so the pause ends when it returns or raises.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = []
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    out.append(build(_parse_line(line)))
+                except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+                    message = f"{path}: bad {what} record on line {lineno}: {exc}"
+                    raise ValueError(message) from exc
+        return out
+    except UnicodeDecodeError as exc:  # from reading the file; a record's errors are wrapped above
+        raise ValueError(f"{path}: {exc}") from exc
+    finally:
+        if was_enabled:
+            gc.enable()

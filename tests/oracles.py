@@ -10,22 +10,29 @@ label spans, span rendering, gold labels, char rendering, label counts) replaced
 take only the data and error types from the package.  The per-document model references at the
 end featurize, score and train one document at a time; they share the token
 hasher and the kernels with the package, so grouped results must equal
-theirs bit for bit.  Two references are earlier versions of package code:
+theirs bit for bit.  Four references are earlier versions of package code:
 `evaluate_documents_rendered`, which scores char labels by rendering each
-document with the package's `to_granularity` (counting replaced it), and
-`sgd_rows_numpy`, the SGD kernel before its per-row trims; the package must
-match both exactly.
+document with the package's `to_granularity` (counting replaced it),
+`sgd_rows_numpy`, the SGD kernel before its per-row trims, and
+`corpus_load_lines` and `read_span_file_lines`, the JSON-lines loaders with
+one `json.loads` per line and the garbage collector running.  The package
+must match each exactly; its readers must return equal records or raise the
+same message.
 """
 
+import json
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
 
 from sentid import _kernels
 from sentid.augment import example_stream
+from sentid.corpus import Unit
+from sentid.decode import SpanResult
 from sentid.evaluation import EvalReport, Evaluator, to_granularity
-from sentid.labels import LabelError
+from sentid.labels import LabelError, LabelSeq
 from sentid.model import (
     _PAD_HASH,
     HEAD_SIDES,
@@ -279,6 +286,58 @@ def gold_word_labels_loop(units) -> str:
         n = len(u.words)
         parts.append(("B" + "I" * (n - 1)) if u.is_su else "O" * n)
     return "".join(parts)
+
+
+def corpus_load_lines(path) -> list:
+    """Corpus units of a JSON-lines file, one json.loads per line, with the collector running."""
+    units = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                if type(rec["words"]) is not list or type(rec["char_offsets"]) is not list:
+                    raise ValueError("words and char_offsets must be lists")
+                unit = Unit(
+                    text=rec["text"],
+                    words=tuple(rec["words"]),
+                    is_su=rec["is_su"],
+                    char_offsets=tuple(tuple(o) for o in rec["char_offsets"]),
+                ).validate()
+            except (KeyError, ValueError, TypeError, RecursionError) as exc:  # deep JSON nesting
+                raise ValueError(f"{path}: bad corpus record on line {lineno}: {exc}") from exc
+            object.__setattr__(unit, "words", tuple(map(sys.intern, unit.words)))
+            units.append(unit)
+    return units
+
+
+def read_span_file_lines(path) -> list:
+    """Span results of a JSON-lines file, one json.loads per line, with the collector running."""
+    out = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                spans = tuple(tuple(sp) for sp in rec["spans"])
+                # exact types: a bool is not a span end, nor a string a log_prob
+                if any(type(x) is not int for sp in spans for x in sp):
+                    raise ValueError("span ends must be integers")
+                log_prob = rec["log_prob"]
+                if type(log_prob) not in (int, float) or not math.isfinite(log_prob):
+                    raise ValueError(f"log_prob must be a finite number, got {log_prob!r}")
+                r = SpanResult(
+                    su_spans=spans,
+                    log_prob=float(log_prob),
+                    labels=LabelSeq("word", rec["labels"]),
+                ).validate()
+            # OverflowError: float() of a huge integer; RecursionError: deeply nested JSON
+            except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+                raise ValueError(f"{path}: bad span record on line {lineno}: {exc}") from exc
+            out.append(r)
+    return out
 
 
 def label_counts(gold: str, pred: str):

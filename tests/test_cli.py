@@ -457,6 +457,28 @@ class TestExitCodes:
     def test_evaluate_requires_gold_and_pred(self):
         assert run("evaluate") == 1
 
+    @pytest.mark.parametrize("bad", ["gold", "pred", "conllu"])
+    def test_input_that_is_not_utf8_is_data_error_naming_the_file(self, tmp_path, capsys, bad):
+        # the decoder's message alone used to leave the file unnamed
+        rec = {"text": "a b", "words": ["a", "b"], "char_offsets": [[0, 1], [2, 3]], "is_su": True}
+        span = {"spans": [[0, 2]], "labels": "BI", "log_prob": 0.0}
+        files = {
+            "gold": json.dumps(rec).encode() + b"\n",
+            "pred": json.dumps(span).encode() + b"\n",
+            "conllu": CONLLU.encode(),
+        }
+        files[bad] += b"\xff\n"
+        paths = {name: tmp_path / f"{name}.txt" for name in files}
+        for name, data in files.items():
+            paths[name].write_bytes(data)
+        if bad == "conllu":
+            argv = ["convert", "--input", str(paths["conllu"]), "--output", str(tmp_path / "o")]
+        else:
+            argv = ["evaluate", "--gold", str(paths["gold"]), "--pred", str(paths["pred"])]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {paths[bad]}: 'utf-8' codec can't decode byte 0xff")
+
     def test_bad_flag_value_is_usage_error(self, tmp_path, corpus_path):
         probs = tmp_path / "p.tsv"
         probs.write_text("#probs v1 uni=0\n0\tx\t0.5\t0.5\n")

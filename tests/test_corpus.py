@@ -6,7 +6,7 @@ import pickle
 import tempfile
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentid.corpus import (
@@ -27,8 +27,8 @@ from sentid.corpus import (
     unit_spans,
 )
 
-from oracles import gold_word_labels_loop
-from synth import unit_from_words
+from oracles import corpus_load_lines, gold_word_labels_loop
+from synth import json_lines_text, unit_from_words
 
 
 def block(*rows):
@@ -469,39 +469,67 @@ def _unit_record(text, n_words, is_su):
     return {"text": text, "words": words, "char_offsets": offsets, "is_su": is_su}
 
 
-_CORPUS_LINE = st.one_of(
-    st.builds(_unit_record, st.text("ab .", max_size=8), st.integers(0, 4), st.booleans()).map(json.dumps),
-    # a well-formed record with one field replaced or dropped
-    st.builds(
-        lambda rec, field, value, drop: json.dumps(
-            {k: v for k, v in {**rec, field: value}.items() if not (drop and k == field)}
-        ),
-        st.builds(_unit_record, st.text("ab .", max_size=8), st.integers(0, 4), st.booleans()),
-        st.sampled_from(_UNIT_FIELDS),
-        _JSON,
-        st.booleans(),
-    ),
-    _JSON.map(json.dumps),
-    st.text(max_size=12).filter(lambda s: "\n" not in s and "\r" not in s),
+_GOOD_UNIT = st.builds(
+    _unit_record,
+    st.text("ab .\u2028\x85é", max_size=8).filter(str.split),  # \u2028 and \x85 end no line
+    st.integers(1, 4),
+    st.booleans(),
 )
+_UNIT = st.builds(_unit_record, st.text("ab .", max_size=8), st.integers(0, 4), st.booleans())
+
+
+def _dumped(records):
+    return st.builds(lambda r, ascii: json.dumps(r, ensure_ascii=ascii), records, st.booleans())
+
+
+_CORPUS_TEXT = json_lines_text(
+    _dumped(_GOOD_UNIT),
+    st.one_of(
+        _dumped(_UNIT),
+        # a well-formed record with one field replaced or dropped
+        st.builds(
+            lambda rec, field, value, drop: json.dumps(
+                {k: v for k, v in {**rec, field: value}.items() if not (drop and k == field)}
+            ),
+            _UNIT,
+            st.sampled_from(_UNIT_FIELDS),
+            _JSON,
+            st.booleans(),
+        ),
+        _JSON.map(json.dumps),
+    ),
+)
+_ONE_UNIT = json.dumps(_unit_record("ab cd", 2, True))
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestCorpusLoadFuzz:
-    @given(st.lists(_CORPUS_LINE, max_size=5))
-    @example(['{"text": "ab", "words": [12], "char_offsets": [[0, 2]], "is_su": true}'])
-    @example(["[" * 100_000])
-    def test_loads_or_raises_value_error(self, lines):
+    @settings(max_examples=300)
+    @given(_CORPUS_TEXT)
+    @example('{"text": "ab", "words": [12], "char_offsets": [[0, 2]], "is_su": true}\n')
+    @example("[" * 100_000 + "\n")
+    @example("\ufeff" + _ONE_UNIT + "\n")
+    @example(_ONE_UNIT + " \r\n" + _ONE_UNIT + "\x0c\r" + _ONE_UNIT)
+    @example(_ONE_UNIT + "\n\n  \n" + _ONE_UNIT + _ONE_UNIT + "\n")
+    def test_loads_or_raises_value_error(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "corpus.jsonl")
-            with open(path, "w", encoding="utf-8") as f:
-                f.write("\n".join(lines) + "\n")
-            try:
-                corp = Corpus.load(path)
-            except ValueError:
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            # the units or the message of one json.loads per line
+            outcome = _outcome(lambda p: Corpus.load(p).units, path)
+            assert outcome == _outcome(corpus_load_lines, path)
+            if not isinstance(outcome, list):
                 return
             # what loads is well-typed and saves back to the same units
-            for u in corp.units:
+            for u in outcome:
                 assert isinstance(u.is_su, bool) and all(isinstance(w, str) for w in u.words)
                 assert len(u.words) >= 1
-            corp.save(path)
-            assert Corpus.load(path).units == corp.units
+            Corpus(outcome).save(path)
+            assert Corpus.load(path).units == outcome

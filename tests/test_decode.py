@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentid.decode import (
@@ -24,7 +24,8 @@ from sentid.decode import (
 from sentid.labels import LabelSeq, bio_to_boundaries
 from sentid.model import ProbMatrix
 
-from oracles import brute_force_identify, score_labeling
+from oracles import brute_force_identify, read_span_file_lines, score_labeling
+from synth import json_lines_text
 
 C0 = DecoderConfig(candidate_threshold=0.0)
 
@@ -275,32 +276,44 @@ def _valid_record(labels):
     return {"spans": spans, "labels": labels, "log_prob": -1.5}
 
 
-_SPAN_LINE = st.one_of(
+_SPAN_TEXT = json_lines_text(
     _LABELS.filter(lambda s: not s.startswith("I")).map(_valid_record).map(json.dumps),
-    _SPAN_RECORD.map(json.dumps),
-    _SPAN_RECORD.flatmap(
-        lambda rec: st.sampled_from(sorted(rec)).map(
-            lambda k: json.dumps({f: v for f, v in rec.items() if f != k})
-        )
+    st.one_of(
+        _SPAN_RECORD.map(json.dumps),
+        _SPAN_RECORD.flatmap(
+            lambda rec: st.sampled_from(sorted(rec)).map(
+                lambda k: json.dumps({f: v for f, v in rec.items() if f != k})
+            )
+        ),
+        _JSON.map(json.dumps),
     ),
-    _JSON.map(json.dumps),
-    st.text(max_size=12).filter(lambda s: "\n" not in s and "\r" not in s),
 )
 
 
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 class TestReadSpanFileFuzz:
-    @given(st.lists(_SPAN_LINE, max_size=4))
-    @example(['{"spans": [], "labels": "O", "log_prob": ' + "9" * 400 + "}"])
-    @example(["[" * 100_000])
-    def test_reads_or_raises_value_error(self, lines):
+    @settings(max_examples=300)
+    @given(_SPAN_TEXT)
+    @example('{"spans": [], "labels": "O", "log_prob": ' + "9" * 400 + "}\n")
+    @example('{"spans": [], "labels": "O", "log_prob": ' + "9" * 400 + "}\r")
+    @example('{"spans": [], "labels": "O", "log_prob": NaN}')
+    @example("[" * 100_000 + "\n")
+    def test_reads_or_raises_value_error(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "spans.jsonl")
-            with open(path, "w", encoding="utf-8") as f:
-                f.write("\n".join(lines) + "\n")
-            try:
-                results = read_span_file(path)
-            except ValueError:
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            # the results or the message of one json.loads per line
+            outcome = _outcome(read_span_file, path)
+            assert outcome == _outcome(read_span_file_lines, path)
+            if not isinstance(outcome, list):
                 return
-            for r in results:
+            for r in outcome:
                 assert r.validate() is r
                 assert type(r.log_prob) is float and np.isfinite(r.log_prob)

@@ -1,13 +1,18 @@
-"""Atomic artifact writes: a failed write leaves the previous file and no temporary."""
+"""Atomic artifact writes leave the previous file and no temporary on failure;
+the JSON-lines reader parses well-formed lines with the scanner alone and
+restores the collector's state."""
 
+import gc
+import json
 import os
 
 import numpy as np
 import pytest
 
 from sentid.augment import AugmentConfig, generate_examples, write_examples
+from sentid.corpus import Corpus
 from sentid.decode import SpanResult, read_span_file, write_span_file
-from sentid.fileio import atomic_open, write_json
+from sentid.fileio import atomic_open, read_json_lines, write_json
 from sentid.labels import LabelSeq
 from sentid.model import (
     ClassifierModel,
@@ -19,7 +24,7 @@ from sentid.model import (
     write_prob_documents,
 )
 
-from synth import synthetic_corpus
+from synth import synthetic_corpus, unit_from_words
 
 
 def one_result():
@@ -120,3 +125,48 @@ class TestArtifactWriters:
             write_examples(path, crashing())
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["examples.jsonl"]
+
+
+class TestReadJsonLines:
+    def test_well_formed_files_take_the_scanner_path(self, tmp_path, monkeypatch):
+        corpus = synthetic_corpus(40, seed=5)
+        corpus.units.append(unit_from_words(["naïve", "café", "—"], False))
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus.save(corpus_path)
+        results = [one_result(), one_result()]
+        span_path = tmp_path / "spans.jsonl"
+        write_span_file(span_path, results)
+
+        def no_loads(*args, **kwargs):
+            raise AssertionError("json.loads called on a well-formed line")
+
+        monkeypatch.setattr(json, "loads", no_loads)
+        assert Corpus.load(corpus_path).units == corpus.units
+        assert read_span_file(span_path) == results
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_collector_state_is_restored(self, tmp_path, enabled):
+        path = tmp_path / "records.jsonl"
+        path.write_text("[1]\n[2]\n")
+        states = []
+
+        def build(rec):
+            states.append(gc.isenabled())
+            if rec == [3]:
+                raise ValueError("no threes")
+            return rec
+
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert read_json_lines(path, "test", build) == [[1], [2]]
+            assert gc.isenabled() is enabled
+            path.write_text("[1]\n[3]\n")
+            # the exception, and through its traceback the reader's frame, stays alive
+            with pytest.raises(ValueError) as info:
+                read_json_lines(path, "test", build)
+            assert gc.isenabled() is enabled
+            assert str(info.value) == f"{path}: bad test record on line 2: no threes"
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert states == [False] * 4
