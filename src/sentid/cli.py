@@ -102,10 +102,10 @@ def cmd_decode(args) -> int:
     interp = _from_flags(model_mod.InterpConfig, args, lam="lam")
     # only the matrices are kept: the tokens are not needed to decode
     if args.probs == "-":
-        matrices = [m for _, m in model_mod.iter_prob_documents(sys.stdin)]
+        matrices = model_mod.read_prob_matrices(sys.stdin, "<stdin>")
     else:
         with open(args.probs, encoding="utf-8") as f:
-            matrices = [m for _, m in model_mod.iter_prob_documents(f)]
+            matrices = model_mod.read_prob_matrices(f, args.probs)
     results = pipeline_mod.decode_documents(matrices, CLI_METHODS[args.method], cfg, interp)
     if args.out:
         decode_mod.write_span_file(args.out, results)

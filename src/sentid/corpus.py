@@ -10,7 +10,10 @@ non-sentential unit.
 import io
 import json
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, fields
+from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import labels as labels_mod
@@ -58,7 +61,8 @@ class RelationRuleSet:
         with open(path, encoding="utf-8") as f:
             try:
                 data = json.load(f)
-            except RecursionError as exc:  # JSON nested too deeply for the parser
+            # RecursionError: JSON nested too deeply for the parser
+            except (UnicodeDecodeError, RecursionError) as exc:
                 raise ConlluError(f"{path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConlluError(f"{path}: rules must be a JSON object")
@@ -221,11 +225,14 @@ def parse_conllu(data) -> list[ConlluSentence]:
 
 
 def parse_conllu_file(path) -> list[ConlluSentence]:
+    """Parse a CoNLL-U file; its errors, and input that is not UTF-8, name the path."""
     with open(path, "rb") as f:
         try:
             return parse_conllu(f)
         except UnicodeDecodeError as exc:
             raise ConlluError(f"{path}: {exc}") from exc
+        except ConlluError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 def strip_subtype(deprel: str) -> str:
@@ -351,19 +358,25 @@ def gold_word_labels(units: Sequence) -> labels_mod.LabelSeq:
 
 def gold_documents(units, doc_lengths) -> list[tuple[labels_mod.LabelSeq, list[str]]]:
     """Gold word labels and words of each document, aligned to consecutive units."""
+    # ends[j]: the words of units[0..j]; a document ends at the first unit
+    # end that reaches its last word
+    ends = list(accumulate(map(len, map(attrgetter("words"), units))))
     docs = []
     k = 0
     for target in doc_lengths:
-        start, total = k, 0
-        while total < target:
-            if k >= len(units):
+        start, base, total = k, ends[k - 1] if k else 0, 0
+        if target > 0:
+            k = bisect_left(ends, base + target, lo=k)
+            if k == len(units):
                 raise ValueError("predictions cover more tokens than the corpus")
-            total += len(units[k].words)
+            total = ends[k] - base
             k += 1
         if total != target:
             raise ValueError(f"document of {target} tokens does not align with unit boundaries")
         chunk = units[start:k]
-        docs.append((gold_word_labels(chunk), [w for u in chunk for w in u.words]))
+        # gold_word_labels(chunk), whose word count is known
+        labels = labels_mod.spans_to_labels(target, unit_spans(chunk))
+        docs.append((labels, list(chain.from_iterable(map(attrgetter("words"), chunk)))))
     if k != len(units):
         raise ValueError("predictions cover fewer tokens than the corpus")
     return docs

@@ -17,10 +17,14 @@ from .labels import LabelSeq, coarse_to_chars
 LABELS = ("B", "I", "O")
 # the scalar scores of a report, each aggregated across runs
 SCORE_NAMES = ("macro_f1", "weighted_f1", "span_precision", "span_recall", "span_f1")
-# label byte -> index in LABELS
-_INDEX = np.zeros(256, np.uint8)
-_INDEX[[ord(lab) for lab in LABELS]] = range(len(LABELS))
+# label byte -> index in LABELS, as a bytes.translate table
+_TO_INDEX = bytes.maketrans("".join(LABELS).encode("ascii"), bytes(range(len(LABELS))))
 _B, _I, _O = (LABELS.index(lab) for lab in "BIO")
+# confusion cells k * gold + pred (k labels) with the same label on both sides, and those
+# where neither side holds an I, so a span on either side ends there
+_BOTH_B, _BOTH_I, _BOTH_O = (len(LABELS) * x + x for x in (_B, _I, _O))
+_BOTH_STOP = np.zeros(len(LABELS) ** 2, bool)
+_BOTH_STOP[[len(LABELS) * g + p for g in (_B, _O) for p in (_B, _O)]] = True
 # char scoring counts consecutive documents together until they hold this many
 # tokens, so each numpy call serves many short documents and memory stays bounded
 _CHAR_GROUP_TOKENS = 4096
@@ -138,20 +142,15 @@ class Evaluator:
     span_pred: int = 0
 
     def add_labels(self, gold: LabelSeq, pred: LabelSeq) -> None:
+        """Pool the label and span counts of one document's gold and predicted labels."""
         if len(gold) != len(pred):
             raise EvalError(f"length mismatch: gold {len(gold)} vs pred {len(pred)}")
         if gold.granularity != pred.granularity:
             raise EvalError("granularity mismatch between gold and prediction")
-        g, p = (np.frombuffer(s.labels.encode("ascii"), np.uint8) for s in (gold, pred))
-        for counts, cells in ((self.gold_count, g), (self.pred_count, p), (self.tp, g[g == p])):
-            per_code = np.bincount(cells, minlength=256)  # one slot per byte value
-            for lab in LABELS:
-                counts[lab] += int(per_code[ord(lab)])
-        gold_spans = set(gold.spans())
-        pred_spans = set(pred.spans())
-        self.span_tp += len(gold_spans & pred_spans)
-        self.span_gold += len(gold_spans)
-        self.span_pred += len(pred_spans)
+        # an O after the labels on both sides ends the last spans, and is not counted
+        g, p = (_label_indices(s.labels + "O") for s in (gold, pred))
+        codes = len(LABELS) * g + p
+        _pool(self, np.bincount(codes[:-1], minlength=len(LABELS) ** 2), codes)
 
     def report(self) -> EvalReport:
         per_label = {}
@@ -289,33 +288,48 @@ def _add_char_group(ev: Evaluator, group) -> None:
     # per token, the confusion cell k * gold + pred of its head, tail and
     # separator, as uint8; B < I < O, so np.maximum(x, _I) is the tail's label
     heads, tails, seps = 0, 0, 0
-    span_ends = []  # at each B, the end of its span; 0 elsewhere
     for labels, scale in ((gold, k), (pred, 1)):
-        x = _INDEX[np.frombuffer(labels.encode("ascii"), np.uint8)]
+        x = _label_indices(labels)
         sep = np.full(len(x) - 1, _O, np.uint8)
         sep[(x[:-1] != _O) & (x[1:] == _I)] = _I
         heads = heads + scale * x
         tails = tails + scale * np.maximum(x, _I)
         seps = seps + scale * sep
-        # a span runs from its B up to the next B or O; a pad always follows
-        stops = np.flatnonzero(x != _I)
-        starts = np.flatnonzero(x == _B)
-        end = np.zeros(len(x), np.intp)
-        end[starts] = stops[np.searchsorted(stops, starts, "right")]
-        span_ends.append(end)
     confusion = (
         np.bincount(heads[real], minlength=k * k)
         + np.bincount(tails, weights=lengths - real, minlength=k * k).astype(np.int64)
         + np.bincount(seps[has_sep], minlength=k * k)
-    ).reshape(k, k)
+    )
+    # the char spans are the word spans, counted on the heads; a pad ends the last
+    _pool(ev, confusion, heads)
+
+
+def _label_indices(labels: str):
+    """The index in LABELS of each label of a B/I/O string, as uint8."""
+    return np.frombuffer(labels.encode("ascii").translate(_TO_INDEX), np.uint8)
+
+
+def _pool(ev: Evaluator, cells, codes) -> None:
+    """Pool into `ev` the confusion `cells` and the span matches of the cell `codes`.
+
+    `cells[k * g + p]` counts the positions of gold label g and predicted
+    label p (k labels, as indices into LABELS).  `codes` holds the cell
+    k * g + p of each position in order, and ends with an O on both sides.
+    A span runs from its B up to the next B or O, so each side has one span
+    per B.  A gold and a predicted span match when both start at one
+    position and the next position at which either side holds no I holds
+    no I on both sides: then both spans end there.
+    """
+    k = len(LABELS)
+    c = cells.tolist()
     for i, lab in enumerate(LABELS):
-        ev.gold_count[lab] += int(confusion[i].sum())
-        ev.pred_count[lab] += int(confusion[:, i].sum())
-        ev.tp[lab] += int(confusion[i, i])
-    gold_end, pred_end = span_ends
-    ev.span_tp += int(np.count_nonzero((gold_end == pred_end) & (gold_end > 0)))
-    ev.span_gold += int(np.count_nonzero(gold_end))
-    ev.span_pred += int(np.count_nonzero(pred_end))
+        ev.gold_count[lab] += sum(c[k * i : k * i + k])
+        ev.pred_count[lab] += sum(c[i::k])
+        ev.tp[lab] += c[k * i + i]
+    ev.span_gold += sum(c[k * _B : k * _B + k])
+    ev.span_pred += sum(c[_B::k])
+    stops = codes[codes != _BOTH_I]  # where either side's span may end
+    ev.span_tp += int(np.count_nonzero((stops[:-1] == _BOTH_B) & _BOTH_STOP[stops[1:]]))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,14 @@ def read_json_lines(path, what: str, build) -> list:
     built: they hold no reference cycles, so a collection would only walk
     the growing result again and again.  It is a plain function returning
     a list, not a generator, so the pause ends when it returns or raises.
+
+    Once every record is built, `gc.freeze()` moves them, with every other
+    object the collector tracks at that moment, out of its reach, so no
+    later collection walks the loaded file again.  That is safe because the
+    records hold no reference cycles: they are still freed by reference
+    counting once the caller drops them.  Cyclic garbage made before the
+    freeze is kept until the process exits, which the commands, short-lived
+    batch processes, barely notice.  A rejected record freezes nothing.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -99,6 +107,7 @@ def read_json_lines(path, what: str, build) -> list:
                 except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                     message = f"{path}: bad {what} record on line {lineno}: {exc}"
                     raise ValueError(message) from exc
+        gc.freeze()
         return out
     except UnicodeDecodeError as exc:  # from reading the file; a record's errors are wrapped above
         raise ValueError(f"{path}: {exc}") from exc

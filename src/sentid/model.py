@@ -560,3 +560,15 @@ def iter_prob_documents(stream) -> list[tuple[list[str], ProbMatrix]]:
     if pieces:
         docs.append(_join_pieces(pieces))
     return docs
+
+
+def read_prob_matrices(stream, name: str) -> list[ProbMatrix]:
+    """The matrix of each document of a probability file, from a text stream.
+
+    Text that is not UTF-8 raises ProbFileError naming `name`: the file's
+    path, or ``<stdin>``.
+    """
+    try:
+        return [m for _, m in iter_prob_documents(stream)]
+    except UnicodeDecodeError as exc:
+        raise ProbFileError(f"{name}: {exc}") from exc

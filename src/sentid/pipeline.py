@@ -189,6 +189,8 @@ def load_config(path, seed: int | None = None, output_dir: str = "") -> Pipeline
     # RecursionError: JSON nested too deeply for the parser
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:  # a data error (exit code 2), not a config error
+        raise ValueError(f"{path}: {exc}") from exc
     # a value of the wrong type is left in place for config_from_dict to report
     if isinstance(data, dict):
         if seed is not None:
@@ -266,7 +268,7 @@ def _load_inputs(cfg: PipelineConfig) -> tuple:
             train_corpus = _ensure_corpus(paths, "train", cfg.rules)
             return eval_corpus, train_corpus, None
     with _stage("load-probs"), open(paths.probs, encoding="utf-8") as f:
-        return eval_corpus, None, [m for _, m in model_mod.iter_prob_documents(f)]
+        return eval_corpus, None, model_mod.read_prob_matrices(f, paths.probs)
 
 
 def _run_seed(cfg: PipelineConfig, seed: int, inputs: tuple) -> dict:

@@ -10,18 +10,21 @@ label spans, span rendering, gold labels, char rendering, label counts) replaced
 take only the data and error types from the package.  The per-document model references at the
 end featurize, score and train one document at a time; they share the token
 hasher and the kernels with the package, so grouped results must equal
-theirs bit for bit.  Four references are earlier versions of package code:
+theirs bit for bit.  Six references are earlier versions of package code:
 `evaluate_documents_rendered`, which scores char labels by rendering each
 document with the package's `to_granularity` (counting replaced it),
-`sgd_rows_numpy`, the SGD kernel before its per-row trims, and
-`corpus_load_lines` and `read_span_file_lines`, the JSON-lines loaders with
-one `json.loads` per line and the garbage collector running.  The package
-must match each exactly; its readers must return equal records or raise the
-same message.
+`span_counts_sets`, the span counting of `Evaluator.add_labels` through
+sets of regex-found spans (span ends replaced it), `gold_documents_walk`,
+which summed each document's units one at a time, `sgd_rows_numpy`, the SGD
+kernel before its per-row trims, and `corpus_load_lines` and
+`read_span_file_lines`, the JSON-lines loaders with one `json.loads` per
+line and the garbage collector running.  The package must match each
+exactly; its readers must return equal records or raise the same message.
 """
 
 import json
 import math
+import re
 import sys
 from functools import lru_cache
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from sentid import _kernels
 from sentid.augment import example_stream
-from sentid.corpus import Unit
+from sentid.corpus import Unit, gold_word_labels
 from sentid.decode import SpanResult
 from sentid.evaluation import EvalReport, Evaluator, to_granularity
 from sentid.labels import LabelError, LabelSeq
@@ -232,6 +235,37 @@ def label_spans(labels: str):
     if start is not None:
         out.append((start, len(labels)))
     return out
+
+
+def span_counts_sets(gold: str, pred: str) -> tuple[int, int, int]:
+    """(matched, gold, predicted) span counts of two label strings, through sets of spans.
+
+    A span is a maximal B(I)* run found by a regex, as a half-open (start,
+    end) pair; an I at the start or after an O is in none.  A predicted span
+    matches when the gold set holds the same pair.
+    """
+    gold_spans, pred_spans = ({m.span() for m in re.finditer("BI*", s)} for s in (gold, pred))
+    return len(gold_spans & pred_spans), len(gold_spans), len(pred_spans)
+
+
+def gold_documents_walk(units, doc_lengths) -> list:
+    """Gold word labels and words of each document, summing its units' words one unit at a time."""
+    docs = []
+    k = 0
+    for target in doc_lengths:
+        start, total = k, 0
+        while total < target:
+            if k >= len(units):
+                raise ValueError("predictions cover more tokens than the corpus")
+            total += len(units[k].words)
+            k += 1
+        if total != target:
+            raise ValueError(f"document of {target} tokens does not align with unit boundaries")
+        chunk = units[start:k]
+        docs.append((gold_word_labels(chunk), [w for u in chunk for w in u.words]))
+    if k != len(units):
+        raise ValueError("predictions cover fewer tokens than the corpus")
+    return docs
 
 
 def evaluate_documents_rendered(docs, granularity: str = "word") -> EvalReport:

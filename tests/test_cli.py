@@ -479,6 +479,54 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {paths[bad]}: 'utf-8' codec can't decode byte 0xff")
 
+    def test_conllu_error_in_a_directory_names_the_file(self, tmp_path, capsys):
+        # the line number alone used to leave the user guessing which file is bad
+        treebank = tmp_path / "treebank"
+        treebank.mkdir()
+        (treebank / "a.conllu").write_text(CONLLU)
+        (treebank / "b.conllu").write_text("1\tx\t_\n")
+        assert run("convert", "--input", str(treebank), "--output", str(tmp_path / "o")) == 2
+        bad = treebank / "b.conllu"
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: line 1: expected 10 columns, got 3\n"
+        )
+
+    @pytest.mark.parametrize(
+        "case", ["decode", "decode-stdin", "pipeline-probs", "pipeline-config", "convert-rules"]
+    )
+    def test_other_input_that_is_not_utf8_names_the_file(
+        self, tmp_path, capsys, monkeypatch, corpus_path, case
+    ):
+        bad = tmp_path / "bad.txt"
+        probs = b"#probs v1 uni=0\n0\tHi\xff\t0.9\t0.2\n"
+        config = {"seeds": [1], "paths": {"eval_corpus": str(corpus_path), "probs": str(bad)}}
+        treebank = tmp_path / "tb.conllu"
+        treebank.write_text(CONLLU)
+        data, argv, prefix = {
+            "decode": (probs, ["decode", "--probs", str(bad), "--method", "eos"], f"{bad}: "),
+            "decode-stdin": (probs, ["decode", "--probs", "-", "--method", "eos"], "<stdin>: "),
+            "pipeline-probs": (
+                probs, ["pipeline", "--config", str(tmp_path / "cfg.json")],
+                f"stage 'load-probs' failed: {bad}: ",
+            ),
+            "pipeline-config": (
+                b'{"seeds": [1]}\xff', ["pipeline", "--config", str(bad)], f"{bad}: "
+            ),
+            "convert-rules": (
+                b'{"core_arguments": ["nsubj\xff"]}',
+                ["convert", "--input", str(treebank), "--rules", str(bad), "--output",
+                 str(tmp_path / "o")],
+                f"{bad}: ",
+            ),
+        }[case]
+        bad.write_bytes(data)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        with pytest.raises(UnicodeDecodeError) as codec:
+            data.decode("utf-8")  # a file this small is decoded in one piece
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"data error: {prefix}{codec.value}\n"
+
     def test_bad_flag_value_is_usage_error(self, tmp_path, corpus_path):
         probs = tmp_path / "p.tsv"
         probs.write_text("#probs v1 uni=0\n0\tx\t0.5\t0.5\n")

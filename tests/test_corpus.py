@@ -27,7 +27,7 @@ from sentid.corpus import (
     unit_spans,
 )
 
-from oracles import corpus_load_lines, gold_word_labels_loop
+from oracles import corpus_load_lines, gold_documents_walk, gold_word_labels_loop
 from synth import json_lines_text, unit_from_words
 
 
@@ -449,6 +449,25 @@ class TestGoldLabels:
             with pytest.raises(ValueError) as info:
                 gold_documents(units, lengths)
             assert str(info.value) == message
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=8),
+        st.lists(st.integers(-1, 9), max_size=5),
+    )
+    @example([(2, True), (1, False), (3, True)], [3, 3])
+    @example([(2, True), (0, False), (1, True)], [2, 0, 1])  # an empty unit stays with the next
+    @example([(0, True), (2, False)], [2, 1])  # an empty SU unit has no span: a LabelError
+    @example([(1, True)], [0, 1, 0])
+    @example([(2, False)], [-1])
+    def test_gold_documents_match_unit_by_unit_walk(self, shape, lengths):
+        units = _units(shape)
+        outcomes = []
+        for build in (gold_documents, gold_documents_walk):
+            try:
+                outcomes.append([(labels, words) for labels, words in build(units, lengths)])
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
 
 _JSON = st.recursive(

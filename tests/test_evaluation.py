@@ -24,6 +24,7 @@ from oracles import (
     naive_label_scores,
     naive_span_scores,
     random_valid_labels,
+    span_counts_sets,
 )
 
 
@@ -150,6 +151,58 @@ class TestLabelCounts:
         # reports are JSON: the counts must stay Python ints
         counts = (ev.gold_count, ev.pred_count, ev.tp)
         assert all(type(v) is int for d in counts for v in d.values())
+
+
+def _pooled_spans(docs) -> tuple:
+    ev = Evaluator()
+    for gold, pred in docs:
+        ev.add_labels(LabelSeq("word", gold), LabelSeq("word", pred))
+    return ev.span_tp, ev.span_gold, ev.span_pred
+
+
+def _label_pair(max_size: int = 12):
+    """A gold label string and a predicted one of the same length, any order of B, I and O."""
+    return st.text("BIO", max_size=max_size).flatmap(
+        lambda gold: st.tuples(st.just(gold), st.text("BIO", min_size=len(gold), max_size=len(gold)))
+    )
+
+
+class TestSpanCounts:
+    """`add_labels` pools the span counts of sets of (start, end) pairs, found by span ends."""
+
+    @given(st.lists(_label_pair(), max_size=8))
+    @example([("IIB", "BIB")])  # a leading I is in no span
+    @example([("BOIB", "BOII"), ("OIIO", "BIIO")])  # an I after an O is in no span
+    @example([("OIB", "BIB"), ("B", "B"), ("BB", "BI")])  # a final B is a span of its own
+    @example([("OOO", "OOO"), ("", ""), ("O", "B")])  # all-O and empty documents
+    def test_pooled_counts_match_sets(self, docs):
+        expected = [sum(c) for c in zip((0, 0, 0), *(span_counts_sets(g, p) for g, p in docs))]
+        assert _pooled_spans(docs) == tuple(expected)
+
+    def test_many_documents_pooled(self):
+        rng = np.random.default_rng(17)
+        docs = []
+        for n in rng.integers(0, 60, 300):
+            gold = "".join(rng.choice(list("BIO"), n))
+            pred = gold if rng.random() < 0.3 else "".join(rng.choice(list("BIO"), n))
+            docs.append((gold, pred))
+        expected = tuple(map(sum, zip(*(span_counts_sets(g, p) for g, p in docs))))
+        assert _pooled_spans(docs) == expected
+        assert all(type(v) is int for v in _pooled_spans(docs))
+        assert expected[0] > 100  # the identical predictions match many spans
+
+    @pytest.mark.parametrize(
+        "gold, pred, message",
+        [
+            (LabelSeq("word", "BI"), LabelSeq("word", "B"), "length mismatch: gold 2 vs pred 1"),
+            (LabelSeq("word", "BI"), LabelSeq("char", "BI"),
+             "granularity mismatch between gold and prediction"),
+        ],
+    )
+    def test_errors(self, gold, pred, message):
+        with pytest.raises(EvalError) as info:
+            Evaluator().add_labels(gold, pred)
+        assert str(info.value) == message
 
 
 class TestPooling:

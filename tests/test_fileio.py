@@ -1,6 +1,7 @@
 """Atomic artifact writes leave the previous file and no temporary on failure;
-the JSON-lines reader parses well-formed lines with the scanner alone and
-restores the collector's state."""
+the JSON-lines reader parses well-formed lines with the scanner alone,
+restores the collector's state and leaves the records it loaded out of the
+collector's reach."""
 
 import gc
 import json
@@ -144,16 +145,28 @@ class TestReadJsonLines:
         assert Corpus.load(corpus_path).units == corpus.units
         assert read_span_file(span_path) == results
 
+    def test_loaded_records_are_out_of_the_collectors_reach(self, tmp_path):
+        corpus_path, span_path = tmp_path / "corpus.jsonl", tmp_path / "spans.jsonl"
+        synthetic_corpus(30, seed=2).save(corpus_path)
+        write_span_file(span_path, [one_result(), one_result()])
+        units = Corpus.load(corpus_path).units
+        results = read_span_file(span_path)
+        # both are objects the collector tracks, so the check below can fail
+        assert gc.is_tracked(units[0]) and gc.is_tracked(results[0])
+        assert not _collectable(*units, *results)
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_collector_state_is_restored(self, tmp_path, enabled):
         path = tmp_path / "records.jsonl"
         path.write_text("[1]\n[2]\n")
         states = []
+        built = []
 
         def build(rec):
             states.append(gc.isenabled())
             if rec == [3]:
                 raise ValueError("no threes")
+            built.append(rec)
             return rec
 
         was_enabled = gc.isenabled()
@@ -161,12 +174,22 @@ class TestReadJsonLines:
             (gc.enable if enabled else gc.disable)()
             assert read_json_lines(path, "test", build) == [[1], [2]]
             assert gc.isenabled() is enabled
+            assert not _collectable(*built)
             path.write_text("[1]\n[3]\n")
+            built.clear()
             # the exception, and through its traceback the reader's frame, stays alive
             with pytest.raises(ValueError) as info:
                 read_json_lines(path, "test", build)
             assert gc.isenabled() is enabled
             assert str(info.value) == f"{path}: bad test record on line 2: no threes"
+            # a rejected record freezes nothing: the record built before it is collectable
+            assert _collectable(*built) == built == [[1]]
         finally:
             (gc.enable if was_enabled else gc.disable)()
         assert states == [False] * 4
+
+
+def _collectable(*objs) -> list:
+    """Those of `objs` that a collection would walk: tracked and not frozen."""
+    ids = {id(o) for o in objs}
+    return [o for o in gc.get_objects() if id(o) in ids]

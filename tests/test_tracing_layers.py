@@ -16,10 +16,15 @@ import numpy as np
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_layer_target_is_a_package_function():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_layer_target_is_a_package_function():
+    tracing = _tracing()
     assert tracing.LAYERS
     missing = []
     for layer, (module, attr_path) in tracing.LAYERS.items():
@@ -80,3 +85,36 @@ def test_timed_readers_are_whole_file_calls(tmp_path):
     path.write_text('{"text": "a", "words": ["a"], "char_offsets": [[0, 1]], "is_su": true}\n')
     loaded = corpus.Corpus.load(path)
     assert type(loaded.units) is list and len(loaded.units) == 1
+
+
+def test_word_scoring_calls_the_declared_evaluation_layers(monkeypatch):
+    """Word scoring records calls in both evaluation layers.
+
+    Every workload declares ``evaluation.add_labels`` and
+    ``evaluation.to_granularity`` as layers, and a traced job fails when a
+    declared layer records no call.  Every workload scores at word and at
+    char level, and char scoring counts the labels that ``to_granularity``
+    would render without calling either function.  So word scoring must
+    pass each document through both, or every traced job fails.
+    """
+    from sentid import evaluation
+    from sentid.labels import LabelSeq
+
+    layers = ("evaluation.add_labels", "evaluation.to_granularity")
+    calls = dict.fromkeys(layers, 0)
+    for layer in layers:
+        module, attr_path = _tracing().LAYERS[layer]
+        owner = importlib.import_module(f"sentid.{module}")
+        owner_name, _, attr = attr_path.rpartition(".")
+        if owner_name:
+            owner = getattr(owner, owner_name)
+
+        def counted(*args, _fn=getattr(owner, attr), _layer=layer, **kwargs):
+            calls[_layer] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    docs = [(LabelSeq("word", "BIO"), LabelSeq("word", "BOO"), ["a", "b", "c"])] * 2
+    evaluation.evaluate_documents(docs, "word")
+    # per document: one add_labels, and to_granularity of the gold and the predicted labels
+    assert calls == dict(zip(layers, (2, 4)))
