@@ -58,18 +58,19 @@ class RelationRuleSet:
 
     @classmethod
     def from_file(cls, path) -> "RelationRuleSet":
-        with open(path, encoding="utf-8") as f:
-            try:
+        """The rules of a JSON file; every error it raises names the file."""
+        try:
+            with open(path, encoding="utf-8") as f:
                 data = json.load(f)
-            # RecursionError: JSON nested too deeply for the parser
-            except (UnicodeDecodeError, RecursionError) as exc:
-                raise ConlluError(f"{path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConlluError(f"{path}: rules must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConlluError(f"unknown rule keys: {sorted(unknown)}")
-        return cls(**data)
+            if not isinstance(data, dict):
+                raise ValueError("rules must be a JSON object")
+            unknown = set(data) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ValueError(f"unknown rule keys: {sorted(unknown)}")
+            return cls(**data)
+        # RecursionError: JSON nested too deeply for the parser
+        except (ValueError, RecursionError) as exc:
+            raise ConlluError(f"{path}: {exc}") from exc
 
 
 DEFAULT_RULES = RelationRuleSet()

@@ -7,12 +7,12 @@ results are summarized as mean and sample standard deviation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .labels import LabelSeq, coarse_to_chars
+from .labels import GRANULARITIES, LabelSeq
 
 LABELS = ("B", "I", "O")
 # the scalar scores of a report, each aggregated across runs
@@ -57,16 +57,7 @@ class EvalReport:
     def to_dict(self) -> dict:
         return {
             "granularity": self.granularity,
-            "labels": {
-                lab: {
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                    "support": s.support,
-                    "predicted": s.predicted,
-                }
-                for lab, s in self.per_label.items()
-            },
+            "labels": {lab: asdict(s) for lab, s in self.per_label.items()},
             "macro_f1": self.macro_f1,
             "weighted_f1": self.weighted_f1,
             "span_precision": self.span_precision,
@@ -78,18 +69,24 @@ class EvalReport:
     @classmethod
     def from_dict(cls, d) -> "EvalReport":
         """Inverse of to_dict; a missing key or a mistyped or out-of-range value raises EvalError."""
+        labels = _typed(d, "labels", (dict,))
+        if not labels.keys() <= set(LABELS):
+            raise EvalError(f"labels: expected labels of {'/'.join(LABELS)}, got {sorted(labels)}")
         per_label = {
             lab: LabelScore(
                 *(_score(s, k) for k in ("precision", "recall", "f1")),
                 *(_count(s, k) for k in ("support", "predicted")),
             )
-            for lab, s in _typed(d, "labels", (dict,)).items()
+            for lab, s in labels.items()
         }
         flags = _typed(d, "flags", (list,))
         if any(type(f) is not str for f in flags):
             raise EvalError(f"flags: expected a list of str, got {flags!r}")
+        granularity = _typed(d, "granularity", (str,))
+        if granularity not in GRANULARITIES:
+            raise EvalError(f"granularity: expected one of {GRANULARITIES}, got {granularity!r}")
         return cls(
-            granularity=_typed(d, "granularity", (str,)),
+            granularity=granularity,
             per_label=per_label,
             **{name: _score(d, name) for name in SCORE_NAMES},
             flags=tuple(flags),
@@ -205,46 +202,29 @@ def span_f1(gold_spans, pred_spans) -> tuple[float, float, float]:
     return _prf(len(gold_spans & pred_spans), len(pred_spans), len(gold_spans))
 
 
-def to_granularity(labels: LabelSeq, granularity: str, words) -> LabelSeq:
-    """Render word labels at the requested granularity for scoring.
-
-    Char rendering joins words by single separator spaces (lengths from the
-    word strings), matching how evaluation inputs are assembled.
-    """
-    if granularity == labels.granularity:
-        return labels
-    if labels.granularity != "word" or granularity != "char":
+def to_granularity(labels: LabelSeq, granularity: str) -> LabelSeq:
+    """The labels, which must be at `granularity`; word scoring passes every document through."""
+    if granularity != labels.granularity:
         raise EvalError(f"cannot convert {labels.granularity} labels to {granularity}")
-    if words is None:
-        raise EvalError("char-level scoring needs the document words")
-    if len(words) != len(labels):
-        raise EvalError(f"word count {len(words)} does not match labels {len(labels)}")
-    lengths = list(map(len, words))
-    separators = [1] * (len(words) - 1) + [0] if words else []
-    return coarse_to_chars(labels, lengths, separators)
+    return labels
 
 
 def evaluate_documents(docs, granularity: str = "word") -> EvalReport:
-    """Pooled report over (gold word labels, predicted word labels, words) documents.
+    """Pooled report over (gold labels, predicted labels, words) documents.
 
-    Char-level counts are taken from the word labels and word lengths, a
-    group of documents at a time (`_add_char_group`).  A document they cannot
-    describe (labels not at word level, words missing or of another count, or
-    an empty word) is rendered by `to_granularity`, whose errors it keeps.
+    Word labels are counted at char level from the word lengths, a group of
+    documents at a time (`_add_char_group`).  Labels at `granularity` pass
+    through `to_granularity` to `Evaluator.add_labels`.
     """
     ev = Evaluator(granularity=granularity)
     group = []
     tokens = 0
     for gold, pred, words in docs:
-        lengths = _char_lengths(gold, pred, words) if granularity == "char" else None
-        if lengths is None:
-            ev.add_labels(
-                to_granularity(gold, granularity, words),
-                to_granularity(pred, granularity, words),
-            )
+        if granularity != "char" or "word" not in (gold.granularity, pred.granularity):
+            ev.add_labels(to_granularity(gold, granularity), to_granularity(pred, granularity))
             continue
-        group.append((gold.labels, pred.labels, lengths))
-        tokens += len(lengths)
+        group.append((gold.labels, pred.labels, _char_widths(gold, pred, words)))
+        tokens += len(words)
         if tokens >= _CHAR_GROUP_TOKENS:
             _add_char_group(ev, group)
             group = []
@@ -254,36 +234,53 @@ def evaluate_documents(docs, granularity: str = "word") -> EvalReport:
     return ev.report()
 
 
-def _char_lengths(gold: LabelSeq, pred: LabelSeq, words):
-    """The word lengths by which `_add_char_group` scores a document, or None if it cannot."""
-    if gold.granularity != "word" or pred.granularity != "word" or words is None:
-        return None
-    if not len(words) == len(gold) == len(pred):
-        return None
-    lengths = list(map(len, words))
-    # an empty word renders no char, or one for a B: the counting rule does not hold
-    return None if 0 in lengths else lengths
+def _char_widths(gold: LabelSeq, pred: LabelSeq, words) -> list:
+    """The word lengths by which `_add_char_group` counts a document of word labels.
+
+    Raises EvalError unless both sides are word labels, one per word, whose
+    char totals (lengths, plus one per empty B, plus one per gap) are equal,
+    and unless every empty word is B on both sides or on neither: one that
+    is B on one side only holds a char on that side only.
+    """
+    if gold.granularity != pred.granularity:
+        raise EvalError("granularity mismatch between gold and prediction")
+    if words is None:
+        raise EvalError("char-level scoring needs the document words")
+    for labels in (gold, pred):
+        if len(words) != len(labels):
+            raise EvalError(f"word count {len(words)} does not match labels {len(labels)}")
+    widths = list(map(len, words))
+    if 0 in widths:
+        empty = [i for i, n in enumerate(widths) if n == 0]
+        gold_b, pred_b = ({i for i in empty if side.labels[i] == "B"} for side in (gold, pred))
+        if gold_b != pred_b:
+            g, p = (sum(widths) + len(widths) - 1 + len(b) for b in (gold_b, pred_b))
+            if g != p:
+                raise EvalError(f"length mismatch: gold {g} vs pred {p}")
+            raise EvalError(f"empty word {min(gold_b ^ pred_b)} is B on one side only")
+    return widths
 
 
 def _add_char_group(ev: Evaluator, group) -> None:
     """Pool into `ev` the char-level counts of (gold, pred, word lengths) documents.
 
-    The counts are those of the labels that `to_granularity(labels, "char",
-    words)` renders, without rendering them.  A token of n >= 1 chars holds
-    one char of its own label, then n - 1 chars of I (of O after an O).  The
-    separator after it is I when it is B or I and the next token is I, else
-    O; a document's last token has none.  The documents are laid end to end,
-    each followed by a pad token of label O and length 0, which holds no char
-    and ends every span.  The rendering maps word spans one-to-one onto char
-    spans, so the span counts are the word spans'.
+    A token of n >= 1 chars holds one char of its own label, then n - 1
+    chars of I (of O after an O).  A token of 0 chars holds one char when
+    it is B on both sides, else none.  The separator after a token is I
+    when it is B or I and the next token is I, else O; a document's last
+    token has none.  The documents are laid end to end, each followed by a
+    pad token of label O, which holds no char and ends every span.  Word
+    spans map one-to-one onto char spans, so the span counts are the word
+    spans'.
     """
     gold = "".join(g + "O" for g, _, _ in group)
     pred = "".join(p + "O" for _, p, _ in group)
-    lengths = np.fromiter(
+    widths = np.fromiter(
         chain.from_iterable(part for _, _, n in group for part in (n, (0,))), np.int64, len(gold)
     )
-    real = lengths > 0
-    has_sep = real[:-1] & real[1:]
+    pad = np.zeros(len(gold), bool)
+    pad[np.cumsum([len(n) + 1 for _, _, n in group]) - 1] = True
+    has_sep = ~pad[:-1] & ~pad[1:]
     k = len(LABELS)
     # per token, the confusion cell k * gold + pred of its head, tail and
     # separator, as uint8; B < I < O, so np.maximum(x, _I) is the tail's label
@@ -295,9 +292,10 @@ def _add_char_group(ev: Evaluator, group) -> None:
         heads = heads + scale * x
         tails = tails + scale * np.maximum(x, _I)
         seps = seps + scale * sep
+    held = widths > 0
     confusion = (
-        np.bincount(heads[real], minlength=k * k)
-        + np.bincount(tails, weights=lengths - real, minlength=k * k).astype(np.int64)
+        np.bincount(heads[held | (heads == _BOTH_B)], minlength=k * k)
+        + np.bincount(tails, weights=widths - held, minlength=k * k).astype(np.int64)
         + np.bincount(seps[has_sep], minlength=k * k)
     )
     # the char spans are the word spans, counted on the heads; a pad ends the last

@@ -12,13 +12,13 @@ end featurize, score and train one document at a time; they share the token
 hasher and the kernels with the package, so grouped results must equal
 theirs bit for bit.  Six references are earlier versions of package code:
 `evaluate_documents_rendered`, which scores char labels by rendering each
-document with the package's `to_granularity` (counting replaced it),
-`span_counts_sets`, the span counting of `Evaluator.add_labels` through
-sets of regex-found spans (span ends replaced it), `gold_documents_walk`,
-which summed each document's units one at a time, `sgd_rows_numpy`, the SGD
-kernel before its per-row trims, and `corpus_load_lines` and
-`read_span_file_lines`, the JSON-lines loaders with one `json.loads` per
-line and the garbage collector running.  The package must match each
+document with `render_granularity` (the char body of `to_granularity`
+until counting replaced it), `span_counts_sets`, the span counting of
+`Evaluator.add_labels` through sets of regex-found spans (span ends
+replaced it), `gold_documents_walk`, which summed each document's units one
+at a time, `sgd_rows_numpy`, the SGD kernel before its per-row trims, and
+`corpus_load_lines` and `read_span_file_lines`, the JSON-lines loaders with
+one `json.loads` per line and the garbage collector running.  The package must match each
 exactly; its readers must return equal records or raise the same message.
 """
 
@@ -34,8 +34,8 @@ from sentid import _kernels
 from sentid.augment import example_stream
 from sentid.corpus import Unit, gold_word_labels
 from sentid.decode import SpanResult
-from sentid.evaluation import EvalReport, Evaluator, to_granularity
-from sentid.labels import LabelError, LabelSeq
+from sentid.evaluation import EvalError, EvalReport, Evaluator
+from sentid.labels import LabelError, LabelSeq, coarse_to_chars
 from sentid.model import (
     _PAD_HASH,
     HEAD_SIDES,
@@ -273,10 +273,29 @@ def evaluate_documents_rendered(docs, granularity: str = "word") -> EvalReport:
     ev = Evaluator(granularity=granularity)
     for gold, pred, words in docs:
         ev.add_labels(
-            to_granularity(gold, granularity, words),
-            to_granularity(pred, granularity, words),
+            render_granularity(gold, granularity, words),
+            render_granularity(pred, granularity, words),
         )
     return ev.report()
+
+
+def render_granularity(labels: LabelSeq, granularity: str, words) -> LabelSeq:
+    """Word labels rendered as chars, the words joined by single separator spaces.
+
+    Labels already at `granularity` pass through.  Scoring rendered these
+    chars before it counted them.
+    """
+    if granularity == labels.granularity:
+        return labels
+    if labels.granularity != "word" or granularity != "char":
+        raise EvalError(f"cannot convert {labels.granularity} labels to {granularity}")
+    if words is None:
+        raise EvalError("char-level scoring needs the document words")
+    if len(words) != len(labels):
+        raise EvalError(f"word count {len(words)} does not match labels {len(labels)}")
+    lengths = list(map(len, words))
+    separators = [1] * (len(words) - 1) + [0] if words else []
+    return coarse_to_chars(labels, lengths, separators)
 
 
 def coarse_to_chars_loop(labels: str, lengths, separators) -> str:

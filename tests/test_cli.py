@@ -68,11 +68,18 @@ class TestConvert:
 
     # a list or deep nesting used to exit 3; a string became a set of its letters
     @pytest.mark.parametrize(
-        "rules",
-        ["[]", '{"core_arguments": "nsubj"}', "[" * 100_000],
-        ids=["list", "rules-string", "deep-nesting"],
+        "rules, error",
+        [
+            ("[]", "rules must be a JSON object"),
+            ('{"core_arguments": "nsubj"}',
+             "core_arguments must be a list of relation names, got 'nsubj'"),
+            ("[" * 100_000, "maximum recursion depth exceeded"),
+            ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ('{"core": []}', "unknown rule keys: ['core']"),
+        ],
+        ids=["list", "rules-string", "deep-nesting", "unparsable", "unknown-key"],
     )
-    def test_malformed_rules_file_is_data_error(self, tmp_path, rules):
+    def test_malformed_rules_file_is_data_error(self, tmp_path, capsys, rules, error):
         src = tmp_path / "sample.conllu"
         src.write_text(CONLLU)
         rules_path = tmp_path / "rules.json"
@@ -81,6 +88,12 @@ class TestConvert:
             "convert", "--input", str(src), "--rules", str(rules_path),
             "--output", str(tmp_path / "o"),
         ) == 2
+        # every error names the rules file; the value, parse and key errors used not to
+        err = capsys.readouterr().err
+        if rules.startswith("[["):  # the rest of the parser's message varies by Python version
+            assert err.startswith(f"data error: {rules_path}: {error}")
+        else:
+            assert err == f"data error: {rules_path}: {error}\n"
 
 
 class TestTrainPredictDecodeEvaluate:
@@ -787,6 +800,34 @@ class TestStdinAndAggregate:
         (runs / "report_x.json").write_text(text)
         assert run("evaluate", "--aggregate", str(runs)) == 2
         assert "report_x.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("label", "labels: expected labels of B/I/O, got ['B', 'I', 'O', 'X']"),
+            ("granularity", "granularity: expected one of ('char', 'word'), got 'sentence'"),
+        ],
+        ids=["unknown-label", "unknown-granularity"],
+    )
+    def test_report_of_unknown_label_or_granularity_is_data_error(
+        self, tmp_path, capsys, case, error
+    ):
+        # these used to aggregate with exit 0, a label X dropped from label_f1
+        from sentid.evaluation import bio_f1
+        from sentid.labels import LabelSeq
+
+        good = bio_f1(LabelSeq("word", "BIO"), LabelSeq("word", "BIO")).to_dict()
+        bad = json.loads(json.dumps(good))
+        if case == "label":
+            bad["labels"]["X"] = bad["labels"]["B"]
+        else:
+            bad["granularity"] = "sentence"
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "report_a.json").write_text(json.dumps(good))
+        (runs / "report_x.json").write_text(json.dumps(bad))
+        assert run("evaluate", "--aggregate", str(runs)) == 2
+        assert capsys.readouterr().err == f"data error: {runs / 'report_x.json'}: {error}\n"
 
 
 class TestOneSubcommandParser:

@@ -288,7 +288,21 @@ class TestAggregate:
 class TestGranularityRendering:
     def test_word_passthrough(self):
         seq = LabelSeq("word", "BIO")
-        assert to_granularity(seq, "word", None) is seq
+        assert to_granularity(seq, "word") is seq
+
+    def test_word_labels_are_not_rendered_as_chars(self):
+        # char scoring counts word labels; to_granularity rendered them as chars before
+        with pytest.raises(EvalError) as info:
+            to_granularity(LabelSeq("word", "BIO"), "char")
+        assert str(info.value) == "cannot convert word labels to char"
+
+    @pytest.mark.parametrize("grans", [("word", "char"), ("char", "word")])
+    def test_mixed_granularities_at_char_level(self, grans):
+        # the word side used to be rendered as chars and scored against the char side
+        gold, pred = (LabelSeq(g, "BI") for g in grans)
+        with pytest.raises(EvalError) as info:
+            evaluate_documents([(gold, pred, ["a", ""])], "char")
+        assert str(info.value) == "granularity mismatch between gold and prediction"
 
     def test_char_round_trip_consistency(self):
         rng = np.random.default_rng(24)
@@ -296,17 +310,37 @@ class TestGranularityRendering:
             n = int(rng.integers(1, 15))
             labels = LabelSeq("word", random_valid_labels(rng, n))
             words = ["w" * int(rng.integers(1, 5)) for _ in range(n)]
-            chars = to_granularity(labels, "char", words)
-            assert len(chars) == sum(len(w) for w in words) + max(0, n - 1)
-            assert chars.labels.count("B") == labels.labels.count("B")
+            report = evaluate_documents([(labels, labels, words)], "char")
+            supports = {lab: s.support for lab, s in report.per_label.items()}
+            assert sum(supports.values()) == sum(len(w) for w in words) + n - 1
+            assert supports.get("B", 0) == labels.labels.count("B")
 
 
-def char_outcome(score, docs):
-    """`score(docs, "char")` as a dict, or the message of the EvalError it raises."""
+def char_outcome(score, docs, granularity="char"):
+    """`score(docs, granularity)` as a dict, or the message of the EvalError it raises."""
     try:
-        return score(docs, "char").to_dict()
+        return score(docs, granularity).to_dict()
     except EvalError as exc:
         return f"EvalError: {exc}"
+
+
+def one_sided_empty_b(gold: LabelSeq, pred: LabelSeq, words) -> list:
+    """The indices of the empty words that are B on one side only."""
+    starts = [(g == "B") != (p == "B") for g, p in zip(gold.labels, pred.labels)]
+    return [i for i, w in enumerate(words) if not w and starts[i]]
+
+
+def counted_char_outcome(docs):
+    """Rendering's char outcome, but the first document that it would score with an empty
+    word that is B on one side only raises instead."""
+    for doc in docs:
+        rendered = char_outcome(evaluate_documents_rendered, [doc])
+        if isinstance(rendered, str):
+            return rendered
+        one_sided = one_sided_empty_b(*doc)
+        if one_sided:
+            return f"EvalError: empty word {one_sided[0]} is B on one side only"
+    return char_outcome(evaluate_documents_rendered, docs)
 
 
 @st.composite
@@ -323,7 +357,7 @@ def docs_of(*triples):
 
 
 class TestCharCountsMatchRendering:
-    """Char scoring counts what rendering each document with `to_granularity` would hold."""
+    """Scoring counts what rendering each document at its granularity would hold."""
 
     @given(st.lists(documents(), max_size=6))
     @example(docs_of(("B", "I", ["a"])))  # 1-token documents
@@ -331,17 +365,33 @@ class TestCharCountsMatchRendering:
     @example(docs_of(("BI", "BI", ["a", "b"]), ("II", "BI", ["c", "d"])))  # I opens the next document
     @example(docs_of(("", "", [])))
     def test_same_report(self, docs):
-        ours = char_outcome(evaluate_documents, docs)
-        assert isinstance(ours, dict) and ours == char_outcome(evaluate_documents_rendered, docs)
+        for granularity in ("word", "char"):
+            ours = char_outcome(evaluate_documents, docs, granularity)
+            assert isinstance(ours, dict)
+            assert ours == char_outcome(evaluate_documents_rendered, docs, granularity)
 
     @given(st.lists(documents(min_length=0), min_size=1, max_size=6))
     @example(docs_of(("B", "O", [""])))  # an empty B renders one char on one side only
     @example(docs_of(("BI", "BI", ["ab", "c"]), ("OB", "OO", ["a", ""])))
-    @example(docs_of(("B", "B", [""]), ("BI", "BO", ["a", "bc"])))  # same char lengths: scored
+    @example(docs_of(("B", "B", [""]), ("BI", "BO", ["a", "bc"])))  # an empty B on both sides
+    @example(docs_of(("BIO", "OIB", ["", "ab", ""])))  # one-sided empty Bs, equal totals
+    @example(docs_of(("BIB", "BIO", ["a", "b", ""])))  # one-sided empty B, unequal totals
+    @example(docs_of(("BIOI", "BIOO", ["ab", "c", "d", ""])))  # an empty last word
+    @example(docs_of(("OB", "OB", ["a", ""]), ("I", "O", [""])))  # empty last words
     def test_empty_words_keep_rendering_and_its_errors(self, docs):
-        assert char_outcome(evaluate_documents, docs) == char_outcome(
-            evaluate_documents_rendered, docs
+        """Rendering's report or error, but an empty word that is B on one side only raises."""
+        assert char_outcome(evaluate_documents, docs) == counted_char_outcome(docs)
+        assert char_outcome(evaluate_documents, docs, "word") == char_outcome(
+            evaluate_documents_rendered, docs, "word"
         )
+
+    def test_one_sided_empty_b_with_equal_totals_is_refused(self):
+        # rendering scored "BIIIO" against "OIIOB", one char apart: exit 0 and a wrong score
+        docs = docs_of(("BIO", "OIB", ["", "ab", ""]))
+        assert isinstance(char_outcome(evaluate_documents_rendered, docs), dict)
+        with pytest.raises(EvalError) as info:
+            evaluate_documents(docs, "char")
+        assert str(info.value) == "empty word 0 is B on one side only"
 
     @given(st.lists(st.integers(1, 3000), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
     @example([4095, 1, 1], 0)

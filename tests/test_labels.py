@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sentid.corpus import Unit, gold_word_labels
-from sentid.evaluation import to_granularity
+from sentid.evaluation import bio_f1, evaluate_documents
 from sentid.labels import (
     BoundarySeq,
     LabelError,
@@ -18,7 +18,13 @@ from sentid.labels import (
     spans_to_labels,
 )
 
-from oracles import coarse_to_chars_loop, label_spans, random_valid_labels, spans_to_labels_loop
+from oracles import (
+    coarse_to_chars_loop,
+    label_spans,
+    random_valid_labels,
+    render_granularity,
+    spans_to_labels_loop,
+)
 from synth import unit_from_words
 
 
@@ -68,39 +74,50 @@ class TestLabelSeq:
 
 
 class TestGoldCharLabels:
-    """Char-level gold as the reports score it: gold word labels over words joined by spaces."""
+    """Char-level gold as the reports count it: gold word labels over words joined by spaces."""
 
     @staticmethod
-    def gold_chars(units):
+    def assert_gold_chars(units, expected: str):
+        """Gold scored against itself at char level counts the chars of `expected`."""
+        gold = gold_word_labels(units)
         words = [w for u in units for w in u.words]
-        return to_granularity(gold_word_labels(units), "char", words)
+        report = evaluate_documents([(gold, gold, words)], "char")
+        chars = LabelSeq("char", expected)
+        assert report == bio_f1(chars, chars)
+        supports = {lab: s.support for lab, s in report.per_label.items()}
+        assert supports == {lab: expected.count(lab) for lab in "BIO" if lab in expected}
+        assert supports.get("B", 0) == len(chars.spans())
 
     def test_su_then_nsu(self):
         units = [unit_from_words(["Hi", "."], True), unit_from_words(["***"], False)]
         # "Hi . ***": the SU's internal space is inside the span
-        assert self.gold_chars(units).labels == "BIII" + "O" + "OOO"
+        self.assert_gold_chars(units, "BIII" + "O" + "OOO")
 
     def test_su_then_nsu_no_internal_space(self):
         # SpaceAfter=No in the text does not reach the gold: words are joined by one space
         su = Unit(text="Hi.", words=("Hi", "."), is_su=True, char_offsets=((0, 2), (2, 3)))
         units = [su, unit_from_words(["***"], False)]
-        assert self.gold_chars(units).labels == "BIII" + "O" + "OOO"
+        self.assert_gold_chars(units, "BIII" + "O" + "OOO")
 
     def test_single_char_su(self):
-        assert self.gold_chars([unit_from_words(["k"], True)]).labels == "B"
+        self.assert_gold_chars([unit_from_words(["k"], True)], "B")
 
     def test_all_nsu(self):
         units = [unit_from_words(["a", "b"], False), unit_from_words(["c"], False)]
-        assert set(self.gold_chars(units).labels) == {"O"}
+        self.assert_gold_chars(units, "OOOOO")
 
     def test_output_always_valid(self):
+        # rendering gives valid char labels, and char scoring counts those labels
         rng = np.random.default_rng(0)
         for _ in range(50):
             units = [
                 unit_from_words(["w%d" % k for k in range(rng.integers(1, 5))], bool(rng.integers(2)))
                 for _ in range(rng.integers(1, 8))
             ]
-            self.gold_chars(units).validate()
+            words = [w for u in units for w in u.words]
+            chars = render_granularity(gold_word_labels(units), "char", words)
+            chars.validate()
+            self.assert_gold_chars(units, chars.labels)
 
 
 class TestArrayPathsMatchLoops:
