@@ -100,7 +100,6 @@ def cmd_predict(args) -> int:
 def cmd_decode(args) -> int:
     cfg = _from_flags(decode_mod.DecoderConfig, args, candidate_threshold="threshold")
     interp = _from_flags(model_mod.InterpConfig, args, lam="lam")
-    # only the matrices are kept: the tokens are not needed to decode
     if args.probs == "-":
         matrices = model_mod.read_prob_matrices(sys.stdin, "<stdin>")
     else:

@@ -9,9 +9,10 @@ tab-separated probability files instead.
 """
 
 import json
+import warnings
 import zlib
 from dataclasses import asdict, dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -421,6 +422,14 @@ def write_prob_documents(path, docs: Iterable[tuple[Sequence[str], ProbMatrix]])
 
 
 _PROB_COLUMNS = ("p_bos", "p_eos", "p_bos_uni", "p_eos_uni")
+# The column count of each header the reader accepts.
+_PROB_HEADERS = {"#probs v1": 4, "#probs v1 uni=0": 4, "#probs v1 uni=1": 6}
+# A row as the fast path parses it: the token is cut to one character, so no
+# string is built for it, and numpy refuses a row of any other width.
+_ROW_DTYPES = {
+    ncols: np.dtype([("index", np.int64), ("token", "U1"), ("p", np.float64, (ncols - 2,))])
+    for ncols in (4, 6)
+}
 
 # Characters of text per read of a probability file: the reader holds one
 # batch of rows at a time, besides the documents it has parsed.
@@ -449,14 +458,15 @@ def _line_batches(stream) -> Iterator[list[str]]:
         yield lines
 
 
-def _check_prob_rows(rows: list[str], lineno: int, ncols: int, first: int) -> None:
-    """Raise the error of the first malformed row; `lineno` is the first row's line number.
+def _check_prob_rows(rows: list[str], lineno: int, ncols: int, first: int) -> np.ndarray:
+    """The rows' probabilities, one array row per column, parsed a row at a time.
 
-    `first` is the index the first row must carry.  Runs only when a
-    whole-slice check failed.  It returns without error when the rows are
-    valid after all, e.g. with indices such as "01" or "+1" that int()
-    accepts.
+    Raises the error of the first malformed row; `lineno` is the first row's
+    line number and `first` the index it must carry.  Runs only when the
+    fast path refused the rows, which it also does for valid rows such as
+    indices "01" or "+1", or values with underscores or non-ASCII digits.
     """
+    values = []
     for i, line in enumerate(rows):
         row = lineno + i
         parts = line.split("\t")
@@ -477,72 +487,67 @@ def _check_prob_rows(rows: list[str], lineno: int, ncols: int, first: int) -> No
                 raise ProbFileError(f"row {row}: {name} is not a number: {text!r}") from None
             if not 0.0 <= v <= 1.0:
                 raise ProbFileError(f"row {row}: {name}={v} outside [0, 1]")
+            values.append(v)
+    return np.array(values, dtype=np.float64).reshape(len(rows), ncols - 2).T
 
 
-def _prob_columns(fields: list[str], ncols: int, n: int) -> Optional[list[np.ndarray]]:
-    """Each probability column as a float64 array; None if a value is not a number in [0, 1]."""
-    try:
-        cols = [
-            np.fromiter(map(float, fields[k::ncols]), np.float64, count=n)
-            for k in range(2, ncols)
-        ]
-    except ValueError:
-        return None
-    # written so that NaN fails too
-    if all(((c >= 0.0) & (c <= 1.0)).all() for c in cols):
-        return cols
-    return None
+def _prob_rows(rows: list[str], lineno: int, ncols: int, first: int) -> np.ndarray:
+    """The probabilities of a run of one document's rows, one array row per column.
 
-
-def _prob_rows(
-    rows: list[str], lineno: int, ncols: int, first: int
-) -> tuple[list[str], list[np.ndarray]]:
-    """Tokens and probability columns of a run of one document's rows, parsed a column at a time.
-
-    `first` is the index the first row must carry, and `lineno` its line
-    number.
+    numpy's C reader parses the rows unless they hold a character that it
+    reads otherwise than int() and float() do.  Rows it refuses, and rows
+    that fail a check, go to `_check_prob_rows`.
     """
-    n = len(rows)
-    fields = "\t".join(rows).split("\t")
-    well_formed = (
-        set(map(str.count, rows, repeat("\t", n))) == {ncols - 1}
-        and fields[0::ncols] == list(map(str, range(first, first + n)))
-    )
-    cols = _prob_columns(fields, ncols, n) if well_formed else None
-    if cols is None:
-        _check_prob_rows(rows, lineno, ncols, first)
-        cols = _prob_columns(fields, ncols, n)
-    return fields[1::ncols], cols
+    text = "\n".join(rows)
+    # numpy strips these around a number as whitespace; int() and float() refuse them
+    if not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        # numpy's integer parser misreads non-ASCII characters.  A "?" for each
+        # fails any number that held one, and tokens are not checked.
+        if text.isascii():
+            ascii_rows = rows
+        else:
+            ascii_rows = text.encode("ascii", "replace").decode("ascii").split("\n")
+        try:
+            with warnings.catch_warnings():
+                # numpy < 2 parses an integer via a float ("1.0") with only a warning
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(
+                    ascii_rows, dtype=_ROW_DTYPES[ncols], delimiter="\t", comments=None,
+                    quotechar=None, ndmin=1,
+                )
+        except (ValueError, DeprecationWarning):
+            table = None
+        # written so that NaN fails too
+        if (
+            table is not None
+            and np.array_equal(table["index"], np.arange(first, first + len(rows)))
+            and ((table["p"] >= 0.0) & (table["p"] <= 1.0)).all()
+        ):
+            return table["p"].T
+    return _check_prob_rows(rows, lineno, ncols, first)
 
 
-def _join_pieces(pieces: list[tuple[list[str], list[np.ndarray]]]) -> tuple[list[str], ProbMatrix]:
-    """One document from the (tokens, columns) of its consecutive pieces."""
-    tokens = list(chain.from_iterable(toks for toks, _ in pieces))
-    columns = [np.concatenate(col) for col in zip(*(cols for _, cols in pieces))]
-    return tokens, ProbMatrix(*columns)
-
-
-def iter_prob_documents(stream) -> list[tuple[list[str], ProbMatrix]]:
-    """Parse a probability file from a text stream into (tokens, matrix) pairs.
+def iter_prob_documents(stream) -> list[ProbMatrix]:
+    """Parse a probability file from a text stream into one matrix per document.
 
     The stream is read one line batch at a time, and the rows of each batch
     are parsed before the next batch is read, so a document longer than a
     batch is parsed in pieces and joined when it ends.  Besides the parsed
     documents, the reader holds one batch, however long a document is.
-    Errors name the first malformed row in file order.
+    Tokens are not kept.  Errors name the first malformed row in file order.
     """
     batches = _line_batches(stream)
     batch = next(batches, [""])
     header = batch[0]
     if not header.startswith("#probs v1"):
         raise ProbFileError("missing '#probs v1' header")
-    uni = False
-    for part in header.split()[2:]:
-        if part.startswith("uni="):
-            uni = part == "uni=1"
-    ncols = 6 if uni else 4
+    if header not in _PROB_HEADERS:
+        raise ProbFileError(
+            f"bad header {header!r}: expected '#probs v1', optionally with uni=0 or uni=1"
+        )
+    ncols = _PROB_HEADERS[header]
     docs = []
-    pieces = []  # (tokens, columns) of the current document's rows so far
+    pieces = []  # probability columns of the current document's rows so far
     n_parsed = 0  # rows in those pieces
     lineno = 2  # line number of the batch's first line
     for batch in chain([batch[1:]], batches):
@@ -553,12 +558,12 @@ def iter_prob_documents(stream) -> list[tuple[list[str], ProbMatrix]]:
                 n_parsed += end - start
             # a blank line ends the document; the end of the batch does not
             if end < len(batch) and pieces:
-                docs.append(_join_pieces(pieces))
+                docs.append(ProbMatrix(*np.concatenate(pieces, axis=1)))
                 pieces, n_parsed = [], 0
             start = end + 1
         lineno += len(batch)
     if pieces:
-        docs.append(_join_pieces(pieces))
+        docs.append(ProbMatrix(*np.concatenate(pieces, axis=1)))
     return docs
 
 
@@ -569,6 +574,6 @@ def read_prob_matrices(stream, name: str) -> list[ProbMatrix]:
     path, or ``<stdin>``.
     """
     try:
-        return [m for _, m in iter_prob_documents(stream)]
+        return iter_prob_documents(stream)
     except UnicodeDecodeError as exc:
         raise ProbFileError(f"{name}: {exc}") from exc

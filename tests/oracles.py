@@ -178,23 +178,20 @@ def iter_prob_documents_rows(stream):
     lines = data.splitlines()
     if not lines or not lines[0].startswith("#probs v1"):
         raise ProbFileError("missing '#probs v1' header")
-    header = lines[0].split()
-    uni = False
-    for part in header[2:]:
-        if part.startswith("uni="):
-            uni = part == "uni=1"
+    if lines[0] not in ("#probs v1", "#probs v1 uni=0", "#probs v1 uni=1"):
+        raise ProbFileError(
+            f"bad header {lines[0]!r}: expected '#probs v1', optionally with uni=0 or uni=1"
+        )
+    uni = lines[0] == "#probs v1 uni=1"
     ncols = 6 if uni else 4
     docs = []
-    tokens = []
     cols = [[] for _ in range(ncols - 2)]
 
     def flush():
-        nonlocal tokens, cols
-        if tokens:
+        nonlocal cols
+        if cols[0]:
             arrays = [np.array(c, dtype=np.float64) for c in cols]
-            m = ProbMatrix(arrays[0], arrays[1], *(arrays[2:] if uni else [None, None]))
-            docs.append((tokens, m))
-        tokens = []
+            docs.append(ProbMatrix(arrays[0], arrays[1], *(arrays[2:] if uni else [None, None])))
         cols = [[] for _ in range(ncols - 2)]
 
     for lineno, line in enumerate(lines[1:], start=2):
@@ -210,9 +207,8 @@ def iter_prob_documents_rows(stream):
             idx = int(parts[0])
         except ValueError:
             raise ProbFileError(f"row {lineno}: bad index {parts[0]!r}") from None
-        if idx != len(tokens):
-            raise ProbFileError(f"row {lineno}: index {idx}, expected {len(tokens)}")
-        tokens.append(parts[1])
+        if idx != len(cols[0]):
+            raise ProbFileError(f"row {lineno}: index {idx}, expected {len(cols[0])}")
         names = ("p_bos", "p_eos", "p_bos_uni", "p_eos_uni")
         for k in range(2, ncols):
             cols[k - 2].append(_parse_prob_value(parts[k], lineno, names[k - 2]))

@@ -678,6 +678,18 @@ class TestStdinAndAggregate:
         assert run("decode", "--probs", "-", "--method", "bosEos") == 2
         assert capsys.readouterr().err == "data error: row 3: p_bos=nan outside [0, 1]\n"
 
+    # each of these was read as some other header, and its rows decoded with exit 0
+    @pytest.mark.parametrize(
+        "header",
+        ["#probs v1 uni=2", "#probs v1 uni=yes", "#probs v10 uni=0", "#probs v1x uni=0",
+         "#probs v1 uni=1 uni=0", "#probs v1  uni=0", "#probs v1 uni=0 "],
+    )
+    def test_unknown_probs_header_is_data_error(self, monkeypatch, capsys, header):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{header}\n0\tHi\t0.9\t0.2\n"))
+        assert run("decode", "--probs", "-", "--method", "bosEos") == 2
+        expected = "expected '#probs v1', optionally with uni=0 or uni=1"
+        assert capsys.readouterr().err == f"data error: bad header {header!r}: {expected}\n"
+
     def test_aggregate_directory(self, tmp_path, capsys):
         from sentid.evaluation import bio_f1
         from sentid.labels import LabelSeq

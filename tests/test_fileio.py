@@ -98,7 +98,8 @@ class TestArtifactWriters:
             two = ProbMatrix(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
             write_prob_documents(path, [(["a"], two)])
         with open(path, encoding="utf-8") as f:
-            assert [toks for toks, _ in iter_prob_documents(f)] == [["a"]]
+            [loaded] = iter_prob_documents(f)
+        assert (loaded.n, loaded.p_bos[0], loaded.p_eos[0]) == (1, 0.5, 0.25)
         assert os.listdir(tmp_path) == ["probs.tsv"]
 
     def test_model_failure_midway(self, tmp_path):

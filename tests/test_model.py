@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 from unittest import mock
 
@@ -597,15 +598,11 @@ class TestProbFiles:
         write_prob_documents(path, docs)
         with open(path) as f:
             loaded = iter_prob_documents(f)
-        assert len(loaded) == 2
-        for (toks, m), (ltoks, lm) in zip(docs, loaded):
-            assert toks == ltoks
-            assert np.array_equal(m.p_bos, lm.p_bos)
-            assert np.array_equal(m.p_eos_uni, lm.p_eos_uni)
+        assert _bits(loaded) == _bits([m for _, m in docs])
 
     def test_single_doc_uni(self):
         text = "#probs v1 uni=1\n0\thello\t0.25\t0.5\t0.75\t0.125\n1\tworld\t0.1\t0.2\t0.3\t0.4\n2\t!\t0\t1\t0.5\t0.5\n"
-        [(_, m)] = iter_prob_documents(io.StringIO(text))
+        [m] = iter_prob_documents(io.StringIO(text))
         assert m.n == 3 and m.has_uni
         assert m.p_bos[0] == 0.25
 
@@ -642,13 +639,32 @@ class TestProbFiles:
         path = tmp_path / "probs.tsv"
         y = ProbMatrix(np.array([0.5]), np.array([0.5]))
         write_prob_documents(path, [(tokens, m), (["y"], y)])
+        assert path.read_text(encoding="utf-8").count(sep) == 3  # inside three rows
+        expected = _bits([m, y])
         with open(path, encoding="utf-8") as f:
-            loaded = iter_prob_documents(f)
-        assert [toks for toks, _ in loaded] == [tokens, ["y"]]
-        assert np.array_equal(loaded[0][1].p_eos, m.p_eos)
+            assert _outcome(iter_prob_documents, f) == expected
         # untranslated line ends, as sys.stdin gives them
         untranslated = io.StringIO(path.read_bytes().decode("utf-8"))
-        assert [toks for toks, _ in iter_prob_documents(untranslated)] == [tokens, ["y"]]
+        assert _outcome(iter_prob_documents, untranslated) == expected
+
+    @pytest.mark.parametrize("uni, n", [(False, 40), (True, 40), (True, 5000)])
+    def test_written_files_never_take_the_row_by_row_path(self, tmp_path, uni, n):
+        # a silent fall to the slow path would keep every value and lose the speed
+        rng = np.random.default_rng(n)
+        tokens = ["#", '"', "'", " 7 ", "a\x0bb", "\u00e9", "\u2028", "x"]
+        docs = []
+        for k in (1, n, 3):
+            columns = rng.random((4 if uni else 2, k))
+            columns.flat[:4] = [0.0, 1.0, 5e-324, -0.0][: columns.size]
+            docs.append(([tokens[i % len(tokens)] for i in range(k)], ProbMatrix(*columns)))
+        path = tmp_path / "probs.tsv"
+        write_prob_documents(path, docs)
+        assert (path.stat().st_size > model_mod._BATCH_CHARS) == (n > 1000)
+        slow = AssertionError("row-by-row path")
+        with open(path, encoding="utf-8") as f:
+            with mock.patch.object(model_mod, "_check_prob_rows", side_effect=slow):
+                loaded = iter_prob_documents(f)
+        assert _bits(loaded) == _bits([m for _, m in docs])
 
 
 # Characters other than \n and \r at which str.splitlines() breaks lines; the
@@ -677,11 +693,11 @@ def prob_file_texts(draw):
         return draw(bad if draw(st.integers(0, 39)) == 0 else good)
 
     header, ncols = rare(
-        st.sampled_from([("#probs v2 uni=0", 4), ("probs v1", 4), ("", 4), (" #probs v1", 4)]),
         st.sampled_from([
-            ("#probs v1 uni=0", 4), ("#probs v1 uni=1", 6), ("#probs v1", 4),
+            ("#probs v2 uni=0", 4), ("probs v1", 4), ("", 4), (" #probs v1", 4),
             ("#probs v1 uni=1 uni=0", 4), ("#probs v1x  uni=1", 6), ("#probs v1 uni=2", 4),
         ]),
+        st.sampled_from([("#probs v1 uni=0", 4), ("#probs v1 uni=1", 6), ("#probs v1", 4)]),
     )
     lines = [header]
     for d in range(draw(st.integers(0, 3))):
@@ -689,7 +705,9 @@ def prob_file_texts(draw):
         lines += draw(st.lists(blank, min_size=int(d > 0), max_size=2))
         for i in range(draw(st.integers(1, 4))):
             index = rare(
-                st.sampled_from([f"0{i}", f"+{i}", f" {i}", f"{i} ", str(i + 1), "x", ""]),
+                st.sampled_from(
+                    [f"0{i}", f"+{i}", f" {i}", f"{i} ", f"{i}.0", "1e0", str(i + 1), "x", ""]
+                ),
                 st.just(str(i)),
             )
             token = draw(st.text(_PROB_TEXT, min_size=1, max_size=4))
@@ -702,17 +720,21 @@ def prob_file_texts(draw):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
+def _bits(docs):
+    """Each document's row count and the bits of its values."""
+    return [
+        (m.n, [None if v is None else (v.dtype.str, v.tobytes())
+               for v in (m.p_bos, m.p_eos, m.p_bos_uni, m.p_eos_uni)])
+        for m in docs
+    ]
+
+
 def _outcome(read, source):
-    """What a reader makes of `source`: its error, or every document bit for bit."""
+    """What a reader makes of `source`: its error, or the bits of every document."""
     try:
-        docs = read(source)
+        return _bits(read(source))
     except ProbFileError as exc:
         return ("error", str(exc))
-    return [
-        (tokens, [None if v is None else (v.dtype.str, v.tobytes())
-                  for v in (m.p_bos, m.p_eos, m.p_bos_uni, m.p_eos_uni)])
-        for tokens, m in docs
-    ]
 
 
 class TestProbReaderMatchesRowReader:
@@ -749,8 +771,21 @@ class TestProbReaderInPieces:
             ("6\tf\t0.5\t0.5", "row 9: index 6, expected 5"),
             ("x\tf\t0.5\t0.5", "row 9: bad index 'x'"),
             ("5\tf\t1.5\t0.5", "row 9: p_bos=1.5 outside [0, 1]"),
+            # numpy's reader and int()/float() differ on these
+            ("5\tf\t0.5\t0.5\t", "row 9: expected 4 columns (uni=0), got 5"),
+            ("5.0\tf\t0.5\t0.5", "row 9: bad index '5.0'"),
+            ("99999999999999999999\tf\t0.5\t0.5", "row 9: index 99999999999999999999, expected 5"),
+            ("5\tf\t0.5\x00\t0.5", "row 9: p_bos is not a number: '0.5\\x00'"),
+            ("5\tf\t0.5\x1f\t0.5", "row 9: p_bos is not a number: '0.5\\x1f'"),
+            ("\u01fe5\tf\t0.5\t0.5", "row 9: bad index '\u01fe5'"),
             ("05\tf\t0.5\t0.5", None),  # int() accepts "05"
             ("+5\tf\t0.5\t0.5", None),
+            ("5\tf\t1_0e-1\t0.5", None),  # float() accepts underscores
+            ("5\tf\t\u0660.5\t0.5", None),  # and non-ASCII digits
+            ("5\t#\t0.5\t0.5", None),  # tokens are never comments or quotes
+            ('5\t"\t0.5\t0.5', None),
+            ("5\t'\t0.5\t0.5", None),
+            ("5\t 7 \t0.5\t0.5", None),
         ],
     )
     @pytest.mark.parametrize("batch_chars", [1, 20, 1 << 16])
@@ -765,8 +800,9 @@ class TestProbReaderInPieces:
         if error is not None:
             assert got == ("error", error)
         else:
-            [_, (tokens, _)] = got
-            assert tokens == list("abcdefgh")
+            columns = [[float(r.split("\t")[k]) for r in rows] for k in (2, 3)]
+            m = ProbMatrix(*map(np.array, columns))
+            assert got[1:] == _bits([m])
 
     def test_document_split_across_batches_is_bit_identical(self):
         rng = np.random.default_rng(4)
@@ -785,7 +821,37 @@ class TestProbReaderInPieces:
         assert len(text) > 2 * model_mod._BATCH_CHARS  # the last document spans batches
         expected = _outcome(iter_prob_documents_rows, text)
         assert _outcome(iter_prob_documents, io.StringIO(text)) == expected
-        assert [tokens for tokens, _ in docs] == [tokens for tokens, _ in expected]
+        assert expected == _bits([m for _, m in docs])
+
+    def test_numpy_deprecation_warning_takes_the_row_by_row_path(self):
+        # numpy < 2 reads the integer "1.0" with only a DeprecationWarning
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(rows, **kwargs):
+            table = loadtxt([row.replace("1.0\t", "1\t", 1) for row in rows], **kwargs)
+            warnings.warn("parsing an integer via a float", DeprecationWarning)
+            return table
+
+        text = "#probs v1 uni=0\n0\ta\t0.5\t0.5\n1.0\tb\t0.5\t0.5\n"
+        with mock.patch.object(np, "loadtxt", warning_loadtxt):
+            got = _outcome(iter_prob_documents, io.StringIO(text))
+        assert got == ("error", "row 3: bad index '1.0'")
+
+    def test_numpy_reads_only_ascii(self):
+        # numpy's integer parser classifies a non-ASCII character by reading
+        # past the end of a table: it read "\U00020000" + "5" as 1310245, and a
+        # scan of every code point crashed it
+        loadtxt, seen = np.loadtxt, []
+
+        def recording_loadtxt(rows, **kwargs):
+            seen.extend(rows)
+            return loadtxt(rows, **kwargs)
+
+        text = "#probs v1 uni=0\n0\t\u00e9\t0.5\t0.5\n\u01fe1\tb\t0.5\t0.5\n"
+        with mock.patch.object(np, "loadtxt", recording_loadtxt):
+            got = _outcome(iter_prob_documents, io.StringIO(text))
+        assert got == ("error", "row 3: bad index '\u01fe1'")
+        assert seen and all(row.isascii() for row in seen)
 
     def test_peak_memory_bounded_by_batch(self, tmp_path):
         # parsing a whole document at once would grow the peak with the document
@@ -801,7 +867,7 @@ class TestProbReaderInPieces:
                     top = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            assert [m.n for _, m in docs] == [rows] * n_docs
+            assert [m.n for m in docs] == [rows] * n_docs
             return top
 
         peak(20)  # warm-up: first-call allocations are not the document's
