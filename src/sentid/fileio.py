@@ -9,13 +9,18 @@ load.  The temporary file is not synced to disk, so this guards against a
 failing process, not against power loss.
 
 Corpora and span files are JSON lines, one record per line; both are read by
-`read_json_lines`.
+`read_json_lines`.  `check_types` is the type rule for config values, as
+pipeline configs, command-line flags and model headers give them.
 """
 
 import contextlib
 import gc
 import json
 import os
+from dataclasses import fields
+
+# JSON types that a config field of each scalar annotation accepts; a bool is no number here
+_SCALAR_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 # The C scanner that json.loads calls, without json.loads's checks around it.
 _scan_once = json.JSONDecoder().scan_once
@@ -45,6 +50,14 @@ def atomic_open(path, binary: bool = False):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def check_types(cls, values: dict) -> None:
+    """Raise ValueError if `values` gives a field of dataclass `cls` a value of the wrong type."""
+    for f in fields(cls):
+        value, types = values.get(f.name), _SCALAR_TYPES.get(f.type)
+        if f.name in values and types and type(value) not in types:
+            raise ValueError(f"{f.name}: expected {f.type.__name__}, got {value!r}")
 
 
 def write_json(path, obj) -> None:

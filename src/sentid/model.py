@@ -11,7 +11,7 @@ tab-separated probability files instead.
 import json
 import warnings
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .augment import DEFAULT_END_PUNCT, DEFAULT_PUNCT, AugmentConfig, example_stream
 from .corpus import Corpus
-from .fileio import atomic_open
+from .fileio import atomic_open, check_types
 
 MODEL_FORMAT = "sentid-model"
 # The version of the model file layout (see `save_model`).  A model's weights
@@ -108,13 +108,15 @@ class ModelConfig:
     include_uni: bool = False
 
     def __post_init__(self):
+        check_types(ModelConfig, vars(self))
         orders = self.ngram_orders
         valid = isinstance(orders, (list, tuple)) and all(type(k) is int and k >= 1 for k in orders)
         if not valid:
             raise ValueError(f"ngram_orders must be a list of integers >= 1, got {orders!r}")
         object.__setattr__(self, "ngram_orders", tuple(orders))
-        if self.hash_dim < 1 or self.hash_dim & (self.hash_dim - 1):
-            raise ValueError("hash_dim must be a power of two")
+        # row numbers of the model's row map are int32
+        if not 1 <= self.hash_dim <= 2**30 or self.hash_dim & (self.hash_dim - 1):
+            raise ValueError(f"hash_dim must be a power of two up to 2**30, got {self.hash_dim}")
         if self.window_radius < 0:
             raise ValueError("window_radius must be non-negative")
         if self.epochs < 1:
@@ -123,6 +125,10 @@ class ModelConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay!r}")
+
+    @property
+    def head_names(self) -> tuple:
+        return HEAD_NAMES if self.include_uni else HEAD_NAMES[:2]
 
 
 def _hash(s: str) -> int:
@@ -251,24 +257,50 @@ def _group_rows(
     return out
 
 
+def _row_map(keys: np.ndarray, size: int) -> np.ndarray:
+    """The int32 map of `size` indices that gives keys[j] row j + 1 and every other index row 0."""
+    rows = np.zeros(size, dtype=np.int32)
+    rows[keys] = np.arange(1, keys.shape[0] + 1, dtype=np.int32)
+    return rows
+
+
 @dataclass
 class ClassifierModel:
+    """The heads' weights, held by the indices where some head's weight is nonzero.
+
+    `rows` (int32, `hash_dim + 1` entries) maps each weight index to a row of
+    every head's column: row 0 holds 0 in every head, rows 1 to k the k
+    feature indices at which some head's weight is nonzero by its bits, in
+    increasing order, and row k + 1 the bias (index `hash_dim`).  `columns`
+    maps each head to its k + 2 float64 weights, so its weight at index i is
+    ``columns[name][rows[i]]``.
+    """
+
     config: ModelConfig
     seed: int
-    weights: dict = field(default_factory=dict)
+    rows: np.ndarray
+    columns: dict
 
     @property
     def head_names(self) -> tuple:
-        if self.config.include_uni:
-            return HEAD_NAMES
-        return HEAD_NAMES[:2]
+        return self.config.head_names
 
     @classmethod
-    def zeros(cls, config: ModelConfig, seed: int) -> "ClassifierModel":
-        model = cls(config=config, seed=seed)
-        for name in model.head_names:
-            model.weights[name] = np.zeros(config.hash_dim + 1, dtype=np.float64)
-        return model
+    def from_dense(cls, config: ModelConfig, seed: int, weights: dict) -> "ClassifierModel":
+        """The model of the dense heads that it takes out of `weights`.
+
+        `weights` maps each head to its `hash_dim + 1` float64 weights, bias
+        last.  A weight is nonzero by its bits, as `save_model` stores it, so
+        a -0.0 keeps its row.  The dense heads are dropped before the row map
+        is made.
+        """
+        marks = np.zeros(config.hash_dim + 1, dtype=bool)
+        marks[-1] = True  # the bias has a row in every model
+        for w in weights.values():
+            marks |= w.view(np.int64) != 0
+        keys = np.flatnonzero(marks)
+        columns = {name: np.append(0.0, weights.pop(name)[keys]) for name in config.head_names}
+        return cls(config, seed, _row_map(keys, marks.shape[0]), columns)
 
 
 def train(
@@ -289,9 +321,10 @@ def train(
     """
     if not corpus.units:
         raise ValueError("cannot train on an empty corpus")
-    model = ClassifierModel.zeros(model_cfg, seed)
+    names = model_cfg.head_names
+    weights = {name: np.zeros(model_cfg.hash_dim + 1, dtype=np.float64) for name in names}
     hasher = _TokenHasher(model_cfg)
-    sides = [HEAD_SIDES[name] for name in model.head_names]
+    sides = [HEAD_SIDES[name] for name in names]
     for epoch in range(model_cfg.epochs):
         lr = model_cfg.learning_rate * model_cfg.lr_decay**epoch
         stream = example_stream(corpus, augment_cfg, seed, epoch)
@@ -299,11 +332,11 @@ def train(
             rows = _group_rows(hasher, [ex.words for ex in group], sides, model_cfg)
             bos_t = np.concatenate([ex.gold.bos_flags for ex in group]).astype(np.float64)
             eos_t = np.concatenate([ex.gold.eos_flags for ex in group]).astype(np.float64)
-            for name in model.head_names:
+            for name in names:
                 idx, ptr = rows[HEAD_SIDES[name]]
                 targets = bos_t if name.startswith("bos") else eos_t
-                _kernels.sgd_rows(model.weights[name], idx, ptr, targets, lr)
-    return model
+                _kernels.sgd_rows(weights[name], idx, ptr, targets, lr)
+    return ClassifierModel.from_dense(model_cfg, seed, weights)
 
 
 def predict(model: ClassifierModel, docs: Iterable[Sequence[str]]) -> list[ProbMatrix]:
@@ -319,11 +352,15 @@ def predict(model: ClassifierModel, docs: Iterable[Sequence[str]]) -> list[ProbM
     sides = [HEAD_SIDES[name] for name in model.head_names]
     out = []
     for group in _groups(docs, lambda d: d):
-        rows = _group_rows(hasher, group, sides, cfg)
+        # each side's feature indices, mapped to rows of the heads' columns
+        rows = {
+            side: (model.rows[idx], ptr)
+            for side, (idx, ptr) in _group_rows(hasher, group, sides, cfg).items()
+        }
         bounds = np.cumsum([len(d) for d in group])[:-1]
         # head_names follow ProbMatrix's field order: bos_bi, eos_bi, bos_uni, eos_uni
         columns = [
-            np.split(_kernels.score_rows(model.weights[name], *rows[HEAD_SIDES[name]]), bounds)
+            np.split(_kernels.score_rows(model.columns[name], *rows[HEAD_SIDES[name]]), bounds)
             for name in model.head_names
         ]
         out.extend(ProbMatrix(*doc_columns) for doc_columns in zip(*columns))
@@ -338,7 +375,11 @@ def save_model(model: ClassifierModel, path) -> None:
     as ``<i8`` and then their weights as ``<f8``.  A weight is nonzero by its
     bit pattern, so -0.0 is stored too.
     """
-    nonzero = {name: np.flatnonzero(model.weights[name].view(np.int64)) for name in model.head_names}
+    keys = np.flatnonzero(model.rows)  # the weight index of each row after row 0
+    # each head's nonzero rows after row 0, as positions in `keys`
+    nonzero = {
+        name: np.flatnonzero(model.columns[name][1:].view(np.int64)) for name in model.head_names
+    }
     header = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -349,12 +390,22 @@ def save_model(model: ClassifierModel, path) -> None:
     }
     with atomic_open(path, binary=True) as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for name, idx in nonzero.items():
-            f.write(idx.astype("<i8", copy=False))
-            f.write(model.weights[name][idx].astype("<f8", copy=False))
+        for name, at in nonzero.items():
+            f.write(keys[at].astype("<i8", copy=False))
+            f.write(model.columns[name][1:][at].astype("<f8", copy=False))
+
+
+# Nonzero weights per read when `load_model` fills the columns.
+_LOAD_BLOCK = 1 << 14
 
 
 def load_model(path) -> ClassifierModel:
+    """The model in a file written by `save_model`; ValueError naming `path` if it is malformed.
+
+    One pass over the heads checks each and marks its indices, and a second
+    fills the columns a block at a time, so no dense head is built and at
+    most one head's indices and weights are held at once.
+    """
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
@@ -369,34 +420,56 @@ def load_model(path) -> ClassifierModel:
             raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
         try:
             cfg = ModelConfig(**header["config"])
-            model = ClassifierModel(config=cfg, seed=int(header["seed"]))
-            if header["heads"] != list(model.head_names):
+            seed = header["seed"]
+            if type(seed) is not int:
+                raise ValueError(f"seed: expected int, got {seed!r}")
+            if header["heads"] != list(cfg.head_names):
                 raise ValueError(f"heads {header['heads']!r} do not match the config")
             counts = header["nonzero"]
-            if not isinstance(counts, dict) or set(counts) != set(model.head_names):
+            if not isinstance(counts, dict) or set(counts) != set(cfg.head_names):
                 raise ValueError(f"nonzero counts {counts!r} do not match the heads")
             for name, count in counts.items():
                 if type(count) is not int or not 0 <= count <= cfg.hash_dim + 1:
                     raise ValueError(f"nonzero count {count!r} of head {name}")
+            counts = {name: counts[name] for name in cfg.head_names}  # in file order
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad model header: {exc!r}") from exc
-        for name in model.head_names:
-            idx = np.empty(counts[name], dtype="<i8")
-            values = np.empty(counts[name], dtype="<f8")
-            if f.readinto(idx) != idx.nbytes or f.readinto(values) != values.nbytes:
+
+        def read(name, count, dtype):
+            out = np.empty(count, dtype=dtype)
+            if f.readinto(out) != out.nbytes:
                 raise ValueError(f"{path}: truncated weights for head {name}")
+            return out
+
+        start = f.tell()  # of the first head
+        marks = np.zeros(cfg.hash_dim + 1, dtype=bool)
+        marks[-1] = True  # the bias has a row in every model
+        for name, count in counts.items():
+            idx, values = read(name, count, "<i8"), read(name, count, "<f8")
             if (idx[1:] <= idx[:-1]).any():
                 raise ValueError(f"{path}: indices of head {name} are not strictly increasing")
             if idx.shape[0] and not 0 <= idx[0] <= idx[-1] <= cfg.hash_dim:
                 raise ValueError(f"{path}: an index of head {name} is outside [0, {cfg.hash_dim}]")
             if not np.isfinite(values).all():
                 raise ValueError(f"{path}: non-finite weight in head {name}")
-            w = np.zeros(cfg.hash_dim + 1, dtype=np.float64)
-            w[idx] = values
-            model.weights[name] = w
+            marks[idx] = True
+            del idx, values  # before the next head is read
         if f.read(1):
             raise ValueError(f"{path}: unexpected bytes after the last head")
-    return model
+        rows = _row_map(np.flatnonzero(marks), marks.shape[0])
+        del marks
+        columns = {}
+        for name, count in counts.items():
+            columns[name] = column = np.zeros(rows[-1] + 1, dtype=np.float64)
+            # a block of indices and then their weights at a time
+            for lo in range(0, count, _LOAD_BLOCK):
+                n = min(_LOAD_BLOCK, count - lo)
+                f.seek(start + 8 * lo)
+                at = rows[read(name, n, "<i8")]
+                f.seek(start + 8 * (count + lo))
+                column[at] = read(name, n, "<f8")
+            start += 16 * count
+    return ClassifierModel(cfg, seed, rows, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .corpus import (
     parse_conllu_file,
 )
 from .decode import DecoderConfig, decode_document, write_span_file
-from .fileio import write_json
+from .fileio import check_types, write_json
 from .model import InterpConfig, ModelConfig, interpolate
 
 
@@ -114,10 +114,6 @@ _SECTION_KEYS = {
 }
 
 
-# JSON types that a field of each scalar annotation accepts; a bool is no number here
-_SCALAR_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
-
-
 def _check_keys(data: dict, allowed, path: str) -> None:
     unknown = set(data) - set(allowed)
     if unknown:
@@ -148,10 +144,10 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
     def build(section, cls):
         values = data.get(section, {})
-        for f in fields(cls):
-            value, types = values.get(f.name), _SCALAR_TYPES.get(f.type)
-            if f.name in values and types and type(value) not in types:
-                raise ConfigError(f"{section}.{f.name}: expected {f.type.__name__}, got {value!r}")
+        try:
+            check_types(cls, values)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{exc}") from exc
         try:
             return cls(**values)
         except (TypeError, ValueError) as exc:

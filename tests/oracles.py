@@ -8,9 +8,10 @@ paths under test.  The loop references are the row- and
 character-at-a-time code that the array paths (kernels, probability reader,
 label spans, span rendering, gold labels, char rendering, label counts) replaced; they
 take only the data and error types from the package.  The per-document model references at the
-end featurize, score and train one document at a time; they share the token
-hasher and the kernels with the package, so grouped results must equal
-theirs bit for bit.  Six references are earlier versions of package code:
+end featurize, score and train one document at a time, on dense heads
+(`densify` rebuilds them from a model's row map and columns); they share the
+token hasher and the kernels with the package, so grouped results and compact
+models must equal theirs bit for bit.  Six references are earlier versions of package code:
 `evaluate_documents_rendered`, which scores char labels by rendering each
 document with `render_granularity` (the char body of `to_granularity`
 until counting replaced it), `span_counts_sets`, the span counting of
@@ -168,14 +169,16 @@ def _parse_prob_value(text: str, lineno: int, col: str) -> float:
 
 
 def iter_prob_documents_rows(stream):
-    """Row-by-row probability file reader: the whole input, split with splitlines()."""
+    """Row-by-row probability file reader: the whole input, split at "\\n", "\\r\\n" and "\\r"."""
     if hasattr(stream, "read"):
         data = stream.read()
     else:
         data = stream
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    lines = data.splitlines()
+    lines = re.split(r"\r\n|\r|\n", data)
+    if lines[-1] == "":  # the text after the last line end
+        lines.pop()
     if not lines or not lines[0].startswith("#probs v1"):
         raise ProbFileError("missing '#probs v1' header")
     if lines[0] not in ("#probs v1", "#probs v1 uni=0", "#probs v1 uni=1"):
@@ -603,21 +606,38 @@ def _document_rows(hasher, words, sides, cfg) -> dict:
     return out
 
 
-def predict_per_document(model, words) -> ProbMatrix:
-    """Scores of every head of `model` on one document, featurized on its own."""
-    sides = [HEAD_SIDES[name] for name in model.head_names]
-    rows = _document_rows(_TokenHasher(model.config), words, sides, model.config)
+def zero_heads(cfg) -> dict:
+    """Dense all-zero heads of a model of `cfg`: head name -> `hash_dim + 1` weights."""
+    return {name: np.zeros(cfg.hash_dim + 1) for name in cfg.head_names}
+
+
+def densify(model: ClassifierModel) -> dict:
+    """Each head's `hash_dim + 1` dense weights, rebuilt from the row map and the columns."""
+    return {name: model.columns[name][model.rows] for name in model.head_names}
+
+
+def score_dense(heads: dict, cfg, words) -> ProbMatrix:
+    """Scores of dense heads (name -> `hash_dim + 1` weights) on one document featurized alone."""
+    sides = [HEAD_SIDES[name] for name in heads]
+    rows = _document_rows(_TokenHasher(cfg), words, sides, cfg)
     return ProbMatrix(*(
-        _kernels.score_rows(model.weights[name], *rows[HEAD_SIDES[name]])
-        for name in model.head_names
+        _kernels.score_rows(w, *rows[HEAD_SIDES[name]]) for name, w in heads.items()
     ))
 
 
-def train_per_example(corpus, augment_cfg, seed, model_cfg) -> ClassifierModel:
-    """`model.train`, one example at a time: every head's SGD over the example, in head order."""
-    model = ClassifierModel.zeros(model_cfg, seed)
+def predict_per_document(model, words) -> ProbMatrix:
+    """Scores of every head of `model` on one document, from its dense heads."""
+    return score_dense(densify(model), model.config, words)
+
+
+def train_per_example(corpus, augment_cfg, seed, model_cfg) -> dict:
+    """The dense heads of `model.train`, trained one example at a time.
+
+    Each example gets every head's SGD over it, in head order.
+    """
+    weights = zero_heads(model_cfg)
     hasher = _TokenHasher(model_cfg)
-    sides = [HEAD_SIDES[name] for name in model.head_names]
+    sides = [HEAD_SIDES[name] for name in model_cfg.head_names]
     for epoch in range(model_cfg.epochs):
         lr = model_cfg.learning_rate * model_cfg.lr_decay**epoch
         for ex in example_stream(corpus, augment_cfg, seed, epoch):
@@ -626,7 +646,7 @@ def train_per_example(corpus, augment_cfg, seed, model_cfg) -> ClassifierModel:
                 "bos": ex.gold.bos_flags.astype(np.float64),
                 "eos": ex.gold.eos_flags.astype(np.float64),
             }
-            for name in model.head_names:
+            for name in model_cfg.head_names:
                 idx, ptr = rows[HEAD_SIDES[name]]
-                _kernels.sgd_rows(model.weights[name], idx, ptr, targets[name[:3]], lr)
-    return model
+                _kernels.sgd_rows(weights[name], idx, ptr, targets[name[:3]], lr)
+    return weights

@@ -16,6 +16,7 @@ from sentid.cli import build_parser, main
 from sentid.decode import DecoderConfig
 from sentid.model import InterpConfig, ModelConfig
 
+from oracles import zero_heads
 from synth import synthetic_corpus
 
 CONLLU = """\
@@ -620,7 +621,8 @@ class TestExitCodes:
 
     def test_model_with_trailing_bytes_is_data_error(self, tmp_path, capsys):
         model = tmp_path / "model.bin"
-        model_mod.save_model(model_mod.ClassifierModel.zeros(ModelConfig(hash_dim=2**4), 0), model)
+        cfg = ModelConfig(hash_dim=2**4)
+        model_mod.save_model(model_mod.ClassifierModel.from_dense(cfg, 0, zero_heads(cfg)), model)
         model.write_bytes(model.read_bytes() + b"trailer")
         docs = tmp_path / "docs.txt"
         docs.write_text("a b .\n")
@@ -640,10 +642,11 @@ class TestExitCodes:
         ids=["nan", "unsorted"],
     )
     def test_corrupt_model_weights_are_data_error(self, tmp_path, capsys, corrupt, error):
-        model = model_mod.ClassifierModel.zeros(ModelConfig(hash_dim=2**4), 0)
-        model.weights["bos_bi"][[3, 9]] = [0.5, -1.5]  # eos_bi stays empty, so bos_bi ends the file
+        cfg = ModelConfig(hash_dim=2**4)
+        heads = zero_heads(cfg)
+        heads["bos_bi"][[3, 9]] = [0.5, -1.5]  # eos_bi stays empty, so bos_bi ends the file
         path = tmp_path / "model.bin"
-        model_mod.save_model(model, path)
+        model_mod.save_model(model_mod.ClassifierModel.from_dense(cfg, 0, heads), path)
         path.write_bytes(corrupt(path.read_bytes()))
         docs = tmp_path / "docs.txt"
         docs.write_text("a b .\n")
@@ -651,6 +654,57 @@ class TestExitCodes:
             "predict", "--model", str(path), "--input", str(docs), "--out", str(tmp_path / "p")
         ) == 2
         assert capsys.readouterr().err == f"data error: {path}: {error}\n"
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("window_radius", 2.5, "window_radius: expected int, got 2.5"),  # used to exit 3
+            # these used to load and predict with exit 0
+            ("seed", 7.9, "seed: expected int, got 7.9"),
+            ("seed", "7", "seed: expected int, got '7'"),
+            ("seed", True, "seed: expected int, got True"),
+            ("window_radius", True, "window_radius: expected int, got True"),
+            # used to exit 3 with numpy's memory error
+            ("hash_dim", 2**40, "hash_dim must be a power of two up to 2**30, got 1099511627776"),
+        ],
+        ids=["float-radius", "float-seed", "string-seed", "bool-seed", "bool-radius",
+             "huge-hash-dim"],
+    )
+    def test_mistyped_model_header_is_data_error(self, tmp_path, capsys, field, value, error):
+        cfg = ModelConfig(hash_dim=2**4)
+        path = tmp_path / "model.bin"
+        model_mod.save_model(model_mod.ClassifierModel.from_dense(cfg, 0, zero_heads(cfg)), path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        if field == "seed":
+            header["seed"] = value
+        else:
+            header["config"][field] = value
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        docs = tmp_path / "docs.txt"
+        docs.write_text("a b .\n")
+        assert run(
+            "predict", "--model", str(path), "--input", str(docs), "--out", str(tmp_path / "p")
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: bad model header: ValueError(")
+        assert error in err
+
+    def test_huge_hash_dim_is_usage_error(self, tmp_path, capsys, corpus_path):
+        # train and the pipeline used to exit 3 with numpy's memory error
+        message = "hash_dim must be a power of two up to 2**30, got 1099511627776"
+        out = tmp_path / "m.bin"
+        argv = ("train", "--corpus", str(corpus_path), "--out", str(out), "--hash-dim", str(2**40))
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        paths = {"train_corpus": str(corpus_path), "eval_corpus": str(corpus_path),
+                 "output_dir": str(tmp_path / "runs")}
+        cfg = {"seeds": [1], "paths": paths, "model": {"hash_dim": 2**40}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("pipeline", "--config", str(cfg_path)) == 1
+        assert capsys.readouterr().err == f"error: model: {message}\n"
 
 
 class TestStdinAndAggregate:

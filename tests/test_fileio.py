@@ -6,6 +6,7 @@ collector's reach."""
 import gc
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sentid.model import (
     write_prob_documents,
 )
 
+from oracles import zero_heads
 from synth import synthetic_corpus, unit_from_words
 
 
@@ -107,9 +109,10 @@ class TestArtifactWriters:
         # pipeline run found in its cache and failed to load
         path = tmp_path / "model.bin"
         cfg = ModelConfig(hash_dim=2**4)
-        save_model(ClassifierModel.zeros(cfg, seed=1), path)
+        model = ClassifierModel.from_dense(cfg, 1, zero_heads(cfg))
+        save_model(model, path)
         with pytest.raises(KeyError):
-            save_model(ClassifierModel(config=cfg, seed=2), path)  # header written, no weights
+            save_model(replace(model, seed=2, columns={}), path)  # no columns to write
         assert load_model(path).seed == 1
         assert os.listdir(tmp_path) == ["model.bin"]
 

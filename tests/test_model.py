@@ -37,7 +37,14 @@ from sentid.model import (
     write_prob_documents,
 )
 
-from oracles import iter_prob_documents_rows, predict_per_document, train_per_example
+from oracles import (
+    densify,
+    iter_prob_documents_rows,
+    predict_per_document,
+    score_dense,
+    train_per_example,
+    zero_heads,
+)
 from synth import synthetic_corpus, unit_from_words
 
 CFG = ModelConfig(window_radius=2, hash_dim=2**12, epochs=2)
@@ -148,9 +155,8 @@ class TestTrain:
         corp = pattern_corpus()
         m1 = train(corp, AugmentConfig(), seed=1, model_cfg=CFG)
         m2 = train(corp, AugmentConfig(), seed=2, model_cfg=CFG)
-        assert any(
-            not np.array_equal(m1.weights[h], m2.weights[h]) for h in m1.head_names
-        )
+        d1, d2 = densify(m1), densify(m2)
+        assert any(not np.array_equal(d1[h], d2[h]) for h in m1.head_names)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -165,7 +171,7 @@ class TestPredict:
             assert (v >= 0).all() and (v <= 1).all()
 
     def test_zero_tokens(self):
-        model = ClassifierModel.zeros(CFG, seed=0)
+        model = zero_model(CFG)
         m = predict(model, [[]])[0]
         assert m.n == 0
         assert predict(model, []) == []
@@ -213,15 +219,15 @@ class TestWindowMixingOncePerSide:
     def test_predict(self, calls):
         cfg = ModelConfig(window_radius=2, hash_dim=2**12, epochs=1)
         docs = [["a", "b", "."]] * 10
-        predict(ClassifierModel.zeros(cfg, seed=0), docs)
+        predict(zero_model(cfg), docs)
         assert calls == [(-2, 2)]
         calls.clear()
-        predict(ClassifierModel.zeros(replace(cfg, include_uni=True), seed=0), docs)
+        predict(zero_model(replace(cfg, include_uni=True)), docs)
         assert sorted(calls) == [(-2, 0), (-2, 2), (0, 2)]
         calls.clear()
         # 3 groups: two close at _GROUP_TOKENS tokens, the last holds the remainder
         docs = [["a"] * (_GROUP_TOKENS // 2)] * 5
-        predict(ClassifierModel.zeros(cfg, seed=0), docs)
+        predict(zero_model(cfg), docs)
         assert calls == [(-2, 2)] * 3
 
     @pytest.mark.parametrize("include_uni, sides", [(False, 1), (True, 3)])
@@ -244,13 +250,18 @@ class TestWindowMixingOncePerSide:
         assert len(set(calls)) == sides
 
 
-def random_model(cfg: ModelConfig, seed: int = 0) -> ClassifierModel:
-    """A model with every weight nonzero, so that any wrong feature index shows."""
+def zero_model(cfg: ModelConfig) -> ClassifierModel:
+    return ClassifierModel.from_dense(cfg, 0, zero_heads(cfg))
+
+
+def random_heads(cfg: ModelConfig, seed: int = 0) -> dict:
+    """Dense heads with every weight nonzero, so that any wrong feature index shows."""
     rng = np.random.default_rng(seed)
-    model = ClassifierModel.zeros(cfg, seed)
-    for name in model.head_names:
-        model.weights[name][:] = rng.normal(size=cfg.hash_dim + 1)
-    return model
+    return {name: rng.normal(size=cfg.hash_dim + 1) for name in cfg.head_names}
+
+
+def random_model(cfg: ModelConfig, seed: int = 0) -> ClassifierModel:
+    return ClassifierModel.from_dense(cfg, seed, random_heads(cfg, seed))
 
 
 VOCAB = ("The", "cat", "sat", ".", "A", "dog!", "12:30", "PM", "***", "x")
@@ -312,8 +323,9 @@ class TestGroupedParity:
             assert any(len(ex.words) > G for ex in example_stream(corpus, aug, 3, 0))
         got = train(corpus, aug, seed=3, model_cfg=cfg)
         ref = train_per_example(corpus, aug, 3, cfg)
-        for name in ref.head_names:
-            assert got.weights[name].tobytes() == ref.weights[name].tobytes()
+        got = densify(got)
+        for name in cfg.head_names:
+            assert got[name].tobytes() == ref[name].tobytes()
 
     def test_peak_memory_bounded_by_group(self):
         # featurizing a whole batch at once would grow the peak with the batch
@@ -340,8 +352,9 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.config == model.config
         assert loaded.seed == model.seed
+        dense, loaded_dense = densify(model), densify(loaded)
         for h in model.head_names:
-            assert np.array_equal(loaded.weights[h], model.weights[h])
+            assert np.array_equal(loaded_dense[h], dense[h])
         words = ["a", "b0", ".", "%"]
         assert np.array_equal(predict(loaded, [words])[0].p_eos, predict(model, [words])[0].p_eos)
 
@@ -350,10 +363,10 @@ class TestSerialization:
     @pytest.mark.parametrize("cut, head", [(1, "eos_bi"), (16 * (CFG.hash_dim // 2) + 16, "bos_bi")])
     def test_truncated_weights_rejected(self, tmp_path, cut, head):
         path = tmp_path / "model.bin"
-        model = random_model(CFG)
-        for name in model.head_names:
-            model.weights[name][::2] = 0.0
-        save_model(model, path)
+        heads = random_heads(CFG)
+        for w in heads.values():
+            w[::2] = 0.0
+        save_model(ClassifierModel.from_dense(CFG, 0, heads), path)
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(ValueError, match=f"truncated weights for head {head}"):
             load_model(path)
@@ -361,7 +374,7 @@ class TestSerialization:
     def test_trailing_bytes_rejected(self, tmp_path):
         # bytes after the last head used to be ignored
         path = tmp_path / "model.bin"
-        save_model(ClassifierModel.zeros(CFG, seed=0), path)
+        save_model(zero_model(CFG), path)
         path.write_bytes(path.read_bytes() + b"garbage")
         with pytest.raises(ValueError, match="unexpected bytes after the last head"):
             load_model(path)
@@ -377,13 +390,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match=field):
             ModelConfig(**{field: value})
         path = tmp_path / "model.bin"
-        save_model(ClassifierModel.zeros(CFG, seed=0), path)
+        save_model(zero_model(CFG), path)
         header, weights = path.read_bytes().split(b"\n", 1)
         header = json.loads(header)
         header["config"][field] = value
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + weights)
         with pytest.raises(ValueError, match=f"bad model header: ValueError.*{field}"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("window_radius", 2.5), ("window_radius", True), ("epochs", 2.0), ("include_uni", 1),
+         ("learning_rate", "0.1"), ("learning_rate", False), ("hash_dim", 2**31)],
+    )
+    def test_mistyped_or_huge_config_rejected(self, field, value):
+        # the row map's row numbers are int32, and a dense training head of 2**31 weights is 16 GiB
+        with pytest.raises(ValueError, match=f"^{field}"):
+            ModelConfig(**{field: value})
+
+    def test_config_bounds_and_types_accepted(self):
+        assert ModelConfig(hash_dim=2**30, learning_rate=1).learning_rate == 1  # no weights made
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -431,8 +457,8 @@ class TestModelFile:
         model = load_model(path)
         expected = np.zeros(17)
         expected[[0, 5, 16]] = [1.5, -0.0, 2.0]
-        assert bits(model.weights["bos_bi"]) == bits(expected)
-        assert bits(model.weights["eos_bi"]) == [0] * 17
+        assert bits(densify(model)["bos_bi"]) == bits(expected)
+        assert bits(densify(model)["eos_bi"]) == [0] * 17
         save_model(model, tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
@@ -447,16 +473,16 @@ class TestModelFile:
         heads=[[0.0] * 17, [-0.0] * 17, [0.0] * 16 + [2.5], [float(i + 1) for i in range(17)]],
     )
     def test_round_trip_bit_identical(self, scratch, include_uni, heads):
-        model = ClassifierModel.zeros(replace(SMALL, include_uni=include_uni), seed=3)
-        for name, weights in zip(model.head_names, heads):
-            model.weights[name][:] = weights
+        cfg = replace(SMALL, include_uni=include_uni)
+        dense = {name: np.array(weights) for name, weights in zip(cfg.head_names, heads)}
+        model = ClassifierModel.from_dense(cfg, 3, dict(dense))  # it empties the dict it is given
         save_model(model, scratch)
         loaded = load_model(scratch)
         assert loaded.config == model.config and loaded.seed == 3
-        assert list(loaded.weights) == list(model.head_names)
+        assert list(loaded.columns) == list(model.head_names)
         for name in model.head_names:
-            assert loaded.weights[name].dtype == np.float64
-            assert bits(loaded.weights[name]) == bits(model.weights[name])
+            assert loaded.columns[name].dtype == np.float64
+            assert bits(densify(loaded)[name]) == bits(dense[name])
 
     @pytest.mark.parametrize(
         "bos_bi, error",
@@ -507,15 +533,15 @@ class TestModelFile:
         assert error in str(exc.value)
 
     def test_truncated_at_every_byte_rejected(self, tmp_path):
-        model = random_model(replace(SMALL, include_uni=True))
-        model.weights["eos_bi"][::2] = 0.0  # heads of different sizes
+        cfg = replace(SMALL, include_uni=True)
+        heads = random_heads(cfg)
+        heads["eos_bi"][::2] = 0.0  # heads of different sizes
+        model = ClassifierModel.from_dense(cfg, 0, dict(heads))
         path = tmp_path / "model.bin"
         save_model(model, path)
         data = path.read_bytes()
         body_start = data.index(b"\n") + 1
-        ends = body_start + 16 * np.cumsum(
-            [np.count_nonzero(model.weights[h]) for h in model.head_names]
-        )
+        ends = body_start + 16 * np.cumsum([np.count_nonzero(heads[h]) for h in model.head_names])
         assert ends[-1] == len(data)
         for cut in range(len(data)):
             path.write_bytes(data[:cut])
@@ -533,6 +559,108 @@ class TestModelFile:
         save_model(model, path)
         dense = 8 * (cfg.hash_dim + 1) * len(model.head_names)
         assert path.stat().st_size < dense / 8
+
+
+HEAD_KINDS = ("empty", "bias-only", "sparse", "negative-zero", "every-weight")
+
+
+def dense_head(kind: str, size: int, rng) -> np.ndarray:
+    """`size` dense weights, bias last, of one of HEAD_KINDS."""
+    w = np.zeros(size)
+    if kind == "every-weight":
+        w[:] = rng.normal(size=size)
+    elif kind == "bias-only":
+        w[-1] = rng.normal()
+    elif kind != "empty":
+        at = rng.choice(size, size // 8, replace=False)
+        w[at] = rng.normal(size=at.shape[0])
+        if kind == "negative-zero":
+            w[at[::2]] = -0.0
+    return w
+
+
+class TestCompactModel:
+    """A model holds one row map and one column per head, never a dense head.
+
+    Trained, loaded and saved models score every document bit for bit as
+    their dense heads do.
+    """
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("compact") / "model.bin"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        include_uni=st.booleans(),
+        kinds=st.lists(st.sampled_from(HEAD_KINDS), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 5, model_mod._LOAD_BLOCK]),
+    )
+    def test_scores_bit_identical_to_dense_heads(self, scratch, include_uni, kinds, seed, block):
+        cfg = ModelConfig(window_radius=2, hash_dim=2**6, include_uni=include_uni)
+        rng = np.random.default_rng(seed)
+        size = cfg.hash_dim + 1
+        dense = {name: dense_head(kind, size, rng) for name, kind in zip(cfg.head_names, kinds)}
+        model = ClassifierModel.from_dense(cfg, 7, dict(dense))
+        # a row for the bias and for each feature index nonzero by its bits in some head
+        used = np.logical_or.reduce([w.view(np.int64) != 0 for w in dense.values()])
+        used[-1] = True
+        assert model.rows.dtype == np.int32 and model.rows.shape == (cfg.hash_dim + 1,)
+        assert np.array_equal(np.flatnonzero(model.rows), np.flatnonzero(used))
+        assert [c.shape for c in model.columns.values()] == [(used.sum() + 1,)] * len(dense)
+        save_model(model, scratch)
+        with mock.patch.object(model_mod, "_LOAD_BLOCK", block):
+            loaded = load_model(scratch)
+        docs = random_docs([0, 1, 7, 30], seed=seed % 97)
+        expected = _bits([score_dense(dense, cfg, words) for words in docs])
+        for m in (model, loaded):
+            assert _bits(predict(m, docs)) == expected
+            assert [bits(w) for w in densify(m).values()] == [bits(w) for w in dense.values()]
+        data = scratch.read_bytes()
+        save_model(loaded, scratch)
+        assert scratch.read_bytes() == data
+
+    def test_trained_model_saved_and_loaded(self, tmp_path):
+        cfg = replace(CFG, include_uni=True)
+        model = train(synthetic_corpus(40, seed=2), AugmentConfig(), seed=1, model_cfg=cfg)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        dense = densify(model)
+        docs = random_docs([3, 50, 9], seed=4)
+        expected = _bits([score_dense(dense, cfg, words) for words in docs])
+        assert _bits(predict(model, docs)) == _bits(predict(loaded, docs)) == expected
+        again = tmp_path / "again.bin"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_from_dense_takes_the_heads(self):
+        heads = zero_heads(SMALL)
+        ClassifierModel.from_dense(SMALL, 0, heads)
+        assert heads == {}
+
+    def test_load_and_predict_hold_no_dense_head(self, tmp_path):
+        # 4 heads of 2**18 + 1 weights: the dense heads alone took 8 MB
+        cfg = ModelConfig(include_uni=True)
+        rng = np.random.default_rng(0)
+        features = rng.choice(cfg.hash_dim, cfg.hash_dim // 20, replace=False)  # 5% of them
+        dense = {}
+        for name in cfg.head_names:
+            dense[name] = w = np.zeros(cfg.hash_dim + 1)
+            at = features[rng.random(features.shape[0]) < 0.7]
+            w[at] = rng.normal(size=at.shape[0])
+            w[-1] = 0.25
+        path = tmp_path / "model.bin"
+        save_model(ClassifierModel.from_dense(cfg, 0, dense), path)
+        docs = random_docs([12] * 12, seed=5)
+        tracemalloc.start()
+        try:
+            predict(load_model(path), docs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
 
 class TestInterpolate:
@@ -667,10 +795,13 @@ class TestProbFiles:
         assert _bits(loaded) == _bits([m for _, m in docs])
 
 
-# Characters other than \n and \r at which str.splitlines() breaks lines; the
-# row reference splits there, the reader does not (see the round-trip test).
-_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_PROB_TEXT = st.characters(codec="utf-8", exclude_characters=_SPLITLINES_ONLY)
+# Any character but a line end: the reader and the row reference end lines at
+# "\n", "\r\n" and "\r" only, so tokens and numbers may hold the other
+# characters at which str.splitlines() breaks lines, such as "\x0c" or U+2028.
+_PROB_TEXT = st.one_of(
+    st.sampled_from("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    st.characters(codec="utf-8", exclude_characters="\n\r"),
+)
 _GOOD_VALUES = st.one_of(
     st.floats(0.0, 1.0).map(repr),
     st.sampled_from(["0", "1", "-0.0", "1e-3", "0.5 ", " 0.25", "1_0e-1", "+.5", "1.0000"]),
@@ -701,7 +832,7 @@ def prob_file_texts(draw):
     )
     lines = [header]
     for d in range(draw(st.integers(0, 3))):
-        blank = st.sampled_from(["", " ", "\t", " \t ", "\u3000"])
+        blank = st.sampled_from(["", " ", "\t", " \t ", "\u3000", "\x0c", "\u2028"])
         lines += draw(st.lists(blank, min_size=int(d > 0), max_size=2))
         for i in range(draw(st.integers(1, 4))):
             index = rare(

@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 import inspect
 import io
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,3 +120,82 @@ def test_word_scoring_calls_the_declared_evaluation_layers(monkeypatch):
     evaluation.evaluate_documents(docs, "word")
     # per document: one add_labels, and to_granularity of the gold and the predicted labels
     assert calls == dict(zip(layers, (2, 4)))
+
+
+def _count_calls(monkeypatch, layers) -> dict:
+    """Count the calls of each layer's target, rebound as perfbench's tracer rebinds it.
+
+    A module-level function is replaced in every ``sentid`` module that binds
+    it, so callers that imported it by name are counted too.
+    """
+    calls = dict.fromkeys(layers, 0)
+    for layer in layers:
+        module, attr = _tracing().LAYERS[layer]
+        original = getattr(importlib.import_module(f"sentid.{module}"), attr)
+
+        def counted(*args, _fn=original, _layer=layer, **kwargs):
+            calls[_layer] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "sentid" or name.startswith("sentid."):
+                for binding, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, binding, counted)
+    return calls
+
+
+def test_predict_scores_each_head_once_per_group(monkeypatch):
+    """perfbench declares ``kernels.score_rows`` on train_loop and label_docs.
+
+    A traced job fails when a declared layer records no call, so scoring
+    must go through ``_kernels.score_rows``: once per head per group.
+    """
+    from sentid.model import _GROUP_TOKENS, ClassifierModel, ModelConfig, predict
+
+    calls = _count_calls(monkeypatch, ["kernels.score_rows"])
+    for include_uni, heads in ((False, 2), (True, 4)):
+        cfg = ModelConfig(hash_dim=2**8, include_uni=include_uni)
+        model = ClassifierModel.from_dense(
+            cfg, 0, {name: np.ones(cfg.hash_dim + 1) for name in cfg.head_names}
+        )
+        calls["kernels.score_rows"] = 0
+        # three groups: two close at _GROUP_TOKENS tokens, the last holds the remainder
+        predict(model, [["a", "b"] * (_GROUP_TOKENS // 4)] * 5)
+        assert calls["kernels.score_rows"] == 3 * heads
+
+
+def test_models_are_loaded_and_saved_through_the_declared_layers(tmp_path, monkeypatch):
+    """perfbench declares ``model.save_model`` on train_loop and
+    ``model.load_model`` on label_docs.
+
+    ``sentid train`` and the pipeline save through ``save_model``; ``sentid
+    predict`` and the pipeline's model cache load through ``load_model``.
+    """
+    from sentid import cli
+
+    from synth import synthetic_corpus
+
+    calls = _count_calls(monkeypatch, ["model.load_model", "model.save_model"])
+    corpus = tmp_path / "corpus.jsonl"
+    synthetic_corpus(20, seed=1).save(corpus)
+    docs = tmp_path / "docs.txt"
+    docs.write_text("a b .\n")
+    model = str(tmp_path / "m.bin")
+    assert cli.main(["train", "--corpus", str(corpus), "--out", model, "--epochs", "1",
+                     "--hash-dim", "256"]) == 0
+    assert calls == {"model.load_model": 0, "model.save_model": 1}
+    assert cli.main(["predict", "--model", model, "--input", str(docs),
+                     "--out", str(tmp_path / "p.tsv")]) == 0
+    assert calls == {"model.load_model": 1, "model.save_model": 1}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "seeds": [0],
+        "paths": {"train_corpus": str(corpus), "eval_corpus": str(corpus),
+                  "output_dir": str(tmp_path / "runs")},
+        "model": {"hash_dim": 256, "epochs": 1},
+    }))
+    assert cli.main(["pipeline", "--config", str(config)]) == 0  # trains and caches the model
+    assert calls == {"model.load_model": 1, "model.save_model": 2}
+    assert cli.main(["pipeline", "--config", str(config)]) == 0  # loads the cached model
+    assert calls == {"model.load_model": 2, "model.save_model": 2}
