@@ -43,6 +43,9 @@ class ProbFileError(ValueError):
     pass
 
 
+_PROB_COLUMNS = ("p_bos", "p_eos", "p_bos_uni", "p_eos_uni")
+
+
 @dataclass(frozen=True)
 class ProbMatrix:
     p_bos: np.ndarray
@@ -51,14 +54,14 @@ class ProbMatrix:
     p_eos_uni: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("p_bos", "p_eos", "p_bos_uni", "p_eos_uni"):
+        for name in _PROB_COLUMNS:
             v = getattr(self, name)
             if v is None:
                 continue
             v = np.asarray(v, dtype=np.float64)
             object.__setattr__(self, name, v)
-            if v.ndim != 1 or v.shape[0] != self.p_bos.shape[0]:
-                raise ValueError(f"{name} must be a vector of length {self.p_bos.shape[0]}")
+            if v.ndim != 1 or len(v) != len(self.p_bos):
+                raise ValueError(f"{name} must be a vector of length {len(self.p_bos)}")
             # written so that NaN fails too: every comparison with NaN is false
             if not np.all((v >= 0.0) & (v <= 1.0)):
                 raise ValueError(f"{name} has entries outside [0, 1] or not finite")
@@ -67,7 +70,7 @@ class ProbMatrix:
 
     @property
     def n(self) -> int:
-        return int(self.p_bos.shape[0])
+        return len(self.p_bos)
 
     @property
     def has_uni(self) -> bool:
@@ -110,8 +113,9 @@ class ModelConfig:
     def __post_init__(self):
         check_types(ModelConfig, vars(self))
         orders = self.ngram_orders
-        valid = isinstance(orders, (list, tuple)) and all(type(k) is int and k >= 1 for k in orders)
-        if not valid:
+        if not (
+            isinstance(orders, (list, tuple)) and all(type(k) is int and k >= 1 for k in orders)
+        ):
             raise ValueError(f"ngram_orders must be a list of integers >= 1, got {orders!r}")
         object.__setattr__(self, "ngram_orders", tuple(orders))
         # row numbers of the model's row map are int32
@@ -131,21 +135,10 @@ class ModelConfig:
         return HEAD_NAMES if self.include_uni else HEAD_NAMES[:2]
 
 
-def _hash(s: str) -> int:
-    return zlib.crc32(s.encode("utf-8"))
-
-
 def _word_shape(w: str, cap: int = 8) -> str:
     out = []
     for ch in w:
-        if ch.isupper():
-            c = "X"
-        elif ch.islower():
-            c = "x"
-        elif ch.isdigit():
-            c = "d"
-        else:
-            c = "p"
+        c = "X" if ch.isupper() else "x" if ch.islower() else "d" if ch.isdigit() else "p"
         if not out or out[-1] != c:
             out.append(c)
         if len(out) >= cap:
@@ -162,21 +155,16 @@ def token_base_features(w: str, cfg: ModelConfig) -> list[str]:
             feats.append(f"g{k}={padded[i:i + k]}")
     feats.append(f"sh={_word_shape(w)}")
     feats.append(f"len={min(len(w), 10)}")
-    if w.isupper() and len(w) > 1:
-        feats.append("isupper")
-    if w.istitle():
-        feats.append("istitle")
-    if w.islower():
-        feats.append("islower")
-    if any(ch.isdigit() for ch in w):
-        feats.append("hasdigit")
-    if w and all(not ch.isalnum() for ch in w):
-        feats.append("ispunct")
-    if w and w[-1] in DEFAULT_PUNCT:
-        feats.append("endsP")
-    if w and w[-1] in DEFAULT_END_PUNCT:
-        feats.append("endsPe")
-    return feats
+    flags = {
+        "isupper": w.isupper() and len(w) > 1,
+        "istitle": w.istitle(),
+        "islower": w.islower(),
+        "hasdigit": any(ch.isdigit() for ch in w),
+        "ispunct": w and all(not ch.isalnum() for ch in w),
+        "endsP": w and w[-1] in DEFAULT_PUNCT,
+        "endsPe": w and w[-1] in DEFAULT_END_PUNCT,
+    }
+    return feats + [name for name, on in flags.items() if on]
 
 
 class _TokenHasher:
@@ -189,23 +177,16 @@ class _TokenHasher:
     def __call__(self, w: str) -> np.ndarray:
         h = self.cache.get(w)
         if h is None:
-            h = np.array(
-                [_hash(f) for f in token_base_features(w, self.cfg)], dtype=np.uint64
+            features = token_base_features(w, self.cfg)
+            h = self.cache[w] = np.array(
+                [zlib.crc32(f.encode("utf-8")) for f in features], np.uint64
             )
-            self.cache[w] = h
         return h
 
     def csr(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         rows = [self(w) for w in words]
-        indptr = np.zeros(len(words) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([r.shape[0] for r in rows])
-        hashes = np.concatenate(rows) if rows else np.empty(0, dtype=np.uint64)
-        return hashes, indptr
-
-
-def _side_window(side: str, radius: int) -> tuple[int, int]:
-    lo, hi = SIDE_WINDOWS[side]
-    return lo * radius, hi * radius
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        return np.concatenate([np.empty(0, np.uint64), *rows]), indptr
 
 
 # A group gathers consecutive documents until it holds this many tokens, so
@@ -247,21 +228,14 @@ def _group_rows(
     """
     lengths = [len(d) for d in docs]
     hashes, tok_ptr = hasher.csr([w for d in docs for w in d])
-    n = tok_ptr.shape[0] - 1
+    n = len(tok_ptr) - 1
     mask = np.uint64(cfg.hash_dim - 1)
     out = {}
     for side in sides:
         if side not in out:
-            lo, hi = _side_window(side, cfg.window_radius)
+            lo, hi = (k * cfg.window_radius for k in SIDE_WINDOWS[side])
             out[side] = _kernels.window_indices(hashes, tok_ptr, n, lo, hi, mask, _PAD_HASH, lengths)
     return out
-
-
-def _row_map(keys: np.ndarray, size: int) -> np.ndarray:
-    """The int32 map of `size` indices that gives keys[j] row j + 1 and every other index row 0."""
-    rows = np.zeros(size, dtype=np.int32)
-    rows[keys] = np.arange(1, keys.shape[0] + 1, dtype=np.int32)
-    return rows
 
 
 @dataclass
@@ -285,23 +259,6 @@ class ClassifierModel:
     def head_names(self) -> tuple:
         return self.config.head_names
 
-    @classmethod
-    def from_dense(cls, config: ModelConfig, seed: int, weights: dict) -> "ClassifierModel":
-        """The model of the dense heads that it takes out of `weights`.
-
-        `weights` maps each head to its `hash_dim + 1` float64 weights, bias
-        last.  A weight is nonzero by its bits, as `save_model` stores it, so
-        a -0.0 keeps its row.  The dense heads are dropped before the row map
-        is made.
-        """
-        marks = np.zeros(config.hash_dim + 1, dtype=bool)
-        marks[-1] = True  # the bias has a row in every model
-        for w in weights.values():
-            marks |= w.view(np.int64) != 0
-        keys = np.flatnonzero(marks)
-        columns = {name: np.append(0.0, weights.pop(name)[keys]) for name in config.head_names}
-        return cls(config, seed, _row_map(keys, marks.shape[0]), columns)
-
 
 def train(
     corpus: Corpus,
@@ -318,25 +275,63 @@ def train(
     epoch, so featurizing and updating a group of examples at a time gives
     the same weights as one example at a time.  Results are a pure function
     of (corpus, configs, seed).
+
+    The heads train in the model's compact form.  A feature index gets the
+    next row of the shared row map when a group first holds it.  Each
+    head's column keeps row 0 at 0 and the bias in its last slot, and at
+    least doubles when full.  At the end, the rows whose weight is zero by
+    its bits in every head are dropped and the rest ordered by index, as
+    `load_model` orders them.  A non-finite weight raises ValueError.
     """
     if not corpus.units:
         raise ValueError("cannot train on an empty corpus")
-    names = model_cfg.head_names
-    weights = {name: np.zeros(model_cfg.hash_dim + 1, dtype=np.float64) for name in names}
+    size = model_cfg.hash_dim + 1
+    # 0: not seen yet.  Filled now: a lazily zeroed page faults twice, on read and on write.
+    rows = np.full(size, 0, dtype=np.int32)
+    rows[-1] = -1  # the bias: the last slot of every column
+    found = [[size - 1]]  # the indices with a row; the bias sorts last
+    n = 0
+    columns = {name: np.zeros(2) for name in model_cfg.head_names}
     hasher = _TokenHasher(model_cfg)
-    sides = [HEAD_SIDES[name] for name in names]
+    sides = [HEAD_SIDES[name] for name in columns]
     for epoch in range(model_cfg.epochs):
         lr = model_cfg.learning_rate * model_cfg.lr_decay**epoch
         stream = example_stream(corpus, augment_cfg, seed, epoch)
         for group in _groups(stream, lambda ex: ex.words):
-            rows = _group_rows(hasher, [ex.words for ex in group], sides, model_cfg)
-            bos_t = np.concatenate([ex.gold.bos_flags for ex in group]).astype(np.float64)
-            eos_t = np.concatenate([ex.gold.eos_flags for ex in group]).astype(np.float64)
-            for name in names:
-                idx, ptr = rows[HEAD_SIDES[name]]
+            mapped = _group_rows(hasher, [ex.words for ex in group], sides, model_cfg)
+            for side, (idx, ptr) in mapped.items():
+                r = rows[idx]
+                new = idx[r == 0]
+                # one position of each new index keeps the tag it writes
+                tags = np.arange(len(new))
+                rows[new] = tags
+                new_keys = new[rows[new] == tags]
+                rows[new_keys] = tags[: len(new_keys)] + n + 1
+                n += len(new_keys)
+                found.append(new_keys)
+                r[r == 0] = rows[new]
+                mapped[side] = r.astype(np.intp), ptr
+            bos_t = np.concatenate([ex.gold.bos_flags for ex in group], dtype=np.float64)
+            eos_t = np.concatenate([ex.gold.eos_flags for ex in group], dtype=np.float64)
+            for name, w in columns.items():
+                if len(w) < n + 2:  # up to a slot per index and the bias
+                    room = np.zeros(min(2 * n + 4, size + 1) - len(w))
+                    w = columns[name] = np.insert(w, -1, room)
                 targets = bos_t if name.startswith("bos") else eos_t
-                _kernels.sgd_rows(weights[name], idx, ptr, targets, lr)
-    return ClassifierModel.from_dense(model_cfg, seed, weights)
+                _kernels.sgd_rows(w, *mapped[HEAD_SIDES[name]], targets, lr)
+    keys = np.sort(np.concatenate(found))
+    slots = rows[keys]
+    keep = np.logical_or.reduce([w[slots].view(np.int64) != 0 for w in columns.values()])
+    keep[-1] = True
+    rows[keys] = np.cumsum(keep) * keep  # the kept indices numbered in order, the rest 0
+    slots = np.append(0, slots[keep])
+    for name, w in columns.items():
+        columns[name] = w = w[slots]
+        if not np.isfinite(w).all():
+            raise ValueError(
+                f"non-finite weight in head {name} at learning_rate {model_cfg.learning_rate!r}"
+            )
+    return ClassifierModel(model_cfg, seed, rows, columns)
 
 
 def predict(model: ClassifierModel, docs: Iterable[Sequence[str]]) -> list[ProbMatrix]:
@@ -363,7 +358,7 @@ def predict(model: ClassifierModel, docs: Iterable[Sequence[str]]) -> list[ProbM
             np.split(_kernels.score_rows(model.columns[name], *rows[HEAD_SIDES[name]]), bounds)
             for name in model.head_names
         ]
-        out.extend(ProbMatrix(*doc_columns) for doc_columns in zip(*columns))
+        out.extend(map(ProbMatrix, *columns))
     return out
 
 
@@ -386,7 +381,7 @@ def save_model(model: ClassifierModel, path) -> None:
         "config": asdict(model.config),
         "seed": model.seed,
         "heads": list(model.head_names),
-        "nonzero": {name: int(idx.shape[0]) for name, idx in nonzero.items()},
+        "nonzero": {name: len(idx) for name, idx in nonzero.items()},
     }
     with atomic_open(path, binary=True) as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
@@ -448,7 +443,7 @@ def load_model(path) -> ClassifierModel:
             idx, values = read(name, count, "<i8"), read(name, count, "<f8")
             if (idx[1:] <= idx[:-1]).any():
                 raise ValueError(f"{path}: indices of head {name} are not strictly increasing")
-            if idx.shape[0] and not 0 <= idx[0] <= idx[-1] <= cfg.hash_dim:
+            if len(idx) and not 0 <= idx[0] <= idx[-1] <= cfg.hash_dim:
                 raise ValueError(f"{path}: an index of head {name} is outside [0, {cfg.hash_dim}]")
             if not np.isfinite(values).all():
                 raise ValueError(f"{path}: non-finite weight in head {name}")
@@ -456,11 +451,13 @@ def load_model(path) -> ClassifierModel:
             del idx, values  # before the next head is read
         if f.read(1):
             raise ValueError(f"{path}: unexpected bytes after the last head")
-        rows = _row_map(np.flatnonzero(marks), marks.shape[0])
+        # the marked indices get rows 1, 2, ... in increasing order
+        rows = np.zeros(len(marks), dtype=np.int32)
+        rows[np.flatnonzero(marks)] = np.arange(1, np.count_nonzero(marks) + 1, dtype=np.int32)
         del marks
         columns = {}
         for name, count in counts.items():
-            columns[name] = column = np.zeros(rows[-1] + 1, dtype=np.float64)
+            columns[name] = column = np.zeros(rows[-1] + 1)
             # a block of indices and then their weights at a time
             for lo in range(0, count, _LOAD_BLOCK):
                 n = min(_LOAD_BLOCK, count - lo)
@@ -486,15 +483,11 @@ def write_prob_documents(path, docs: Iterable[tuple[Sequence[str], ProbMatrix]])
         for d, (tokens, m) in enumerate(docs):
             if d:
                 f.write("\n")
-            for i in range(m.n):
-                row = [str(i), tokens[i], repr(float(m.p_bos[i])), repr(float(m.p_eos[i]))]
-                if uni:
-                    row.append(repr(float(m.p_bos_uni[i])))
-                    row.append(repr(float(m.p_eos_uni[i])))
-                f.write("\t".join(row) + "\n")
+            columns = [getattr(m, name).tolist() for name in _PROB_COLUMNS[: 4 if uni else 2]]
+            for i, row in enumerate(zip(*columns)):
+                f.write("\t".join([str(i), tokens[i], *map(repr, row)]) + "\n")
 
 
-_PROB_COLUMNS = ("p_bos", "p_eos", "p_bos_uni", "p_eos_uni")
 # The column count of each header the reader accepts.
 _PROB_HEADERS = {"#probs v1": 4, "#probs v1 uni=0": 4, "#probs v1 uni=1": 6}
 # A row as the fast path parses it: the token is cut to one character, so no
@@ -561,7 +554,7 @@ def _check_prob_rows(rows: list[str], lineno: int, ncols: int, first: int) -> np
             if not 0.0 <= v <= 1.0:
                 raise ProbFileError(f"row {row}: {name}={v} outside [0, 1]")
             values.append(v)
-    return np.array(values, dtype=np.float64).reshape(len(rows), ncols - 2).T
+    return np.array(values).reshape(len(rows), ncols - 2).T
 
 
 def _prob_rows(rows: list[str], lineno: int, ncols: int, first: int) -> np.ndarray:

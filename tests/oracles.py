@@ -9,7 +9,8 @@ character-at-a-time code that the array paths (kernels, probability reader,
 label spans, span rendering, gold labels, char rendering, label counts) replaced; they
 take only the data and error types from the package.  The per-document model references at the
 end featurize, score and train one document at a time, on dense heads
-(`densify` rebuilds them from a model's row map and columns); they share the
+(`densify` rebuilds them from a model's row map and columns, and
+`model_from_dense` compacts them into a model); they share the
 token hasher and the kernels with the package, so grouped results and compact
 models must equal theirs bit for bit.  Six references are earlier versions of package code:
 `evaluate_documents_rendered`, which scores char labels by rendering each
@@ -609,6 +610,24 @@ def _document_rows(hasher, words, sides, cfg) -> dict:
 def zero_heads(cfg) -> dict:
     """Dense all-zero heads of a model of `cfg`: head name -> `hash_dim + 1` weights."""
     return {name: np.zeros(cfg.hash_dim + 1) for name in cfg.head_names}
+
+
+def model_from_dense(cfg, seed: int, heads: dict) -> ClassifierModel:
+    """The compact model of the dense heads that it takes out of `heads`.
+
+    `heads` maps each head to its `hash_dim + 1` float64 weights, bias last.
+    A weight is nonzero by its bits, as `save_model` stores it, so a -0.0
+    keeps its row.
+    """
+    marks = np.zeros(cfg.hash_dim + 1, dtype=bool)
+    marks[-1] = True  # the bias has a row in every model
+    for w in heads.values():
+        marks |= w.view(np.int64) != 0
+    keys = np.flatnonzero(marks)
+    columns = {name: np.append(0.0, heads.pop(name)[keys]) for name in cfg.head_names}
+    rows = np.zeros(marks.shape[0], dtype=np.int32)
+    rows[keys] = np.arange(1, keys.shape[0] + 1, dtype=np.int32)
+    return ClassifierModel(cfg, seed, rows, columns)
 
 
 def densify(model: ClassifierModel) -> dict:

@@ -16,7 +16,7 @@ from sentid.cli import build_parser, main
 from sentid.decode import DecoderConfig
 from sentid.model import InterpConfig, ModelConfig
 
-from oracles import zero_heads
+from oracles import model_from_dense, zero_heads
 from synth import synthetic_corpus
 
 CONLLU = """\
@@ -575,6 +575,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not model.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    def test_training_to_non_finite_weights_is_data_error(self, tmp_path, capsys, corpus_path):
+        # this used to save the model with exit 0, and `predict` then refused it
+        model = tmp_path / "m.bin"
+        argv = ["train", "--corpus", str(corpus_path), "--out", str(model)]
+        assert run(*argv, "--lr", "1e308", "--epochs", "2") == 2
+        assert capsys.readouterr().err == (
+            "data error: non-finite weight in head bos_bi at learning_rate 1e+308\n"
+        )
+        assert not model.exists()
+
     @pytest.mark.parametrize("command", ["decode", "evaluate", "train", "pipeline"])
     def test_directory_for_a_file_is_data_error(self, tmp_path, capsys, corpus_path, command):
         # an OSError other than FileNotFoundError used to print a traceback and exit 3
@@ -622,7 +633,7 @@ class TestExitCodes:
     def test_model_with_trailing_bytes_is_data_error(self, tmp_path, capsys):
         model = tmp_path / "model.bin"
         cfg = ModelConfig(hash_dim=2**4)
-        model_mod.save_model(model_mod.ClassifierModel.from_dense(cfg, 0, zero_heads(cfg)), model)
+        model_mod.save_model(model_from_dense(cfg, 0, zero_heads(cfg)), model)
         model.write_bytes(model.read_bytes() + b"trailer")
         docs = tmp_path / "docs.txt"
         docs.write_text("a b .\n")
@@ -646,7 +657,7 @@ class TestExitCodes:
         heads = zero_heads(cfg)
         heads["bos_bi"][[3, 9]] = [0.5, -1.5]  # eos_bi stays empty, so bos_bi ends the file
         path = tmp_path / "model.bin"
-        model_mod.save_model(model_mod.ClassifierModel.from_dense(cfg, 0, heads), path)
+        model_mod.save_model(model_from_dense(cfg, 0, heads), path)
         path.write_bytes(corrupt(path.read_bytes()))
         docs = tmp_path / "docs.txt"
         docs.write_text("a b .\n")
@@ -673,7 +684,7 @@ class TestExitCodes:
     def test_mistyped_model_header_is_data_error(self, tmp_path, capsys, field, value, error):
         cfg = ModelConfig(hash_dim=2**4)
         path = tmp_path / "model.bin"
-        model_mod.save_model(model_mod.ClassifierModel.from_dense(cfg, 0, zero_heads(cfg)), path)
+        model_mod.save_model(model_from_dense(cfg, 0, zero_heads(cfg)), path)
         header, body = path.read_bytes().split(b"\n", 1)
         header = json.loads(header)
         if field == "seed":

@@ -17,7 +17,6 @@ from sentid.decode import SpanResult, read_span_file, write_span_file
 from sentid.fileio import atomic_open, read_json_lines, write_json
 from sentid.labels import LabelSeq
 from sentid.model import (
-    ClassifierModel,
     ModelConfig,
     ProbMatrix,
     iter_prob_documents,
@@ -26,7 +25,7 @@ from sentid.model import (
     write_prob_documents,
 )
 
-from oracles import zero_heads
+from oracles import model_from_dense, zero_heads
 from synth import synthetic_corpus, unit_from_words
 
 
@@ -109,7 +108,7 @@ class TestArtifactWriters:
         # pipeline run found in its cache and failed to load
         path = tmp_path / "model.bin"
         cfg = ModelConfig(hash_dim=2**4)
-        model = ClassifierModel.from_dense(cfg, 1, zero_heads(cfg))
+        model = model_from_dense(cfg, 1, zero_heads(cfg))
         save_model(model, path)
         with pytest.raises(KeyError):
             save_model(replace(model, seed=2, columns={}), path)  # no columns to write

@@ -258,6 +258,19 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="load-corpus"):
             run_pipeline(config_from_dict(data))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    def test_training_to_non_finite_weights_fails_in_train(self, tmp_path):
+        # this used to cache the model and fail in 'predict' on its probabilities,
+        # and a rerun then failed in 'train' on loading the cached model
+        data = base_config(tmp_path, seeds=[1])
+        data["model"]["learning_rate"] = 1e308
+        for _ in range(2):
+            with pytest.raises(PipelineError) as info:
+                run_pipeline(config_from_dict(data))
+            assert info.value.stage == "train"
+            assert "non-finite weight in head bos_bi at learning_rate 1e+308" in str(info.value)
+        assert not list((tmp_path / "runs").glob("model_*.bin"))
+
     def test_external_probs_mode(self, tmp_path):
         evalc = synthetic_corpus(12, seed=5)
         eval_path = tmp_path / "eval.jsonl"

@@ -151,18 +151,45 @@ def test_predict_scores_each_head_once_per_group(monkeypatch):
     A traced job fails when a declared layer records no call, so scoring
     must go through ``_kernels.score_rows``: once per head per group.
     """
-    from sentid.model import _GROUP_TOKENS, ClassifierModel, ModelConfig, predict
+    from sentid.model import _GROUP_TOKENS, ModelConfig, predict
+
+    from oracles import model_from_dense
 
     calls = _count_calls(monkeypatch, ["kernels.score_rows"])
     for include_uni, heads in ((False, 2), (True, 4)):
         cfg = ModelConfig(hash_dim=2**8, include_uni=include_uni)
-        model = ClassifierModel.from_dense(
+        model = model_from_dense(
             cfg, 0, {name: np.ones(cfg.hash_dim + 1) for name in cfg.head_names}
         )
         calls["kernels.score_rows"] = 0
         # three groups: two close at _GROUP_TOKENS tokens, the last holds the remainder
         predict(model, [["a", "b"] * (_GROUP_TOKENS // 4)] * 5)
         assert calls["kernels.score_rows"] == 3 * heads
+
+
+def test_train_runs_sgd_once_per_head_per_group(monkeypatch):
+    """perfbench declares ``kernels.sgd_rows`` and ``model.train`` on train_loop.
+
+    A traced job fails when a declared layer records no call, so training
+    must run its SGD through ``_kernels.sgd_rows``: once per head per group.
+    """
+    from sentid import model
+    from sentid.augment import AugmentConfig, example_stream
+
+    from synth import synthetic_corpus
+
+    calls = _count_calls(monkeypatch, ["kernels.sgd_rows", "model.train"])
+    corpus, aug = synthetic_corpus(30, seed=2), AugmentConfig()
+    groups = sum(
+        len(list(model._groups(example_stream(corpus, aug, 0, epoch), lambda ex: ex.words)))
+        for epoch in range(2)
+    )
+    assert groups > 2
+    for include_uni, heads in ((False, 2), (True, 4)):
+        cfg = model.ModelConfig(hash_dim=2**8, epochs=2, include_uni=include_uni)
+        calls.update(dict.fromkeys(calls, 0))
+        model.train(corpus, aug, seed=0, model_cfg=cfg)
+        assert calls == {"kernels.sgd_rows": heads * groups, "model.train": 1}
 
 
 def test_models_are_loaded_and_saved_through_the_declared_layers(tmp_path, monkeypatch):
