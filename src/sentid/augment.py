@@ -5,8 +5,8 @@ geometric distribution with parameter p_cc (p_cc = 0 means "as many units as
 fit").  Units are optionally perturbed before joining (re-casing or stripping
 trailing end punctuation), and the assembled example's edge units may be
 truncated, in which case the fragment no longer counts as sentential.  An
-example's gold flags come from its units' provenance alone, by the rule of
-`corpus.unit_spans`.
+example holds its words and its units' provenance; its gold flags are derived
+from the provenance alone, by the rule of `corpus.unit_spans`.
 """
 
 import json
@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Corpus, Unit, unit_spans
 from .fileio import atomic_open
-from .labels import BoundarySeq
+from .labels import BoundarySeq, spans_to_boundaries
 
 # sample_length result when p_cc == 0: concatenate to the maximum.
 UNBOUNDED_LENGTH = sys.maxsize
@@ -64,11 +64,15 @@ class UnitProvenance:
 @dataclass(frozen=True)
 class TrainingExample:
     words: tuple
-    gold: BoundarySeq
     provenance: tuple
 
     def __len__(self) -> int:
         return len(self.words)
+
+    @property
+    def gold(self) -> BoundarySeq:
+        """Flags bounding the SU spans of the provenance, whose token counts sum to len(words)."""
+        return spans_to_boundaries(len(self.words), unit_spans(self.provenance))
 
 
 def sample_length(cfg: AugmentConfig, rng: np.random.Generator) -> int:
@@ -143,15 +147,6 @@ def augment_unit(unit: Unit, cfg: AugmentConfig, rng: np.random.Generator) -> tu
     return _apply_transform(unit, name, cfg), name
 
 
-def _example(words, provenance) -> TrainingExample:
-    """The example of `words`, its gold flags bounding the SU spans of `provenance`."""
-    bos = np.zeros(len(words), dtype=bool)
-    eos = np.zeros(len(words), dtype=bool)
-    for start, end in unit_spans(provenance):
-        bos[start] = eos[end - 1] = True
-    return TrainingExample(tuple(words), BoundarySeq(bos, eos), tuple(provenance))
-
-
 def _assemble(units, unit_indices, transforms, cfg: AugmentConfig) -> TrainingExample:
     """Join units under the token cap, reducing the unit count if needed."""
     used = []
@@ -190,7 +185,7 @@ def _assemble(units, unit_indices, transforms, cfg: AugmentConfig) -> TrainingEx
         )
         if clipped:
             break
-    return _example(words, provenance)
+    return TrainingExample(tuple(words), tuple(provenance))
 
 
 def concat_units(corpus: Corpus, start_index: int, L: int, cfg: AugmentConfig) -> TrainingExample:
@@ -225,7 +220,7 @@ def truncate_edges(
                     transforms=first.transforms + ("truncate_head",),
                 ),
             ) + example.provenance[1:]
-            example = _example(example.words[j:], prov)
+            example = TrainingExample(example.words[j:], prov)
     if rng.random() < cfg.p_tr:
         last = example.provenance[-1]
         j = int(rng.integers(0, last.token_count))
@@ -239,7 +234,7 @@ def truncate_edges(
                     transforms=last.transforms + ("truncate_tail",),
                 ),
             )
-            example = _example(example.words[: len(example.words) - dropped], prov)
+            example = TrainingExample(example.words[: len(example.words) - dropped], prov)
     return example
 
 
@@ -290,10 +285,11 @@ def generate_examples(corpus: Corpus, cfg: AugmentConfig, seed: int, count: int)
 def write_examples(path, examples) -> None:
     with atomic_open(path) as f:
         for ex in examples:
+            gold = ex.gold
             rec = {
                 "words": list(ex.words),
-                "bos": ex.gold.bos_indices,
-                "eos": ex.gold.eos_indices,
+                "bos": gold.bos_indices,
+                "eos": gold.eos_indices,
                 "provenance": [
                     {
                         "unit": p.unit_index,

@@ -80,19 +80,16 @@ DEFAULT_RULES = RelationRuleSet()
 class ConlluSentence:
     """One treebank sentence: surface tokens plus their dependency relations.
 
-    tokens holds (form, space_after) for each syntactic word; multiword-token
-    ranges contribute surface text only and empty nodes are dropped entirely.
-    heads are 0-based indices into tokens, None for the root.
+    forms holds the form of each syntactic word; multiword-token ranges
+    contribute surface text only and empty nodes are dropped entirely.
+    Space-after shapes raw_text and char_offsets.  heads are 0-based indices
+    into forms, None for the root.
     """
 
-    tokens: tuple
+    forms: tuple
     deprels: tuple
     raw_text: str
     char_offsets: tuple
-
-    @property
-    def forms(self) -> list[str]:
-        return [form for form, _ in self.tokens]
 
 
 def _misc_space_after(misc: str) -> bool:
@@ -116,7 +113,6 @@ def _finish_sentence(rows, mwts, first_line):
 
     text_parts = []
     offsets = []
-    space_after_flags = []
     cursor = 0
     tid = 1
     while tid <= n:
@@ -129,7 +125,6 @@ def _finish_sentence(rows, mwts, first_line):
                 s = min(cursor, limit)
                 e = min(cursor + len(w), limit)
                 offsets.append((s, e))
-                space_after_flags.append(j == end and space_after)
                 cursor = e
             text_parts.append(form)
             cursor = limit
@@ -141,7 +136,6 @@ def _finish_sentence(rows, mwts, first_line):
             text_parts.append(form)
             cursor += len(form)
             last_space = rows[tid - 1][1]
-            space_after_flags.append(last_space)
             tid += 1
         if tid <= n and last_space:
             text_parts.append(" ")
@@ -164,9 +158,8 @@ def _finish_sentence(rows, mwts, first_line):
             f"sentence starting at line {first_line}: expected exactly one root, found {root_count}"
         )
 
-    tokens = tuple((row[0], sa) for row, sa in zip(rows, space_after_flags))
     return ConlluSentence(
-        tokens=tokens,
+        forms=tuple(row[0] for row in rows),
         deprels=tuple(deprels),
         raw_text="".join(text_parts),
         char_offsets=tuple(offsets),
@@ -330,7 +323,7 @@ def convert_treebank(
     units = [
         Unit(
             text=s.raw_text,
-            words=tuple(s.forms),
+            words=s.forms,
             is_su=classify_unit(s, rules),
             char_offsets=s.char_offsets,
         )

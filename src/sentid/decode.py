@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .fileio import atomic_open, read_json_lines
-from .labels import LabelSeq, spans_to_labels
+from .labels import LabelSeq, flags_to_spans, spans_to_labels
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,6 @@ def clamped_logs(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return np.log(np.maximum(p, eps)), np.log(np.maximum(1.0 - p, eps))
 
 
-def _flags_to_spans(bos_flags, eos_flags) -> tuple:
-    """Half-open spans of alternating begin/end flags, as the DP returns them."""
-    starts = np.flatnonzero(bos_flags).tolist()
-    ends = (np.flatnonzero(eos_flags) + 1).tolist()
-    return tuple(zip(starts, ends))
-
-
 def segment_eos_only(
     m, force_last: bool = False, cfg: DecoderConfig = DecoderConfig()
 ) -> SpanResult:
@@ -86,14 +79,9 @@ def segment_eos_only(
         eos[n - 1] = True
     le1, le0 = clamped_logs(p_eos, cfg.prob_floor)
     log_prob = float(np.where(eos, le1, le0).sum())
-    spans = []
-    start = 0
-    for i in np.flatnonzero(eos):
-        spans.append((start, int(i) + 1))
-        start = int(i) + 1
-    return SpanResult(
-        su_spans=tuple(spans), log_prob=log_prob, labels=spans_to_labels(n, spans)
-    )
+    ends = (np.flatnonzero(eos) + 1).tolist()
+    spans = tuple(zip([0, *ends], ends))  # each span starts where the previous one ends
+    return SpanResult(su_spans=spans, log_prob=log_prob, labels=spans_to_labels(n, spans))
 
 
 def _dp_inputs(m, cfg: DecoderConfig):
@@ -110,13 +98,15 @@ def _dp_inputs(m, cfg: DecoderConfig):
 def identify(m, cfg: DecoderConfig = DecoderConfig()) -> SpanResult:
     """Argmax span extraction over begin/end flag assignments."""
     logp, bos, eos = _kernels.dp_decode(*_dp_inputs(m, cfg))
-    spans = _flags_to_spans(bos, eos)
+    spans = flags_to_spans(bos, eos)
     return SpanResult(
         su_spans=spans, log_prob=float(logp), labels=spans_to_labels(m.n, spans)
     )
 
 
-def nsu_log_score(m, start: int, end: int, eps: float = 1e-12, initial: float = 0.0) -> float:
+def nsu_log_score(
+    m, start: int, end: int, eps: float = DecoderConfig.prob_floor, initial: float = 0.0
+) -> float:
     """Log-score of tokens [start, end) carrying no begin/end flag.
 
     Accumulates (acc + log(1-p_bos[t])) + log(1-p_eos[t]) token by token from

@@ -9,6 +9,7 @@ results are summarized as mean and sample standard deviation.
 import math
 from dataclasses import asdict, dataclass, field
 from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -22,7 +23,7 @@ _TO_INDEX = bytes.maketrans("".join(LABELS).encode("ascii"), bytes(range(len(LAB
 _B, _I, _O = (LABELS.index(lab) for lab in "BIO")
 # confusion cells k * gold + pred (k labels) with the same label on both sides, and those
 # where neither side holds an I, so a span on either side ends there
-_BOTH_B, _BOTH_I, _BOTH_O = (len(LABELS) * x + x for x in (_B, _I, _O))
+_BOTH_B, _BOTH_I = (len(LABELS) * x + x for x in (_B, _I))
 _BOTH_STOP = np.zeros(len(LABELS) ** 2, bool)
 _BOTH_STOP[[len(LABELS) * g + p for g in (_B, _O) for p in (_B, _O)]] = True
 # char scoring counts consecutive documents together until they hold this many
@@ -128,15 +129,16 @@ def _prf(tp: int, pred: int, gold: int) -> tuple[float, float, float]:
 
 @dataclass
 class Evaluator:
-    """Pools confusion and span counts over documents, then scores once."""
+    """Pools confusion and span counts over documents, then scores once.
+
+    `cells[k * g + p]` counts the positions of gold label g and predicted
+    label p (k labels, as indices into LABELS); every label count and span
+    total follows from it.  `span_tp` counts the matched spans.
+    """
 
     granularity: str = "word"
-    tp: dict = field(default_factory=lambda: {lab: 0 for lab in LABELS})
-    gold_count: dict = field(default_factory=lambda: {lab: 0 for lab in LABELS})
-    pred_count: dict = field(default_factory=lambda: {lab: 0 for lab in LABELS})
+    cells: list = field(default_factory=lambda: [0] * len(LABELS) ** 2)
     span_tp: int = 0
-    span_gold: int = 0
-    span_pred: int = 0
 
     def add_labels(self, gold: LabelSeq, pred: LabelSeq) -> None:
         """Pool the label and span counts of one document's gold and predicted labels."""
@@ -150,12 +152,14 @@ class Evaluator:
         _pool(self, np.bincount(codes[:-1], minlength=len(LABELS) ** 2), codes)
 
     def report(self) -> EvalReport:
+        k, c = len(LABELS), self.cells
+        # per label: (gold, predicted, both); each side has one span per B
+        counts = [(sum(c[k * i : k * i + k]), sum(c[i::k]), c[k * i + i]) for i in range(k)]
         per_label = {}
-        for lab in LABELS:
-            gold, pred = self.gold_count[lab], self.pred_count[lab]
+        for lab, (gold, pred, tp) in zip(LABELS, counts):
             if gold == 0 and pred == 0:
                 continue  # label absent everywhere: excluded from averages
-            p, r, f = _prf(self.tp[lab], pred, gold)
+            p, r, f = _prf(tp, pred, gold)
             per_label[lab] = LabelScore(p, r, f, support=gold, predicted=pred)
         flags = []
         if per_label:
@@ -169,11 +173,12 @@ class Evaluator:
         else:
             macro = weighted = 0.0
             flags.append("no_labels")
-        if self.span_gold == 0 and self.span_pred == 0:
+        span_gold, span_pred, _ = counts[_B]
+        if span_gold == 0 and span_pred == 0:
             sp = sr = sf = 1.0
             flags.append("empty_span_sets")
         else:
-            sp, sr, sf = _prf(self.span_tp, self.span_pred, self.span_gold)
+            sp, sr, sf = _prf(self.span_tp, span_pred, span_gold)
         return EvalReport(
             granularity=self.granularity,
             per_label=per_label,
@@ -310,22 +315,14 @@ def _label_indices(labels: str):
 def _pool(ev: Evaluator, cells, codes) -> None:
     """Pool into `ev` the confusion `cells` and the span matches of the cell `codes`.
 
-    `cells[k * g + p]` counts the positions of gold label g and predicted
-    label p (k labels, as indices into LABELS).  `codes` holds the cell
+    `cells` is laid out as `Evaluator.cells`.  `codes` holds the cell
     k * g + p of each position in order, and ends with an O on both sides.
     A span runs from its B up to the next B or O, so each side has one span
     per B.  A gold and a predicted span match when both start at one
     position and the next position at which either side holds no I holds
     no I on both sides: then both spans end there.
     """
-    k = len(LABELS)
-    c = cells.tolist()
-    for i, lab in enumerate(LABELS):
-        ev.gold_count[lab] += sum(c[k * i : k * i + k])
-        ev.pred_count[lab] += sum(c[i::k])
-        ev.tp[lab] += c[k * i + i]
-    ev.span_gold += sum(c[k * _B : k * _B + k])
-    ev.span_pred += sum(c[_B::k])
+    ev.cells = list(map(add, ev.cells, cells.tolist()))
     stops = codes[codes != _BOTH_I]  # where either side's span may end
     ev.span_tp += int(np.count_nonzero((stops[:-1] == _BOTH_B) & _BOTH_STOP[stops[1:]]))
 

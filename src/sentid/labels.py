@@ -2,6 +2,9 @@
 
 Labels live at one of two granularities (char, word) and can be
 translated both between granularities and to/from begin/end boundary flags.
+Every conversion between labels and flags goes through spans, by four
+primitives: `LabelSeq.spans` (labels -> spans), `spans_to_labels`,
+`flags_to_spans` and `spans_to_boundaries` (spans -> flags).
 Conversion rules:
 
 * char -> coarse: a token is B if it covers a B character, else I if it
@@ -13,13 +16,14 @@ Conversion rules:
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 GRANULARITIES = ("char", "word")
 
 _SPAN = re.compile("BI*")
+_ORPHAN_I = re.compile("(?<![BI])I")  # an I that starts no span and continues none
 _B, _I, _O = b"BIO"
 
 
@@ -49,11 +53,9 @@ class LabelSeq:
 
     def validate(self) -> "LabelSeq":
         """Check that every span starts with B (no I after O or at start)."""
-        prev = "O"
-        for i, lab in enumerate(self.labels):
-            if lab == "I" and prev == "O":
-                raise LabelError(f"I-label at index {i} does not continue a span")
-            prev = lab
+        orphan = _ORPHAN_I.search(self.labels)
+        if orphan:
+            raise LabelError(f"I-label at index {orphan.start()} does not continue a span")
         return self
 
     def spans(self) -> list[tuple[int, int]]:
@@ -111,40 +113,35 @@ class BoundarySeq:
         return self
 
 
-def bio_to_boundaries(seq: LabelSeq) -> BoundarySeq:
-    """Begin flag at each B; end flag at the last position of each span."""
-    seq.validate()
-    n = len(seq)
+def flags_to_spans(bos_flags, eos_flags) -> tuple:
+    """Half-open spans of alternating begin/end flags, each begin paired with the next end."""
+    starts = np.flatnonzero(bos_flags).tolist()
+    ends = (np.flatnonzero(eos_flags) + 1).tolist()
+    return tuple(zip(starts, ends))
+
+
+def spans_to_boundaries(n: int, spans: Iterable[tuple[int, int]]) -> BoundarySeq:
+    """Begin flag at the first and end flag at the last position of each sorted, disjoint span."""
     bos = np.zeros(n, dtype=bool)
     eos = np.zeros(n, dtype=bool)
-    labs = seq.labels
-    for i, lab in enumerate(labs):
-        if lab == "B":
-            bos[i] = True
-        if lab != "O" and (i + 1 == n or labs[i + 1] != "I"):
-            eos[i] = True
+    pairs = np.array(list(spans), dtype=np.intp).reshape(-1, 2)
+    bos[pairs[:, 0]] = True
+    eos[pairs[:, 1] - 1] = True
     return BoundarySeq(bos, eos)
 
 
-def boundaries_to_bio(b: BoundarySeq, granularity: str = "word") -> LabelSeq:
+def bio_to_boundaries(seq: LabelSeq) -> BoundarySeq:
+    """Begin flag at each B; end flag at the last position of each span."""
+    return spans_to_boundaries(len(seq), seq.validate().spans())
+
+
+def boundaries_to_bio(b: BoundarySeq) -> LabelSeq:
     b.validate()
-    out = []
-    inside = False
-    for i in range(len(b)):
-        if b.bos_flags[i]:
-            out.append("B")
-            inside = True
-        elif inside:
-            out.append("I")
-        else:
-            out.append("O")
-        if b.eos_flags[i]:
-            inside = False
-    return LabelSeq(granularity, "".join(out))
+    return spans_to_labels(len(b), flags_to_spans(b.bos_flags, b.eos_flags))
 
 
-def spans_to_labels(n: int, spans: Sequence[tuple[int, int]], granularity: str = "word") -> LabelSeq:
-    """Render sorted, non-overlapping half-open spans as BIO.
+def spans_to_labels(n: int, spans: Iterable[tuple[int, int]]) -> LabelSeq:
+    """Render sorted, non-overlapping half-open spans as word BIO.
 
     A span outside [0, n), or one that starts before the previous span ends,
     raises LabelError.
@@ -162,13 +159,11 @@ def spans_to_labels(n: int, spans: Sequence[tuple[int, int]], granularity: str =
         parts.append("B" + "I" * (end - start - 1))
         pos = end
     parts.append("O" * (n - pos))
-    return LabelSeq(granularity, "".join(parts))
+    return LabelSeq("word", "".join(parts))
 
 
-def chars_to_coarse(
-    char_labels: LabelSeq, spans: Sequence[tuple[int, int]], granularity: str = "word"
-) -> LabelSeq:
-    """Collapse character labels onto coarse tokens covering `spans`."""
+def chars_to_coarse(char_labels: LabelSeq, spans: Sequence[tuple[int, int]]) -> LabelSeq:
+    """Collapse character labels onto the word tokens covering `spans`."""
     if char_labels.granularity != "char":
         raise LabelError("expected char-granularity input")
     n = len(char_labels)
@@ -183,7 +178,7 @@ def chars_to_coarse(
             out.append("I")
         else:
             out.append("O")
-    return LabelSeq(granularity, "".join(out))
+    return LabelSeq("word", "".join(out))
 
 
 def coarse_to_chars(

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import _kernels
 from .augment import DEFAULT_END_PUNCT, DEFAULT_PUNCT, AugmentConfig, example_stream
-from .corpus import Corpus
+from .corpus import Corpus, unit_spans
 from .fileio import atomic_open, check_types
+from .labels import spans_to_boundaries
 
 MODEL_FORMAT = "sentid-model"
 # The version of the model file layout (see `save_model`).  A model's weights
@@ -294,31 +295,35 @@ def train(
     columns = {name: np.zeros(2) for name in model_cfg.head_names}
     hasher = _TokenHasher(model_cfg)
     sides = [HEAD_SIDES[name] for name in columns]
-    for epoch in range(model_cfg.epochs):
-        lr = model_cfg.learning_rate * model_cfg.lr_decay**epoch
-        stream = example_stream(corpus, augment_cfg, seed, epoch)
-        for group in _groups(stream, lambda ex: ex.words):
-            mapped = _group_rows(hasher, [ex.words for ex in group], sides, model_cfg)
-            for side, (idx, ptr) in mapped.items():
-                r = rows[idx]
-                new = idx[r == 0]
-                # one position of each new index keeps the tag it writes
-                tags = np.arange(len(new))
-                rows[new] = tags
-                new_keys = new[rows[new] == tags]
-                rows[new_keys] = tags[: len(new_keys)] + n + 1
-                n += len(new_keys)
-                found.append(new_keys)
-                r[r == 0] = rows[new]
-                mapped[side] = r.astype(np.intp), ptr
-            bos_t = np.concatenate([ex.gold.bos_flags for ex in group], dtype=np.float64)
-            eos_t = np.concatenate([ex.gold.eos_flags for ex in group], dtype=np.float64)
-            for name, w in columns.items():
-                if len(w) < n + 2:  # up to a slot per index and the bias
-                    room = np.zeros(min(2 * n + 4, size + 1) - len(w))
-                    w = columns[name] = np.insert(w, -1, room)
-                targets = bos_t if name.startswith("bos") else eos_t
-                _kernels.sgd_rows(w, *mapped[HEAD_SIDES[name]], targets, lr)
+    # a rate that drives the weights out of range is refused below, by the finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(model_cfg.epochs):
+            lr = model_cfg.learning_rate * model_cfg.lr_decay**epoch
+            stream = example_stream(corpus, augment_cfg, seed, epoch)
+            for group in _groups(stream, lambda ex: ex.words):
+                mapped = _group_rows(hasher, [ex.words for ex in group], sides, model_cfg)
+                for side, (idx, ptr) in mapped.items():
+                    r = rows[idx]
+                    new = idx[r == 0]
+                    # one position of each new index keeps the tag it writes
+                    tags = np.arange(len(new))
+                    rows[new] = tags
+                    new_keys = new[rows[new] == tags]
+                    rows[new_keys] = tags[: len(new_keys)] + n + 1
+                    n += len(new_keys)
+                    found.append(new_keys)
+                    r[r == 0] = rows[new]
+                    mapped[side] = r.astype(np.intp), ptr
+                # an example's token counts sum to its word count: the units line up with the rows
+                units = unit_spans(chain.from_iterable(ex.provenance for ex in group))
+                gold = spans_to_boundaries(sum(map(len, group)), units)
+                bos_t, eos_t = np.array([gold.bos_flags, gold.eos_flags], dtype=np.float64)
+                for name, w in columns.items():
+                    if len(w) < n + 2:  # up to a slot per index and the bias
+                        room = np.zeros(min(2 * n + 4, size + 1) - len(w))
+                        w = columns[name] = np.insert(w, -1, room)
+                    targets = bos_t if name.startswith("bos") else eos_t
+                    _kernels.sgd_rows(w, *mapped[HEAD_SIDES[name]], targets, lr)
     keys = np.sort(np.concatenate(found))
     slots = rows[keys]
     keep = np.logical_or.reduce([w[slots].view(np.int64) != 0 for w in columns.values()])

@@ -6,7 +6,8 @@ objective's definition, and the metric oracles recount confusion cells and
 span sets from scratch.  Nothing imports the decoding or evaluation code
 paths under test.  The loop references are the row- and
 character-at-a-time code that the array paths (kernels, probability reader,
-label spans, span rendering, gold labels, char rendering, label counts) replaced; they
+label spans, span rendering, span validation, flag conversions, gold labels, char
+rendering, label counts) replaced; they
 take only the data and error types from the package.  The per-document model references at the
 end featurize, score and train one document at a time, on dense heads
 (`densify` rebuilds them from a model's row map and columns, and
@@ -330,6 +331,46 @@ def spans_to_labels_loop(n: int, spans) -> str:
             labs[i] = "I"
         pos = end
     return "".join(labs)
+
+
+def validate_loop(labels: str) -> str:
+    """The labels, unless an I starts the sequence or follows an O."""
+    prev = "O"
+    for i, lab in enumerate(labels):
+        if lab == "I" and prev == "O":
+            raise LabelError(f"I-label at index {i} does not continue a span")
+        prev = lab
+    return labels
+
+
+def bio_to_boundaries_loop(labels: str) -> tuple[list, list]:
+    """(begin, end) flags of valid labels: begin at each B, end where a span's I run stops."""
+    validate_loop(labels)
+    n = len(labels)
+    bos = [lab == "B" for lab in labels]
+    eos = [lab != "O" and (i + 1 == n or labels[i + 1] != "I") for i, lab in enumerate(labels)]
+    return bos, eos
+
+
+def boundaries_to_bio_loop(bos, eos) -> str:
+    """BIO of alternating begin/end flags, checked and rendered in one pass."""
+    out = []
+    inside = False
+    for i, (b, e) in enumerate(zip(bos, eos)):
+        if b:
+            if inside:
+                raise LabelError(f"begin flag at {i} inside an open span")
+            inside = True
+            out.append("B")
+        else:
+            out.append("I" if inside else "O")
+        if e:
+            if not inside:
+                raise LabelError(f"end flag at {i} without an open span")
+            inside = False
+    if inside:
+        raise LabelError("sequence ends inside an open span")
+    return "".join(out)
 
 
 def gold_word_labels_loop(units) -> str:

@@ -1,5 +1,7 @@
 """Concatenation, geometric sampling, unit transforms, truncation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from sentid.augment import (
     UNBOUNDED_LENGTH,
     AugmentConfig,
+    TrainingExample,
     augment_unit,
     concat_units,
     example_stream,
@@ -97,6 +100,19 @@ class TestConcatUnits:
     def test_bad_start(self):
         with pytest.raises(IndexError):
             concat_units(small_corpus(), 9, 1, AugmentConfig())
+
+
+class TestGoldFromProvenance:
+    def test_fields_are_words_and_provenance(self):
+        assert [f.name for f in dataclasses.fields(TrainingExample)] == ["words", "provenance"]
+
+    def test_gold_follows_replaced_provenance(self):
+        ex = concat_units(small_corpus(), 0, UNBOUNDED_LENGTH, AugmentConfig())
+        assert ex.gold.bos_indices == [0, 2, 5] and ex.gold.eos_indices == [1, 3, 7]
+        # SU flags flipped: the "***" unit alone is a span now
+        p = tuple(dataclasses.replace(u, is_su=not u.is_su) for u in ex.provenance)
+        gold = dataclasses.replace(ex, provenance=p).gold
+        assert gold.bos_indices == [4] and gold.eos_indices == [4]
 
 
 class TestStripEndPunctuation:

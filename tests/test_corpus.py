@@ -118,7 +118,7 @@ class TestParseConllu:
                 tok(2, "now", 1, "advmod"),
             )
         )
-        assert sents[0].forms == ["Go", "now"]
+        assert sents[0].forms == ("Go", "now")
         assert len(sents[0].deprels) == 2
 
     def test_empty_input(self):
@@ -219,7 +219,7 @@ class TestParseConlluFuzz:
         if isinstance(out, list):
             assert all(isinstance(s, ConlluSentence) for s in out)
             for s in out:
-                assert len(s.tokens) == len(s.deprels) == len(s.char_offsets)
+                assert len(s.forms) == len(s.deprels) == len(s.char_offsets)
 
     @given(_CONLLU_TEXT)
     def test_crlf_same_as_lf(self, text):
@@ -258,7 +258,7 @@ class TestClassifyUnit:
         a = block(tok(1, "Thank", 0, "root"), tok(2, "you", 1, "obj"))
         sent_a = self.parse_one(a)
         reordered = type(sent_a)(
-            tokens=sent_a.tokens,
+            forms=sent_a.forms,
             deprels=tuple(reversed(sent_a.deprels)),
             raw_text=sent_a.raw_text,
             char_offsets=sent_a.char_offsets,

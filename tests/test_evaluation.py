@@ -77,6 +77,8 @@ class TestBioF1:
                 assert r.per_label[lab].support == support
             assert r.macro_f1 == macro
             assert r.weighted_f1 == weighted
+            spans = (LabelSeq("word", s).spans() for s in (gold, pred))
+            assert (r.span_precision, r.span_recall, r.span_f1) == naive_span_scores(*spans)
 
 
 class TestSpanF1:
@@ -147,17 +149,22 @@ class TestLabelCounts:
             for total, counts in zip(expected, label_counts(gold, pred)):
                 for lab in total:
                     total[lab] += counts[lab]
-        assert (ev.gold_count, ev.pred_count, ev.tp) == expected
+        cell = {g + p: ev.cells[3 * "BIO".index(g) + "BIO".index(p)] for g in "BIO" for p in "BIO"}
+        totals = tuple(
+            {lab: sum(n for gp, n in cell.items() if gp[side] == lab) for lab in "BIO"}
+            for side in (0, 1)
+        ) + ({lab: cell[lab + lab] for lab in "BIO"},)
+        assert totals == expected
         # reports are JSON: the counts must stay Python ints
-        counts = (ev.gold_count, ev.pred_count, ev.tp)
-        assert all(type(v) is int for d in counts for v in d.values())
+        assert all(type(v) is int for v in ev.cells)
 
 
 def _pooled_spans(docs) -> tuple:
     ev = Evaluator()
     for gold, pred in docs:
         ev.add_labels(LabelSeq("word", gold), LabelSeq("word", pred))
-    return ev.span_tp, ev.span_gold, ev.span_pred
+    # each side has one span per B: the cells of gold B, and those of predicted B
+    return ev.span_tp, sum(ev.cells[0:3]), sum(ev.cells[0::3])
 
 
 def _label_pair(max_size: int = 12):

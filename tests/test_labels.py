@@ -1,5 +1,7 @@
 """Label algebra: assignment rules, conversions, round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -19,11 +21,14 @@ from sentid.labels import (
 )
 
 from oracles import (
+    bio_to_boundaries_loop,
+    boundaries_to_bio_loop,
     coarse_to_chars_loop,
     label_spans,
     random_valid_labels,
     render_granularity,
     spans_to_labels_loop,
+    validate_loop,
 )
 from synth import unit_from_words
 
@@ -238,6 +243,55 @@ class TestBoundaries:
         with pytest.raises(LabelError):
             BoundarySeq([0, 1, 0], [0, 0, 0]).validate()
         BoundarySeq([1, 0, 1], [1, 0, 1]).validate()
+
+
+def _outcome(convert, *args):
+    """The result of `convert`, or the type and message of the LabelError it raised."""
+    try:
+        return convert(*args)
+    except LabelError as exc:
+        return type(exc), str(exc)
+
+
+def _flag_lists(b: BoundarySeq) -> tuple:
+    return b.bos_flags.tolist(), b.eos_flags.tolist()
+
+
+def _flag_pairs():
+    """Begin/end flag lists of one length: any pair, or the flags of valid labels."""
+    n = st.integers(0, 12)
+    any_pair = n.flatmap(lambda k: st.tuples(*[st.lists(st.booleans(), min_size=k, max_size=k)] * 2))
+    valid = st.text("BIO", max_size=12).map(lambda s: re.sub("(?<![BI])I", "B", s))
+    return any_pair | valid.map(bio_to_boundaries_loop)
+
+
+class TestSpanRuleMatchesLoops:
+    """Validation and both flag conversions, built from spans, against their loop references."""
+
+    @given(st.text("BIO", max_size=30))
+    @example("")
+    @example("IB")  # leading I
+    @example("BOI")  # I after O
+    @example("BIBIIOB")
+    def test_validate(self, labels):
+        got = _outcome(lambda s: LabelSeq("word", s).validate().labels, labels)
+        assert got == _outcome(validate_loop, labels)
+
+    @given(st.text("BIO", max_size=30))
+    @example("IIB")
+    @example("BBIOB")
+    def test_bio_to_boundaries(self, labels):
+        got = _outcome(lambda s: _flag_lists(bio_to_boundaries(LabelSeq("word", s))), labels)
+        assert got == _outcome(bio_to_boundaries_loop, labels)
+
+    @given(_flag_pairs())
+    @example(([True, True, False], [False, False, True]))  # begin inside a span
+    @example(([False, False, False], [False, True, False]))  # end without a begin
+    @example(([False, True, False], [False, False, False]))  # ends inside a span
+    @example(([True, False, True], [True, False, True]))  # one-token spans
+    def test_boundaries_to_bio(self, flags):
+        got = _outcome(lambda b, e: boundaries_to_bio(BoundarySeq(b, e)).labels, *flags)
+        assert got == _outcome(boundaries_to_bio_loop, *flags)
 
 
 class TestSpansToLabels:

@@ -258,7 +258,6 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="load-corpus"):
             run_pipeline(config_from_dict(data))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
     def test_training_to_non_finite_weights_fails_in_train(self, tmp_path):
         # this used to cache the model and fail in 'predict' on its probabilities,
         # and a rerun then failed in 'train' on loading the cached model
