@@ -12,6 +12,7 @@ from the provenance alone, by the rule of `corpus.unit_spans`.
 import json
 import sys
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -147,44 +148,25 @@ def augment_unit(unit: Unit, cfg: AugmentConfig, rng: np.random.Generator) -> tu
     return _apply_transform(unit, name, cfg), name
 
 
-def _assemble(units, unit_indices, transforms, cfg: AugmentConfig) -> TrainingExample:
-    """Join units under the token cap, reducing the unit count if needed."""
-    used = []
-    total = 0
-    for u in units:
-        if used and total + len(u.words) > cfg.max_tokens:
-            break
-        used.append(u)
-        total += len(u.words)
-        if total >= cfg.max_tokens:
-            break
+def _assemble(units, start: int, transforms, cfg: AugmentConfig) -> TrainingExample:
+    """Join consecutive units, the first of them unit `start`, under the token cap.
 
+    Units are taken up to the first that does not fit.  A first unit longer
+    than the cap keeps its head, and the clipped tail is treated like a
+    truncation: the fragment is no longer sentential.
+    """
     words = []
     provenance = []
-    clipped = False
-    for k, u in enumerate(used):
-        u_words = list(u.words)
-        u_transforms = (transforms[k],) if transforms and transforms[k] else ()
-        is_su = u.is_su
+    for k, u in enumerate(units):
         room = cfg.max_tokens - len(words)
-        if len(u_words) > room:
-            # single oversize unit: keep the head, treat the clipped tail
-            # like a truncation (the fragment is no longer sentential)
-            u_words = u_words[:room]
-            is_su = False
-            clipped = True
-            u_transforms = u_transforms + ("clip_tail",)
-        words.extend(u_words)
-        provenance.append(
-            UnitProvenance(
-                unit_index=unit_indices[k],
-                token_count=len(u_words),
-                is_su=is_su,
-                transforms=u_transforms,
-            )
-        )
-        if clipped:
+        if room == 0 or provenance and len(u.words) > room:
             break
+        names = (transforms[k],) if transforms and transforms[k] else ()
+        is_su = u.is_su
+        if len(u.words) > room:
+            is_su, names = False, names + ("clip_tail",)
+        words += u.words[:room]
+        provenance.append(UnitProvenance(start + k, min(len(u.words), room), is_su, names))
     return TrainingExample(tuple(words), tuple(provenance))
 
 
@@ -192,9 +174,17 @@ def concat_units(corpus: Corpus, start_index: int, L: int, cfg: AugmentConfig) -
     """Join up to L consecutive units starting at start_index (no transforms)."""
     if not 0 <= start_index < len(corpus.units):
         raise IndexError(f"start_index {start_index} out of range")
-    stop = min(start_index + L, len(corpus.units))
-    units = corpus.units[start_index:stop]
-    return _assemble(units, list(range(start_index, stop)), None, cfg)
+    return _assemble(corpus.units[start_index : start_index + L], start_index, None, cfg)
+
+
+def _cut(provenance: UnitProvenance, n: int, name: str) -> UnitProvenance:
+    """The unit less `n` words cut off one edge: a fragment, no longer sentential."""
+    return replace(
+        provenance,
+        token_count=provenance.token_count - n,
+        is_su=False,
+        transforms=provenance.transforms + (name,),
+    )
 
 
 def truncate_edges(
@@ -206,36 +196,18 @@ def truncate_edges(
     before it; tail truncation picks a word in the last unit and drops
     everything after.  A draw that removes nothing leaves the unit intact.
     """
-    if not example.words:
+    words, prov = example.words, example.provenance
+    if not words:
         return example
     if rng.random() < cfg.p_tr:
-        first = example.provenance[0]
-        j = int(rng.integers(0, first.token_count))
-        if j > 0:
-            prov = (
-                replace(
-                    first,
-                    token_count=first.token_count - j,
-                    is_su=False,
-                    transforms=first.transforms + ("truncate_head",),
-                ),
-            ) + example.provenance[1:]
-            example = TrainingExample(example.words[j:], prov)
+        n = int(rng.integers(0, prov[0].token_count))
+        if n:
+            words, prov = words[n:], (_cut(prov[0], n, "truncate_head"),) + prov[1:]
     if rng.random() < cfg.p_tr:
-        last = example.provenance[-1]
-        j = int(rng.integers(0, last.token_count))
-        dropped = last.token_count - 1 - j
-        if dropped > 0:
-            prov = example.provenance[:-1] + (
-                replace(
-                    last,
-                    token_count=last.token_count - dropped,
-                    is_su=False,
-                    transforms=last.transforms + ("truncate_tail",),
-                ),
-            )
-            example = TrainingExample(example.words[: len(example.words) - dropped], prov)
-    return example
+        n = prov[-1].token_count - 1 - int(rng.integers(0, prov[-1].token_count))
+        if n:
+            words, prov = words[:-n], prov[:-1] + (_cut(prov[-1], n, "truncate_tail"),)
+    return TrainingExample(words, prov)
 
 
 def example_stream(corpus: Corpus, cfg: AugmentConfig, seed: int, epoch: int = 0, augment: bool = True):
@@ -249,15 +221,11 @@ def example_stream(corpus: Corpus, cfg: AugmentConfig, seed: int, epoch: int = 0
     units = corpus.units
     cursor = 0
     while cursor < len(units):
-        L = sample_length(cfg, rng)
-        stop = min(cursor + L, len(units))
-        window = units[cursor:stop]
+        window = units[cursor : cursor + sample_length(cfg, rng)]
         transforms = None
         if augment:
-            pairs = [augment_unit(u, cfg, rng) for u in window]
-            window = [p[0] for p in pairs]
-            transforms = [p[1] for p in pairs]
-        example = _assemble(window, list(range(cursor, stop)), transforms, cfg)
+            window, transforms = zip(*(augment_unit(u, cfg, rng) for u in window))
+        example = _assemble(window, cursor, transforms, cfg)
         if augment:
             example = truncate_edges(example, cfg, rng)
         cursor += len(example.provenance)
@@ -270,13 +238,9 @@ def generate_examples(corpus: Corpus, cfg: AugmentConfig, seed: int, count: int)
     out = []
     epoch = 0
     while len(out) < count:
-        produced = False
-        for ex in example_stream(corpus, cfg, seed, epoch):
-            produced = True
-            out.append(ex)
-            if len(out) == count:
-                return out
-        if not produced:
+        before = len(out)
+        out += islice(example_stream(corpus, cfg, seed, epoch), count - before)
+        if len(out) == before:
             raise ValueError("corpus yields no examples")
         epoch += 1
     return out

@@ -17,6 +17,7 @@ from . import decode as decode_mod
 from . import evaluation, model as model_mod
 from . import pipeline as pipeline_mod
 from .fileio import write_json
+from .labels import GRANULARITIES
 from .pipeline import ConfigError
 
 CLI_METHODS = {"eos": "eos", "eos-force": "eos_force", "bosEos": "bos_eos"}
@@ -246,7 +247,7 @@ def _augment_args(p) -> None:
 def _evaluate_args(p) -> None:
     p.add_argument("--gold", help="gold corpus JSONL")
     p.add_argument("--pred", help="predicted span file")
-    p.add_argument("--granularity", default="word", choices=pipeline_mod.GRANULARITIES)
+    p.add_argument("--granularity", default="word", choices=GRANULARITIES)
     p.add_argument("--aggregate", default="", help="aggregate report_*.json files in a directory")
     p.add_argument("--out", default="", help="also write the JSON report here")
     p.set_defaults(func=cmd_evaluate)

@@ -80,10 +80,10 @@ DEFAULT_RULES = RelationRuleSet()
 class ConlluSentence:
     """One treebank sentence: surface tokens plus their dependency relations.
 
-    forms holds the form of each syntactic word; multiword-token ranges
-    contribute surface text only and empty nodes are dropped entirely.
-    Space-after shapes raw_text and char_offsets.  heads are 0-based indices
-    into forms, None for the root.
+    forms holds the form of each syntactic word and deprels its relation
+    name; multiword-token ranges contribute surface text only and empty
+    nodes are dropped entirely.  Space-after shapes raw_text and
+    char_offsets.
     """
 
     forms: tuple
@@ -102,57 +102,48 @@ def _finish_sentence(rows, mwts, first_line):
     if not rows:
         return None
     n = len(rows)
-    covered = {}
+    # first word id -> (last word id, surface form, space after) of each multiword token
+    ranges = {}
+    owner = {}  # word id -> the range that covers it
     for start, end, form, space_after, lineno in mwts:
         if not (1 <= start <= end <= n):
             raise ConlluStructureError(
                 f"line {lineno}: token range {start}-{end} outside sentence of {n} tokens"
             )
         for tid in range(start, end + 1):
-            covered[tid] = (start, end, form, space_after)
+            if tid in owner:
+                raise ConlluStructureError(
+                    f"line {lineno}: token range {start}-{end} overlaps token range {owner[tid]}"
+                )
+            owner[tid] = f"{start}-{end}"
+        ranges[start] = (end, form, space_after)
 
+    # a word outside every range is a token of one word with its own form;
+    # each word's span is clipped to its token's surface form
     text_parts = []
     offsets = []
     cursor = 0
     tid = 1
     while tid <= n:
-        if tid in covered and covered[tid][0] == tid:
-            start, end, form, space_after = covered[tid]
-            base = cursor
-            limit = base + len(form)
-            for j in range(start, end + 1):
-                w = rows[j - 1][0]
-                s = min(cursor, limit)
-                e = min(cursor + len(w), limit)
-                offsets.append((s, e))
-                cursor = e
-            text_parts.append(form)
-            cursor = limit
-            tid = end + 1
-            last_space = space_after
-        else:
-            form = rows[tid - 1][0]
-            offsets.append((cursor, cursor + len(form)))
-            text_parts.append(form)
-            cursor += len(form)
-            last_space = rows[tid - 1][1]
-            tid += 1
-        if tid <= n and last_space:
+        end, form, space_after = ranges.get(tid) or (tid, *rows[tid - 1][:2])
+        limit = cursor + len(form)
+        for row in rows[tid - 1 : end]:
+            e = min(cursor + len(row[0]), limit)
+            offsets.append((cursor, e))
+            cursor = e
+        text_parts.append(form)
+        cursor = limit
+        tid = end + 1
+        if tid <= n and space_after:
             text_parts.append(" ")
             cursor += 1
 
-    root_count = 0
-    deprels = []
-    for i, (form, _, head, deprel, lineno) in enumerate(rows):
-        if head == 0:
-            root_count += 1
-            deprels.append((None, deprel))
-        else:
-            if not (1 <= head <= n):
-                raise ConlluStructureError(
-                    f"line {lineno}: head {head} dangles outside sentence of {n} tokens"
-                )
-            deprels.append((head - 1, deprel))
+    for _, _, head, _, lineno in rows:
+        if not 0 <= head <= n:
+            raise ConlluStructureError(
+                f"line {lineno}: head {head} dangles outside sentence of {n} tokens"
+            )
+    root_count = sum(row[2] == 0 for row in rows)
     if root_count != 1:
         raise ConlluStructureError(
             f"sentence starting at line {first_line}: expected exactly one root, found {root_count}"
@@ -160,7 +151,7 @@ def _finish_sentence(rows, mwts, first_line):
 
     return ConlluSentence(
         forms=tuple(row[0] for row in rows),
-        deprels=tuple(deprels),
+        deprels=tuple(row[3] for row in rows),
         raw_text="".join(text_parts),
         char_offsets=tuple(offsets),
     )
@@ -236,7 +227,7 @@ def strip_subtype(deprel: str) -> str:
 def classify_unit(sent: ConlluSentence, rules: RelationRuleSet = DEFAULT_RULES) -> bool:
     """True iff the sentence contains a clausal predicate with an argument."""
     wanted = rules.sentential_relations
-    return any(strip_subtype(rel) in wanted for _, rel in sent.deprels)
+    return any(strip_subtype(rel) in wanted for rel in sent.deprels)
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,6 +30,7 @@ from .corpus import (
 )
 from .decode import DecoderConfig, decode_document, write_span_file
 from .fileio import check_types, write_json
+from .labels import GRANULARITIES
 from .model import InterpConfig, ModelConfig, interpolate
 
 
@@ -47,9 +48,6 @@ class PipelineError(RuntimeError):
         return type(self), (self.stage, self.cause)
 
 
-GRANULARITIES = ("word", "char")
-
-
 @dataclass(frozen=True)
 class PipelinePaths:
     train_corpus: str = ""
@@ -64,7 +62,7 @@ class PipelinePaths:
 class PipelineConfig:
     seeds: tuple
     method: str = "bos_eos"
-    granularities: tuple = GRANULARITIES
+    granularities: tuple = ("word", "char")
     paths: PipelinePaths = PipelinePaths()
     rules: RelationRuleSet = RelationRuleSet()
     augment: AugmentConfig = AugmentConfig()
@@ -211,12 +209,13 @@ def _fingerprint(corpus: Corpus, cfg: PipelineConfig, seed: int) -> str:
     return h.hexdigest()[:12]
 
 
-def _pcc_tag(p_cc: float) -> str:
-    return str(p_cc).replace(".", "_")
+def _setting_tag(setting) -> str:
+    """File-name tag of an evaluation setting: ext, or pcc and p_cc read as a float, '.' as '_'."""
+    return "ext" if setting == "ext" else "pcc" + str(float(setting)).replace(".", "_")
 
 
 # report_seed{S}_{setting}_{granularity}_{method}.json, as _decode_and_score names
-# a report; the setting is pcc{_pcc_tag(p_cc)} or ext
+# a report; the setting is _setting_tag's
 _REPORT_NAME = re.compile(
     rf"report_seed-?\d+_(pcc[0-9e_-]+|ext)_(?:{'|'.join(GRANULARITIES)})"
     rf"_({'|'.join(decode_mod.METHODS)})\.json"
@@ -275,7 +274,7 @@ def _run_seed(cfg: PipelineConfig, seed: int, inputs: tuple) -> dict:
     eval_corpus, train_corpus, matrices = inputs
     if matrices is not None:
         return _decode_and_score(
-            cfg, f"seed{seed}_ext", "ext", matrices,
+            cfg, seed, "ext", matrices,
             lambda: gold_documents(eval_corpus.units, [m.n for m in matrices]),
         )
 
@@ -293,17 +292,16 @@ def _run_seed(cfg: PipelineConfig, seed: int, inputs: tuple) -> dict:
 
     reports = {}
     for p_cc in cfg.eval_p_cc:
-        tag = f"seed{seed}_pcc{_pcc_tag(p_cc)}"
         with _stage("predict"):
             docs = _eval_docs(eval_corpus, cfg, p_cc, seed)
             matrices = model_mod.predict(model, [ex.words for ex in docs])
             model_mod.write_prob_documents(
-                os.path.join(out_dir, f"probs_{tag}.tsv"),
+                os.path.join(out_dir, f"probs_seed{seed}_{_setting_tag(p_cc)}.tsv"),
                 [(list(ex.words), m) for ex, m in zip(docs, matrices)],
             )
 
         reports.update(_decode_and_score(
-            cfg, tag, p_cc, matrices,
+            cfg, seed, p_cc, matrices,
             lambda: [(gold_word_labels(ex.provenance), ex.words) for ex in docs],
         ))
     return reports
@@ -317,13 +315,14 @@ def decode_documents(matrices, method: str, decoder: DecoderConfig, interp: Inte
     ]
 
 
-def _decode_and_score(cfg: PipelineConfig, tag: str, setting, matrices, gold_docs) -> dict:
+def _decode_and_score(cfg: PipelineConfig, seed: int, setting, matrices, gold_docs) -> dict:
     """Decode and write the span file, then score it at each granularity.
 
     `gold_docs()` returns the (gold word labels, words) of each document; it
     is called only once the span file is written.  Returns {(setting, granularity): EvalReport}.
     """
     out_dir = cfg.paths.output_dir
+    tag = f"seed{seed}_{_setting_tag(setting)}"
     with _stage("decode"):
         results = decode_documents(matrices, cfg.method, cfg.decoder, cfg.interp)
         write_span_file(os.path.join(out_dir, f"spans_{tag}_{cfg.method}.jsonl"), results)
@@ -358,7 +357,7 @@ def run_pipeline(cfg: PipelineConfig, parallel_seeds: bool = False) -> dict:
         aggregates[key] = agg
         setting, gran = key
         path = os.path.join(
-            cfg.paths.output_dir, f"aggregate_pcc{_pcc_tag(setting)}_{gran}_{cfg.method}.json"
+            cfg.paths.output_dir, f"aggregate_{_setting_tag(setting)}_{gran}_{cfg.method}.json"
         )
         write_json(path, agg.to_dict())
     return aggregates

@@ -13,7 +13,7 @@ end featurize, score and train one document at a time, on dense heads
 (`densify` rebuilds them from a model's row map and columns, and
 `model_from_dense` compacts them into a model); they share the
 token hasher and the kernels with the package, so grouped results and compact
-models must equal theirs bit for bit.  Six references are earlier versions of package code:
+models must equal theirs bit for bit.  Eleven references are earlier versions of package code:
 `evaluate_documents_rendered`, which scores char labels by rendering each
 document with `render_granularity` (the char body of `to_granularity`
 until counting replaced it), `span_counts_sets`, the span counting of
@@ -21,10 +21,18 @@ until counting replaced it), `span_counts_sets`, the span counting of
 replaced it), `gold_documents_walk`, which summed each document's units one
 at a time, `sgd_rows_numpy`, the SGD kernel before its per-row trims, and
 `corpus_load_lines` and `read_span_file_lines`, the JSON-lines loaders with
-one `json.loads` per line and the garbage collector running.  The package must match each
+one `json.loads` per line and the garbage collector running,
+`parse_conllu_two_paths`, the CoNLL-U parser whose sentences took plain
+words and multiword tokens through separate offset paths and kept each
+word's head, `assemble_select_then_build` and `truncate_edges_two_branches`,
+the example assembly that chose its units before building and cut each
+edge in its own branch, and `example_stream_two_paths` and
+`generate_examples_loop`, the streams built on them.  The package must match each
 exactly; its readers must return equal records or raise the same message.
 """
 
+import dataclasses
+import io
 import json
 import math
 import re
@@ -34,8 +42,14 @@ from functools import lru_cache
 import numpy as np
 
 from sentid import _kernels
-from sentid.augment import example_stream
-from sentid.corpus import Unit, gold_word_labels
+from sentid.augment import (
+    TrainingExample,
+    UnitProvenance,
+    augment_unit,
+    example_stream,
+    sample_length,
+)
+from sentid.corpus import ConlluParseError, ConlluStructureError, Unit, gold_word_labels
 from sentid.decode import SpanResult
 from sentid.evaluation import EvalError, EvalReport, Evaluator
 from sentid.labels import LabelError, LabelSeq, coarse_to_chars
@@ -710,3 +724,234 @@ def train_per_example(corpus, augment_cfg, seed, model_cfg) -> dict:
                 idx, ptr = rows[HEAD_SIDES[name]]
                 _kernels.sgd_rows(weights[name], idx, ptr, targets[name[:3]], lr)
     return weights
+
+
+def _misc_space_after_loop(misc: str) -> bool:
+    return misc == "_" or all(attr != "SpaceAfter=No" for attr in misc.split("|"))
+
+
+def _finish_sentence_two_paths(rows, mwts, first_line):
+    """One sentence as (forms, (head, relation) pairs, raw text, char offsets), or None."""
+    if not rows:
+        return None
+    n = len(rows)
+    covered = {}
+    for start, end, form, space_after, lineno in mwts:
+        if not (1 <= start <= end <= n):
+            raise ConlluStructureError(
+                f"line {lineno}: token range {start}-{end} outside sentence of {n} tokens"
+            )
+        for tid in range(start, end + 1):
+            covered[tid] = (start, end, form, space_after)
+
+    text_parts = []
+    offsets = []
+    cursor = 0
+    tid = 1
+    while tid <= n:
+        if tid in covered and covered[tid][0] == tid:
+            start, end, form, space_after = covered[tid]
+            base = cursor
+            limit = base + len(form)
+            for j in range(start, end + 1):
+                w = rows[j - 1][0]
+                s = min(cursor, limit)
+                e = min(cursor + len(w), limit)
+                offsets.append((s, e))
+                cursor = e
+            text_parts.append(form)
+            cursor = limit
+            tid = end + 1
+            last_space = space_after
+        else:
+            form = rows[tid - 1][0]
+            offsets.append((cursor, cursor + len(form)))
+            text_parts.append(form)
+            cursor += len(form)
+            last_space = rows[tid - 1][1]
+            tid += 1
+        if tid <= n and last_space:
+            text_parts.append(" ")
+            cursor += 1
+
+    root_count = 0
+    deprels = []
+    for i, (form, _, head, deprel, lineno) in enumerate(rows):
+        if head == 0:
+            root_count += 1
+            deprels.append((None, deprel))
+        else:
+            if not (1 <= head <= n):
+                raise ConlluStructureError(
+                    f"line {lineno}: head {head} dangles outside sentence of {n} tokens"
+                )
+            deprels.append((head - 1, deprel))
+    if root_count != 1:
+        raise ConlluStructureError(
+            f"sentence starting at line {first_line}: expected exactly one root, found {root_count}"
+        )
+    forms = tuple(row[0] for row in rows)
+    return forms, tuple(deprels), "".join(text_parts), tuple(offsets)
+
+
+def parse_conllu_two_paths(data: str) -> list:
+    """Sentences of CoNLL-U text as `_finish_sentence_two_paths` tuples.
+
+    Plain words and multiword tokens take separate offset paths, and a
+    later multiword range silently takes over the words of an earlier one.
+    """
+    sentences = []
+    rows = []  # (form, space_after, head, deprel, lineno)
+    mwts = []  # (start, end, form, space_after, lineno)
+    first_line = None
+    for lineno, line in enumerate(io.StringIO(data), start=1):
+        line = line.removesuffix("\n").removesuffix("\r")
+        if not line.strip():
+            sent = _finish_sentence_two_paths(rows, mwts, first_line)
+            if sent is not None:
+                sentences.append(sent)
+            rows, mwts, first_line = [], [], None
+            continue
+        if line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise ConlluParseError(f"line {lineno}: expected 10 columns, got {len(cols)}")
+        if first_line is None:
+            first_line = lineno
+        tok_id, form, misc = cols[0], cols[1], cols[9]
+        if "-" in tok_id:
+            try:
+                start, end = (int(x) for x in tok_id.split("-", 1))
+            except ValueError:
+                raise ConlluParseError(f"line {lineno}: bad token range id {tok_id!r}") from None
+            mwts.append((start, end, form, _misc_space_after_loop(misc), lineno))
+            continue
+        if "." in tok_id:
+            continue
+        try:
+            int(tok_id)
+        except ValueError:
+            raise ConlluParseError(f"line {lineno}: bad token id {tok_id!r}") from None
+        try:
+            head = int(cols[6])
+        except ValueError:
+            raise ConlluParseError(f"line {lineno}: bad head {cols[6]!r}") from None
+        rows.append((form, _misc_space_after_loop(misc), head, cols[7], lineno))
+
+    sent = _finish_sentence_two_paths(rows, mwts, first_line)
+    if sent is not None:
+        sentences.append(sent)
+    return sentences
+
+
+def assemble_select_then_build(units, unit_indices, transforms, cfg) -> TrainingExample:
+    """Pick the units that fit under the token cap, then build the example from them."""
+    used = []
+    total = 0
+    for u in units:
+        if used and total + len(u.words) > cfg.max_tokens:
+            break
+        used.append(u)
+        total += len(u.words)
+        if total >= cfg.max_tokens:
+            break
+
+    words = []
+    provenance = []
+    clipped = False
+    for k, u in enumerate(used):
+        u_words = list(u.words)
+        u_transforms = (transforms[k],) if transforms and transforms[k] else ()
+        is_su = u.is_su
+        room = cfg.max_tokens - len(words)
+        if len(u_words) > room:
+            u_words = u_words[:room]
+            is_su = False
+            clipped = True
+            u_transforms = u_transforms + ("clip_tail",)
+        words.extend(u_words)
+        provenance.append(
+            UnitProvenance(
+                unit_index=unit_indices[k],
+                token_count=len(u_words),
+                is_su=is_su,
+                transforms=u_transforms,
+            )
+        )
+        if clipped:
+            break
+    return TrainingExample(tuple(words), tuple(provenance))
+
+
+def truncate_edges_two_branches(example, cfg, rng) -> TrainingExample:
+    """Head truncation, then tail truncation, each written out on its own."""
+    if not example.words:
+        return example
+    if rng.random() < cfg.p_tr:
+        first = example.provenance[0]
+        j = int(rng.integers(0, first.token_count))
+        if j > 0:
+            prov = (
+                dataclasses.replace(
+                    first,
+                    token_count=first.token_count - j,
+                    is_su=False,
+                    transforms=first.transforms + ("truncate_head",),
+                ),
+            ) + example.provenance[1:]
+            example = TrainingExample(example.words[j:], prov)
+    if rng.random() < cfg.p_tr:
+        last = example.provenance[-1]
+        j = int(rng.integers(0, last.token_count))
+        dropped = last.token_count - 1 - j
+        if dropped > 0:
+            prov = example.provenance[:-1] + (
+                dataclasses.replace(
+                    last,
+                    token_count=last.token_count - dropped,
+                    is_su=False,
+                    transforms=last.transforms + ("truncate_tail",),
+                ),
+            )
+            example = TrainingExample(example.words[: len(example.words) - dropped], prov)
+    return example
+
+
+def example_stream_two_paths(corpus, cfg, seed: int, epoch: int = 0, augment: bool = True):
+    """`augment.example_stream` built on the two oracles above."""
+    rng = np.random.default_rng((seed, epoch))
+    units = corpus.units
+    cursor = 0
+    while cursor < len(units):
+        L = sample_length(cfg, rng)
+        stop = min(cursor + L, len(units))
+        window = units[cursor:stop]
+        transforms = None
+        if augment:
+            pairs = [augment_unit(u, cfg, rng) for u in window]
+            window = [p[0] for p in pairs]
+            transforms = [p[1] for p in pairs]
+        example = assemble_select_then_build(window, list(range(cursor, stop)), transforms, cfg)
+        if augment:
+            example = truncate_edges_two_branches(example, cfg, rng)
+        cursor += len(example.provenance)
+        if example.words:
+            yield example
+
+
+def generate_examples_loop(corpus, cfg, seed: int, count: int) -> list:
+    """Exactly `count` examples of `example_stream_two_paths`, wrapping over fresh epochs."""
+    out = []
+    epoch = 0
+    while len(out) < count:
+        produced = False
+        for ex in example_stream_two_paths(corpus, cfg, seed, epoch):
+            produced = True
+            out.append(ex)
+            if len(out) == count:
+                return out
+        if not produced:
+            raise ValueError("corpus yields no examples")
+        epoch += 1
+    return out

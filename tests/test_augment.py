@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentid.augment import (
@@ -24,7 +24,8 @@ from sentid.augment import (
 from sentid.corpus import Corpus, Unit, gold_word_labels
 from sentid.labels import boundaries_to_bio
 
-from synth import unit_from_words
+from oracles import example_stream_two_paths, generate_examples_loop
+from synth import synthetic_corpus, unit_from_words
 
 
 def su(*words):
@@ -324,3 +325,74 @@ class TestStream:
             AugmentConfig(p_cc=1.5)
         with pytest.raises(ValueError):
             AugmentConfig(end_punct_set=".?!#")
+
+
+def _outcome(examples):
+    """The examples an iterable yields, and the error that ends it early, if any."""
+    out = []
+    try:
+        for ex in examples:
+            out.append(ex)
+    except (ValueError, IndexError) as exc:
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+_WORDS = st.lists(st.sampled_from(["a", "B", "c.", "Dd!", "e?)", ".", "!)"]), max_size=9)
+
+
+class TestOneLoopMatchesTwoPaths:
+    """`example_stream` and `generate_examples` against select-then-build and two-branch cuts."""
+
+    @settings(max_examples=300)
+    @given(
+        shape=st.lists(st.tuples(_WORDS, st.booleans()), max_size=12),
+        p_cc=st.sampled_from([0.0, 0.5, 1.0]),
+        p_da=st.sampled_from([0.0, 0.3, 1.0]),
+        p_tr=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        max_tokens=st.one_of(st.integers(1, 8), st.just(512)),
+        augment=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_example_stream(self, shape, p_cc, p_da, p_tr, max_tokens, augment, seed):
+        # units of 0-9 words: empty ones, and ones longer than the cap, run too
+        corpus = Corpus([unit_from_words(words, is_su) for words, is_su in shape])
+        cfg = AugmentConfig(p_cc=p_cc, p_da=p_da, p_tr=p_tr, max_tokens=max_tokens)
+        for epoch in range(3):
+            assert _outcome(example_stream(corpus, cfg, seed, epoch, augment)) == _outcome(
+                example_stream_two_paths(corpus, cfg, seed, epoch, augment)
+            )
+
+    @pytest.mark.parametrize("p_cc", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("max_tokens", [1, 3, 8, 512])
+    def test_example_stream_synthetic(self, p_cc, max_tokens):
+        corpus = synthetic_corpus(120, seed=4)
+        for p_tr in (0.0, 0.3, 1.0):
+            cfg = AugmentConfig(p_cc=p_cc, p_tr=p_tr, max_tokens=max_tokens)
+            for epoch in range(3):
+                for augment in (True, False):
+                    assert list(example_stream(corpus, cfg, 9, epoch, augment)) == list(
+                        example_stream_two_paths(corpus, cfg, 9, epoch, augment)
+                    )
+
+    @settings(max_examples=100)
+    @example(n_units=0, p_cc=0.5, max_tokens=512, count=0, seed=0)
+    @example(n_units=0, p_cc=0.5, max_tokens=512, count=1, seed=0)
+    @given(
+        n_units=st.integers(0, 30),
+        p_cc=st.sampled_from([0.0, 0.5, 1.0]),
+        max_tokens=st.one_of(st.integers(1, 8), st.just(512)),
+        count=st.integers(0, 60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generate_examples(self, n_units, p_cc, max_tokens, count, seed):
+        corpus = synthetic_corpus(n_units, seed=seed)
+        cfg = AugmentConfig(p_cc=p_cc, p_tr=0.5, max_tokens=max_tokens)
+
+        def run(generate):
+            try:
+                return generate(corpus, cfg, seed, count)
+            except ValueError as exc:
+                return str(exc)
+
+        assert run(generate_examples) == run(generate_examples_loop)

@@ -508,6 +508,22 @@ class TestExitCodes:
             f"data error: {bad}: line 1: expected 10 columns, got 3\n"
         )
 
+    def test_overlapping_token_ranges_are_data_error(self, tmp_path, capsys):
+        # the second range's form used to vanish from the text without a word
+        src = tmp_path / "overlap.conllu"
+        src.write_text(
+            "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_\n"
+            "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
+            "2-3\tcd\t_\t_\t_\t_\t_\t_\t_\t_\n"
+            "2\tb\t_\t_\t_\t_\t1\tobj\t_\t_\n"
+            "3\tc\t_\t_\t_\t_\t1\tobj\t_\t_\n"
+        )
+        assert run("convert", "--input", str(src), "--output", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {src}: line 3: token range 2-3 overlaps token range 1-2\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "case", ["decode", "decode-stdin", "pipeline-probs", "pipeline-config", "convert-rules"]
     )

@@ -3,6 +3,7 @@
 import json
 import os
 import pickle
+import re
 import tempfile
 
 import pytest
@@ -27,7 +28,12 @@ from sentid.corpus import (
     unit_spans,
 )
 
-from oracles import corpus_load_lines, gold_documents_walk, gold_word_labels_loop
+from oracles import (
+    corpus_load_lines,
+    gold_documents_walk,
+    gold_word_labels_loop,
+    parse_conllu_two_paths,
+)
 from synth import json_lines_text, unit_from_words
 
 
@@ -105,10 +111,41 @@ class TestParseConllu:
         )
         (s,) = sents
         assert s.raw_text == "He ca don't"
-        assert [rel for _, rel in s.deprels] == ["nsubj", "aux", "root", "advmod"]
+        assert s.deprels == ("nsubj", "aux", "root", "advmod")
         # covered tokens pack into the range form's span
         assert s.char_offsets[2] == (6, 8)
         assert s.char_offsets[3] == (8, 11)
+
+    @pytest.mark.parametrize(
+        "ranges, message",
+        [
+            (("1-2", "2-3"), "line 2: token range 2-3 overlaps token range 1-2"),
+            (("1-3", "2-2"), "line 2: token range 2-2 overlaps token range 1-3"),
+            (("2-3", "1-3"), "line 2: token range 1-3 overlaps token range 2-3"),
+            (("1-2", "1-2"), "line 2: token range 1-2 overlaps token range 1-2"),
+        ],
+    )
+    def test_overlapping_token_ranges_rejected(self, ranges, message):
+        # a later range used to take over the earlier one's words, dropping a form
+        rows = [f"{r}\tmw{k}\t_\t_\t_\t_\t_\t_\t_\t_" for k, r in enumerate(ranges)]
+        words = [tok(1, "a", 0, "root"), tok(2, "b", 1, "obj"), tok(3, "c", 1, "obj")]
+        with pytest.raises(ConlluStructureError) as info:
+            parse_conllu(block(*rows, *words))
+        assert str(info.value) == message
+
+    def test_adjacent_token_ranges(self):
+        sents = parse_conllu(
+            block(
+                "1-2\tab\t_\t_\t_\t_\t_\t_\t_\tSpaceAfter=No",
+                tok(1, "a", 0, "root"),
+                tok(2, "b", 1, "obj"),
+                "3-3\tC\t_\t_\t_\t_\t_\t_\t_\t_",
+                tok(3, "cc", 1, "obj"),
+                tok(4, "d", 1, "obj"),
+            )
+        )
+        assert sents[0].raw_text == "abC d"
+        assert sents[0].char_offsets == ((0, 1), (1, 2), (2, 3), (4, 5))
 
     def test_empty_nodes_skipped(self):
         sents = parse_conllu(
@@ -228,6 +265,77 @@ class TestParseConlluFuzz:
     @given(st.text(max_size=60))
     def test_arbitrary_text(self, text):
         _parse_outcome(text)
+
+
+# sentence blocks of one root and disjoint multiword ranges, sometimes with
+# one more range that may overlap another or leave the sentence
+@st.composite
+def _ranged_block(draw):
+    n = draw(st.integers(1, 6))
+    root = draw(st.integers(1, n))
+    rows = [
+        _row(str(i), draw(_FIELD), str(0 if i == root else draw(st.integers(1, n))), draw(_MISC))
+        for i in range(1, n + 1)
+    ]
+    ranges = []
+    tid = 1
+    while tid <= n:
+        if draw(st.booleans()):
+            end = min(n, tid + draw(st.integers(0, 2)))
+            ranges.append(f"{tid}-{end}")
+            tid = end + 1
+        else:
+            tid += 1
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n + 1))
+        ranges.append(f"{start}-{draw(st.integers(start - 1, n + 1))}")
+    for r in ranges:
+        rows.insert(draw(st.integers(0, len(rows))), _row(r, draw(_FIELD), "_", draw(_MISC)))
+    return rows
+
+
+_RANGED_TEXT = st.builds(
+    lambda blocks, end: "\n\n".join("\n".join(b) for b in blocks) + end,
+    st.lists(st.one_of(_ranged_block(), _sentence_block(), _OTHER_LINES), max_size=4),
+    st.sampled_from(["", "\n", "\n\n"]),
+)
+
+
+def _ranges_overlap(text):
+    """True when two multiword ranges of one sentence share a word."""
+    seen = set()
+    for line in text.split("\n"):
+        tok_id = line.split("\t", 1)[0]
+        if not line.strip():
+            seen = set()
+        elif re.fullmatch(r"\d+-\d+", tok_id):
+            start, end = map(int, tok_id.split("-"))
+            if seen & set(range(start, end + 1)):
+                return True
+            seen |= set(range(start, end + 1))
+    return False
+
+
+class TestOneOffsetLoop:
+    """`parse_conllu` against the parser with separate paths for plain and multiword tokens."""
+
+    @settings(max_examples=400)
+    @given(_RANGED_TEXT)
+    def test_matches_two_paths(self, text):
+        new = _parse_outcome(text)
+        if isinstance(new, list):
+            new = [(s.forms, s.deprels, s.raw_text, s.char_offsets) for s in new]
+        try:
+            old = [
+                (forms, tuple(rel for _, rel in pairs), raw, offsets)
+                for forms, pairs, raw, offsets in parse_conllu_two_paths(text)
+            ]
+        except ConlluError as exc:
+            old = type(exc), str(exc)
+        if new != old:
+            # overlapping ranges are the one input the old parser took silently
+            assert new[0] is ConlluStructureError and " overlaps token range " in new[1]
+            assert _ranges_overlap(text)
 
 
 class TestClassifyUnit:

@@ -18,11 +18,11 @@ from sentid.cli import main as cli_main
 from sentid.corpus import Corpus
 from sentid.model import ProbMatrix, write_prob_documents
 from sentid.decode import METHODS
+from sentid.labels import GRANULARITIES
 from sentid.pipeline import (
-    GRANULARITIES,
     ConfigError,
     PipelineError,
-    _pcc_tag,
+    _setting_tag,
     config_from_dict,
     load_config,
     report_setting,
@@ -468,9 +468,9 @@ class TestReportNames:
     @given(
         seed=st.integers(0, 10**6),
         setting=st.one_of(
-            st.floats(0.0, 1.0).map(lambda p: "pcc" + _pcc_tag(p)),
-            st.integers(0, 1).map(lambda p: "pcc" + _pcc_tag(p)),
-            st.just("ext"),
+            st.floats(0.0, 1.0).map(_setting_tag),
+            st.integers(0, 1).map(_setting_tag),
+            st.just(_setting_tag("ext")),
         ),
         gran=st.sampled_from(GRANULARITIES),
         method=st.sampled_from(METHODS),
@@ -488,8 +488,37 @@ class TestReportNames:
         names = sorted(p.name for p in (tmp_path / "runs").glob("report_*.json"))
         assert len(names) == 6
         assert {report_setting(n) for n in names} == {
-            ("pcc0_5", "eos_force"), ("pcc1e-05", "eos_force"), ("pcc0", "eos_force")
+            ("pcc0_5", "eos_force"), ("pcc1e-05", "eos_force"), ("pcc0_0", "eos_force")
         }
+
+    def test_int_and_float_settings_share_names(self, tmp_path):
+        # [1] used to write pcc1 and [1.0] pcc1_0: one setting, two names
+        names = []
+        for k, p_cc in enumerate([1, 1.0]):
+            data = base_config(tmp_path, seeds=[0], granularities=["word"])
+            data["eval"] = {"p_cc_values": [p_cc]}
+            data["paths"]["output_dir"] = str(tmp_path / f"runs{k}")
+            run_pipeline(config_from_dict(data))
+            names.append(sorted(p.name for p in (tmp_path / f"runs{k}").iterdir()))
+        assert names[0] == names[1]
+        assert [n for n in names[0] if not n.startswith("model_")] == [
+            "aggregate_pcc1_0_word_bos_eos.json",
+            "probs_seed0_pcc1_0.tsv",
+            "report_seed0_pcc1_0_word_bos_eos.json",
+            "spans_seed0_pcc1_0_bos_eos.jsonl",
+        ]
+
+    def test_probs_run_names_share_the_ext_tag(self, tmp_path):
+        # the aggregate used to be aggregate_pccext_*
+        cfg = config_from_dict(probs_config(tmp_path))
+        run_pipeline(cfg)
+        names = sorted(p.name for p in (tmp_path / "runs").iterdir())
+        grans = cfg.granularities
+        assert names == sorted(
+            [f"aggregate_ext_{g}_bos_eos.json" for g in grans]
+            + [f"report_seed{cfg.seeds[0]}_ext_{g}_bos_eos.json" for g in grans]
+            + [f"spans_seed{cfg.seeds[0]}_ext_bos_eos.jsonl"]
+        )
 
     @pytest.mark.parametrize(
         "name",
