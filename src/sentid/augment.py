@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from itertools import islice
+from operator import sub
 
 import numpy as np
 
@@ -26,8 +27,8 @@ UNBOUNDED_LENGTH = sys.maxsize
 DEFAULT_PUNCT = ".?!\")'"
 DEFAULT_END_PUNCT = ".?!"
 
-CASING_TRANSFORMS = ("lower", "upper", "title")
-TRANSFORMS = CASING_TRANSFORMS + ("strip_punct",)
+CASING_TRANSFORMS = {"lower": str.lower, "upper": str.upper, "title": str.capitalize}
+TRANSFORMS = (*CASING_TRANSFORMS, "strip_punct")
 
 
 @dataclass(frozen=True)
@@ -94,35 +95,25 @@ def strip_end_punctuation(word: str, punct: str, end_punct: str) -> str:
 
 
 def _word_gaps(unit: Unit) -> list[int]:
-    offs = unit.char_offsets
-    return [offs[i + 1][0] - offs[i][1] for i in range(len(offs) - 1)]
+    offs = unit.offsets
+    # each word's start less the end of the word before it
+    return list(map(sub, offs[2::2], offs[1::2]))
 
 
 def _rebuild_unit(words, gaps, is_su: bool) -> Unit:
     # Separator characters are normalized to spaces of the recorded widths.
-    parts = []
+    text = ""
     offsets = []
-    cursor = 0
-    for i, w in enumerate(words):
-        offsets.append((cursor, cursor + len(w)))
-        parts.append(w)
-        cursor += len(w)
-        if i < len(words) - 1:
-            parts.append(" " * gaps[i])
-            cursor += gaps[i]
-    return Unit(
-        text="".join(parts), words=tuple(words), is_su=is_su, char_offsets=tuple(offsets)
-    )
+    for w, gap in zip(words, [*gaps, 0]):
+        offsets += (len(text), len(text) + len(w))
+        text += w + " " * gap
+    return Unit(text=text, words=tuple(words), is_su=is_su, offsets=tuple(offsets))
 
 
 def _apply_transform(unit: Unit, name: str, cfg: AugmentConfig) -> Unit:
     gaps = _word_gaps(unit)
-    if name == "lower":
-        words = [w.lower() for w in unit.words]
-    elif name == "upper":
-        words = [w.upper() for w in unit.words]
-    elif name == "title":
-        words = [w.capitalize() for w in unit.words]
+    if name in CASING_TRANSFORMS:
+        words = list(map(CASING_TRANSFORMS[name], unit.words))
     else:  # strip_punct: operates on the final word only (a unit has at least one)
         stripped = strip_end_punctuation(unit.words[-1], cfg.punct_set, cfg.end_punct_set)
         if stripped == unit.words[-1]:

@@ -82,20 +82,18 @@ class ConlluSentence:
 
     forms holds the form of each syntactic word and deprels its relation
     name; multiword-token ranges contribute surface text only and empty
-    nodes are dropped entirely.  Space-after shapes raw_text and
-    char_offsets.
+    nodes are dropped entirely.  Space-after shapes raw_text and offsets
+    (flat, as a Unit holds them).
     """
 
     forms: tuple
     deprels: tuple
     raw_text: str
-    char_offsets: tuple
+    offsets: tuple
 
 
 def _misc_space_after(misc: str) -> bool:
-    if misc == "_":
-        return True
-    return all(attr != "SpaceAfter=No" for attr in misc.split("|"))
+    return "SpaceAfter=No" not in misc.split("|")
 
 
 def _finish_sentence(rows, mwts, first_line):
@@ -129,7 +127,7 @@ def _finish_sentence(rows, mwts, first_line):
         limit = cursor + len(form)
         for row in rows[tid - 1 : end]:
             e = min(cursor + len(row[0]), limit)
-            offsets.append((cursor, e))
+            offsets += (cursor, e)
             cursor = e
         text_parts.append(form)
         cursor = limit
@@ -153,7 +151,7 @@ def _finish_sentence(rows, mwts, first_line):
         forms=tuple(row[0] for row in rows),
         deprels=tuple(row[3] for row in rows),
         raw_text="".join(text_parts),
-        char_offsets=tuple(offsets),
+        offsets=tuple(offsets),
     )
 
 
@@ -235,30 +233,10 @@ class Unit:
     text: str
     words: tuple
     is_su: bool
-    char_offsets: tuple
+    offsets: tuple  # each word's start and end char, flat: (s0, e0, s1, e1, ...)
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def validate(self) -> "Unit":
-        if type(self.text) is not str:
-            raise ValueError("text must be a string")
-        if type(self.is_su) is not bool:
-            raise ValueError(f"is_su must be true or false, got {self.is_su!r}")
-        if not self.words:
-            raise ValueError("a unit needs at least one word")
-        if len(self.words) != len(self.char_offsets):
-            raise ValueError("words and char_offsets must align")
-        prev_end = 0
-        n_chars = len(self.text)
-        for w, (s, e) in zip(self.words, self.char_offsets):
-            # exact types: a bool is not an offset
-            if type(w) is not str or type(s) is not int or type(e) is not int:
-                raise ValueError(f"word {w!r} at ({s!r}, {e!r}): expected a string and two ints")
-            if not (prev_end <= s <= e <= n_chars):
-                raise ValueError(f"offset ({s}, {e}) not monotone within text")
-            prev_end = e
-        return self
 
 
 @dataclass
@@ -271,10 +249,11 @@ class Corpus:
     def records(self) -> Iterator[str]:
         """One JSON line per unit, as written by save()."""
         for u in self.units:
+            offs = u.offsets
             rec = {
                 "text": u.text,
                 "words": list(u.words),
-                "char_offsets": [list(o) for o in u.char_offsets],
+                "char_offsets": [[s, e] for s, e in zip(offs[::2], offs[1::2])],
                 "is_su": u.is_su,
             }
             yield json.dumps(rec, ensure_ascii=False) + "\n"
@@ -288,23 +267,49 @@ class Corpus:
         return cls(units=read_json_lines(path, "corpus", _unit_of_record))
 
 
+# The loader sets fields through the slot descriptors: the frozen __init__ calls object.__setattr__
+_set_text, _set_words, _set_is_su, _set_offsets = (
+    getattr(Unit, f.name).__set__ for f in fields(Unit)
+)
+
+
 def _unit_of_record(rec) -> Unit:
     words = rec["words"]
     if type(words) is not list or type(rec["char_offsets"]) is not list:
         raise ValueError("words and char_offsets must be lists")
     # A corpus repeats few distinct words, so the units share one string per
     # word.  intern() rejects a word that is not a string with a message of
-    # its own; such words go in as they are, for validate() to report.
+    # its own; such words go in as they are, for the checks below to report.
     try:
         words = tuple(map(sys.intern, words))
     except TypeError:
         words = tuple(words)
-    return Unit(
-        text=rec["text"],
-        words=words,
-        is_su=rec["is_su"],
-        char_offsets=tuple(map(tuple, rec["char_offsets"])),
-    ).validate()
+    text, is_su, pairs = rec["text"], rec["is_su"], rec["char_offsets"]
+    offsets = tuple(chain.from_iterable(pairs))  # a pair that is not iterable raises TypeError
+    if type(text) is not str:
+        raise ValueError("text must be a string")
+    if type(is_su) is not bool:
+        raise ValueError(f"is_su must be true or false, got {is_su!r}")
+    if not words:
+        raise ValueError("a unit needs at least one word")
+    if len(words) != len(pairs):
+        raise ValueError("words and char_offsets must align")
+    prev_end = 0
+    n_chars = len(text)
+    # each pair holds the two offsets it adds to `offsets`, or fails to unpack
+    for w, (s, e) in zip(words, pairs):
+        # exact types: a bool is not an offset
+        if type(w) is not str or type(s) is not int or type(e) is not int:
+            raise ValueError(f"word {w!r} at ({s!r}, {e!r}): expected a string and two ints")
+        if not (prev_end <= s <= e <= n_chars):
+            raise ValueError(f"offset ({s}, {e}) not monotone within text")
+        prev_end = e
+    unit = object.__new__(Unit)
+    _set_text(unit, text)
+    _set_words(unit, words)
+    _set_is_su(unit, is_su)
+    _set_offsets(unit, offsets)
+    return unit
 
 
 def convert_treebank(
@@ -316,7 +321,7 @@ def convert_treebank(
             text=s.raw_text,
             words=s.forms,
             is_su=classify_unit(s, rules),
-            char_offsets=s.char_offsets,
+            offsets=s.offsets,
         )
         for s in sents
     ]

@@ -58,6 +58,13 @@ class PipelinePaths:
     output_dir: str = "runs"
 
 
+def _no_repeats(key: str, what: str, values: tuple) -> None:
+    """Raise ConfigError at the first value equal to an earlier one (by ==: 1 repeats 1.0)."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{key}: {what} {v!r} is given more than once")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     seeds: tuple
@@ -74,10 +81,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds: at least one seed is required")
-        for i, seed in enumerate(self.seeds):
-            # a repeated seed would pool one model's reports as if they were runs
-            if seed in self.seeds[:i]:
-                raise ConfigError(f"seeds: seed {seed} is given more than once")
+        # a repeated seed would pool one model's reports as if they were runs
+        _no_repeats("seeds", "seed", self.seeds)
         # every seed would decode the same file into the same reports
         if self.paths.probs and len(self.seeds) > 1:
             raise ConfigError(f"seeds: a run on paths.probs takes one seed, got {len(self.seeds)}")
@@ -89,6 +94,9 @@ class PipelineConfig:
         for p in self.eval_p_cc:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"eval.p_cc_values: {p} not in [0, 1]")
+        # a repeated setting would be run twice, into the same files
+        _no_repeats("granularities", "granularity", self.granularities)
+        _no_repeats("eval.p_cc_values", "p_cc", self.eval_p_cc)
         # a split's corpus comes from one source: a corpus file is never a cache
         for corpus, treebank in (
             ("train_corpus", "treebank_train"), ("eval_corpus", "treebank_eval")

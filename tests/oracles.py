@@ -21,7 +21,9 @@ until counting replaced it), `span_counts_sets`, the span counting of
 replaced it), `gold_documents_walk`, which summed each document's units one
 at a time, `sgd_rows_numpy`, the SGD kernel before its per-row trims, and
 `corpus_load_lines` and `read_span_file_lines`, the JSON-lines loaders with
-one `json.loads` per line and the garbage collector running,
+one `json.loads` per line and the garbage collector running (the first
+builds `PairUnit`s, units with one (start, end) tuple per word, which
+`PairUnit.of` reads back from a unit's flat offsets),
 `parse_conllu_two_paths`, the CoNLL-U parser whose sentences took plain
 words and multiword tokens through separate offset paths and kept each
 word's head, `assemble_select_then_build` and `truncate_edges_two_branches`,
@@ -396,8 +398,48 @@ def gold_word_labels_loop(units) -> str:
     return "".join(parts)
 
 
+def offset_pairs(offsets) -> tuple:
+    """A unit's flat offsets (s0, e0, s1, e1, ...) as ((s0, e0), (s1, e1), ...)."""
+    return tuple(zip(offsets[::2], offsets[1::2]))
+
+
+@dataclasses.dataclass(frozen=True)
+class PairUnit:
+    """A corpus unit that holds its char offsets as one (start, end) tuple per word."""
+
+    text: str
+    words: tuple
+    is_su: bool
+    char_offsets: tuple
+
+    @classmethod
+    def of(cls, unit: Unit) -> "PairUnit":
+        return cls(unit.text, unit.words, unit.is_su, offset_pairs(unit.offsets))
+
+    def validate(self) -> "PairUnit":
+        if type(self.text) is not str:
+            raise ValueError("text must be a string")
+        if type(self.is_su) is not bool:
+            raise ValueError(f"is_su must be true or false, got {self.is_su!r}")
+        if not self.words:
+            raise ValueError("a unit needs at least one word")
+        if len(self.words) != len(self.char_offsets):
+            raise ValueError("words and char_offsets must align")
+        prev_end = 0
+        n_chars = len(self.text)
+        for w, (s, e) in zip(self.words, self.char_offsets):
+            # exact types: a bool is not an offset
+            if type(w) is not str or type(s) is not int or type(e) is not int:
+                raise ValueError(f"word {w!r} at ({s!r}, {e!r}): expected a string and two ints")
+            if not (prev_end <= s <= e <= n_chars):
+                raise ValueError(f"offset ({s}, {e}) not monotone within text")
+            prev_end = e
+        return self
+
+
 def corpus_load_lines(path) -> list:
-    """Corpus units of a JSON-lines file, one json.loads per line, with the collector running."""
+    """Corpus units of a JSON-lines file as `PairUnit`s, one json.loads per line, with the
+    collector running."""
     units = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -407,7 +449,7 @@ def corpus_load_lines(path) -> list:
                 rec = json.loads(line)
                 if type(rec["words"]) is not list or type(rec["char_offsets"]) is not list:
                     raise ValueError("words and char_offsets must be lists")
-                unit = Unit(
+                unit = PairUnit(
                     text=rec["text"],
                     words=tuple(rec["words"]),
                     is_su=rec["is_su"],
@@ -415,8 +457,7 @@ def corpus_load_lines(path) -> list:
                 ).validate()
             except (KeyError, ValueError, TypeError, RecursionError) as exc:  # deep JSON nesting
                 raise ValueError(f"{path}: bad corpus record on line {lineno}: {exc}") from exc
-            object.__setattr__(unit, "words", tuple(map(sys.intern, unit.words)))
-            units.append(unit)
+            units.append(dataclasses.replace(unit, words=tuple(map(sys.intern, unit.words))))
     return units
 
 

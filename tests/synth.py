@@ -22,9 +22,9 @@ def unit_from_words(words, is_su: bool) -> Unit:
     offsets = []
     cursor = 0
     for w in words:
-        offsets.append((cursor, cursor + len(w)))
+        offsets += (cursor, cursor + len(w))
         cursor += len(w) + 1
-    return Unit(text=" ".join(words), words=tuple(words), is_su=is_su, char_offsets=tuple(offsets))
+    return Unit(text=" ".join(words), words=tuple(words), is_su=is_su, offsets=tuple(offsets))
 
 
 def _su_words(rng) -> list:

@@ -24,7 +24,7 @@ from sentid.augment import (
 from sentid.corpus import Corpus, Unit, gold_word_labels
 from sentid.labels import boundaries_to_bio
 
-from oracles import example_stream_two_paths, generate_examples_loop
+from oracles import PairUnit, example_stream_two_paths, generate_examples_loop
 from synth import synthetic_corpus, unit_from_words
 
 
@@ -163,11 +163,11 @@ class TestApplyTransform:
         assert out.words == ("?!",)  # refusing to empty the unit
 
     def test_offsets_rebuilt(self):
-        unit = Unit(text="Hi.", words=("Hi", "."), is_su=True, char_offsets=((0, 2), (2, 3)))
+        unit = Unit(text="Hi.", words=("Hi", "."), is_su=True, offsets=(0, 2, 2, 3))
         out = _apply_transform(unit, "upper", AugmentConfig())
         assert out.text == "HI."
-        assert out.char_offsets == ((0, 2), (2, 3))
-        out.validate()
+        assert out.offsets == (0, 2, 2, 3)
+        PairUnit.of(out).validate()
 
     def test_never_changes_is_su(self):
         rng = np.random.default_rng(3)

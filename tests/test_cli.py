@@ -417,6 +417,23 @@ class TestPipelineCommand:
         assert run("pipeline", "--config", str(cfg_path)) == 1
         assert capsys.readouterr().err == "error: seeds: seed 3 is given more than once\n"
 
+    @pytest.mark.parametrize(
+        "fragment, message",
+        [
+            ({"eval": {"p_cc_values": [1, 0.5, 1.0]}}, "eval.p_cc_values: p_cc 1.0"),
+            ({"granularities": ["char", "char"]}, "granularities: granularity 'char'"),
+        ],
+    )
+    def test_repeated_setting_is_usage_error(self, tmp_path, capsys, fragment, message):
+        # a repeated setting used to run twice, the second pass overwriting the first's files
+        out_dir = tmp_path / "runs"
+        cfg = {"seeds": [1], "paths": {"output_dir": str(out_dir)}, **fragment}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("pipeline", "--config", str(cfg_path)) == 1
+        assert capsys.readouterr().err == f"error: {message} is given more than once\n"
+        assert not out_dir.exists()
+
     def test_seed_error_exits_2_with_and_without_parallel_seeds(self, tmp_path, capsys):
         # a worker's PipelineError used to fail to unpickle: BrokenProcessPool, exit 3
         train = tmp_path / "train.jsonl"

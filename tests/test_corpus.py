@@ -5,6 +5,7 @@ import os
 import pickle
 import re
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,12 +30,14 @@ from sentid.corpus import (
 )
 
 from oracles import (
+    PairUnit,
     corpus_load_lines,
     gold_documents_walk,
     gold_word_labels_loop,
+    offset_pairs,
     parse_conllu_two_paths,
 )
-from synth import json_lines_text, unit_from_words
+from synth import json_lines_text, synthetic_corpus, unit_from_words
 
 
 def block(*rows):
@@ -97,7 +100,7 @@ class TestParseConllu:
         )
         assert len(sents) == 1
         assert sents[0].raw_text == "Helloworld"
-        assert sents[0].char_offsets == ((0, 5), (5, 10))
+        assert sents[0].offsets == (0, 5, 5, 10)
 
     def test_multiword_token_surface(self):
         sents = parse_conllu(
@@ -113,8 +116,8 @@ class TestParseConllu:
         assert s.raw_text == "He ca don't"
         assert s.deprels == ("nsubj", "aux", "root", "advmod")
         # covered tokens pack into the range form's span
-        assert s.char_offsets[2] == (6, 8)
-        assert s.char_offsets[3] == (8, 11)
+        assert s.offsets[4:6] == (6, 8)
+        assert s.offsets[6:8] == (8, 11)
 
     @pytest.mark.parametrize(
         "ranges, message",
@@ -145,7 +148,7 @@ class TestParseConllu:
             )
         )
         assert sents[0].raw_text == "abC d"
-        assert sents[0].char_offsets == ((0, 1), (1, 2), (2, 3), (4, 5))
+        assert sents[0].offsets == (0, 1, 1, 2, 2, 3, 4, 5)
 
     def test_empty_nodes_skipped(self):
         sents = parse_conllu(
@@ -190,7 +193,7 @@ class TestParseConllu:
         crlf = parse_conllu(text.replace("\n", "\r\n"))
         assert crlf == lf
         assert crlf[0].raw_text == "Hello!"
-        assert crlf[0].char_offsets == ((0, 5), (5, 6))
+        assert crlf[0].offsets == (0, 5, 5, 6)
 
 
 # CoNLL-U-shaped text: sentence blocks with numbered tokens, mostly valid
@@ -256,7 +259,7 @@ class TestParseConlluFuzz:
         if isinstance(out, list):
             assert all(isinstance(s, ConlluSentence) for s in out)
             for s in out:
-                assert len(s.forms) == len(s.deprels) == len(s.char_offsets)
+                assert len(s.forms) == len(s.deprels) and len(s.offsets) == 2 * len(s.forms)
 
     @given(_CONLLU_TEXT)
     def test_crlf_same_as_lf(self, text):
@@ -324,7 +327,7 @@ class TestOneOffsetLoop:
     def test_matches_two_paths(self, text):
         new = _parse_outcome(text)
         if isinstance(new, list):
-            new = [(s.forms, s.deprels, s.raw_text, s.char_offsets) for s in new]
+            new = [(s.forms, s.deprels, s.raw_text, offset_pairs(s.offsets)) for s in new]
         try:
             old = [
                 (forms, tuple(rel for _, rel in pairs), raw, offsets)
@@ -369,7 +372,7 @@ class TestClassifyUnit:
             forms=sent_a.forms,
             deprels=tuple(reversed(sent_a.deprels)),
             raw_text=sent_a.raw_text,
-            char_offsets=sent_a.char_offsets,
+            offsets=sent_a.offsets,
         )
         assert classify_unit(sent_a) == classify_unit(reordered) is True
 
@@ -443,7 +446,7 @@ class TestCorpusIO:
         loaded = Corpus.load(path)
         assert [u.text for u in loaded.units] == [u.text for u in corp.units]
         assert [u.is_su for u in loaded.units] == [True, False]
-        assert loaded.units[0].char_offsets == corp.units[0].char_offsets
+        assert loaded.units[0].offsets == corp.units[0].offsets
 
     def test_bad_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -494,8 +497,8 @@ class TestCorpusIO:
 
     def test_loaded_units_share_word_strings(self, tmp_path):
         # longer than one character: CPython shares one-character strings anyway
-        two = Unit("ab cd", ("ab", "cd"), True, ((0, 2), (3, 5)))
-        corp = Corpus([two, two, Unit("cd", ("cd",), False, ((0, 2),))])
+        two = Unit("ab cd", ("ab", "cd"), True, (0, 2, 3, 5))
+        corp = Corpus([two, two, Unit("cd", ("cd",), False, (0, 2))])
         path = tmp_path / "corpus.jsonl"
         corp.save(path)
         loaded = Corpus.load(path)
@@ -505,12 +508,12 @@ class TestCorpusIO:
 
     def test_unit_equality_and_hash(self, tmp_path):
         # value semantics over the four fields, as a frozen dataclass without slots has
-        u = Unit("a b", ("a", "b"), True, ((0, 1), (2, 3)))
-        same = Unit("a b", tuple("a b".split()), True, ((0, 1), (2, 3)))
+        u = Unit("a b", ("a", "b"), True, (0, 1, 2, 3))
+        same = Unit("a b", tuple("a b".split()), True, (0, 1, 2, 3))
         assert u == same and hash(u) == hash(same)
-        assert hash(u) == hash(("a b", ("a", "b"), True, ((0, 1), (2, 3))))
-        assert u != Unit("a b", ("a", "b"), False, ((0, 1), (2, 3)))
-        assert u != ("a b", ("a", "b"), True, ((0, 1), (2, 3)))
+        assert hash(u) == hash(("a b", ("a", "b"), True, (0, 1, 2, 3)))
+        assert u != Unit("a b", ("a", "b"), False, (0, 1, 2, 3))
+        assert u != ("a b", ("a", "b"), True, (0, 1, 2, 3))
         assert len({u, same}) == 1
         with pytest.raises(AttributeError):
             u.is_su = False
@@ -651,7 +654,8 @@ class TestCorpusLoadFuzz:
                 f.write(text)
             # the units or the message of one json.loads per line
             outcome = _outcome(lambda p: Corpus.load(p).units, path)
-            assert outcome == _outcome(corpus_load_lines, path)
+            as_pairs = outcome if isinstance(outcome, tuple) else list(map(PairUnit.of, outcome))
+            assert as_pairs == _outcome(corpus_load_lines, path)
             if not isinstance(outcome, list):
                 return
             # what loads is well-typed and saves back to the same units
@@ -660,3 +664,141 @@ class TestCorpusLoadFuzz:
                 assert len(u.words) >= 1
             Corpus(outcome).save(path)
             assert Corpus.load(path).units == outcome
+
+
+def _with_pair(rec, i, pair):
+    """`rec` with its pair `i` (modulo the pair count) replaced by `pair`, if it has pairs."""
+    pairs = list(rec["char_offsets"])
+    if pairs:
+        pairs[i % len(pairs)] = pair
+    return {**rec, "char_offsets": pairs}
+
+
+def _regrouped(rec, sizes):
+    """`rec` with the entries of its pairs, in order, regrouped into as many lists of the
+    given sizes, the last list taking what is left."""
+    flat = [x for pair in rec["char_offsets"] for x in pair]
+    pairs, k = [], 0
+    for n in sizes[: len(rec["char_offsets"]) - 1]:
+        pairs.append(flat[k : k + n])
+        k += n
+    return {**rec, "char_offsets": pairs + [flat[k:]] if flat else []}
+
+
+# one char_offsets entry, most of them malformed: 0 to 3 entries, decreasing
+# offsets, offsets past the text, floats, bools, and entries that are no list
+_PAIR = st.one_of(
+    st.lists(st.integers(-1, 9), max_size=3),
+    st.lists(st.one_of(st.integers(0, 9), st.floats(0, 9), st.booleans()), min_size=2, max_size=2),
+    st.sampled_from([5, 1.5, None, True, "", "ab", "abc", {"3": 0, "5": 1}]),
+)
+_OFFSET_RECORD = st.one_of(
+    _GOOD_UNIT,
+    st.builds(_with_pair, _GOOD_UNIT, st.integers(0, 3), _PAIR),
+    # as many entries as the pairs had, in lists of 0 to 3: [[0, 2, 3], [5]]
+    st.builds(_regrouped, _GOOD_UNIT, st.lists(st.integers(0, 3), min_size=3, max_size=3)),
+    st.builds(
+        lambda rec, pairs: {**rec, "char_offsets": pairs},
+        _GOOD_UNIT,
+        st.one_of(st.lists(_PAIR, max_size=4), _JSON),  # _JSON: mostly no list
+    ),
+)
+_AB_CD = {"text": "ab cd", "words": ["ab", "cd"], "char_offsets": [[0, 2], [3, 5]], "is_su": True}
+
+
+def _load_outcomes(text):
+    """`Corpus.load`'s units as `PairUnit`s or its error, and `corpus_load_lines`'s, of `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus.jsonl")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        new = _outcome(lambda p: list(map(PairUnit.of, Corpus.load(p).units)), path)
+        return new, _outcome(corpus_load_lines, path), path
+
+
+class TestFlatOffsetLoader:
+    """`Corpus.load`, which holds each unit's offsets in one flat tuple, against the pair loader."""
+
+    @settings(max_examples=300)
+    @given(st.lists(_OFFSET_RECORD, min_size=1, max_size=4))
+    def test_same_units_or_message(self, records):
+        new, old, _ = _load_outcomes("".join(json.dumps(r) + "\n" for r in records))
+        assert new == old
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"char_offsets": [[0, 2], []]}, "not enough values to unpack (expected 2, got 0)"),
+            ({"char_offsets": [[0, 2], [3]]}, "not enough values to unpack (expected 2, got 1)"),
+            # four entries, as two pairs would have
+            ({"char_offsets": [[0, 2, 3], [5]]}, "too many values to unpack (expected 2)"),
+            ({"char_offsets": [[0, 2], "abc"]}, "too many values to unpack (expected 2)"),
+            # the first word's checks come before the second pair is unpacked
+            ({"char_offsets": [[0, 9], [3]]}, "offset (0, 9) not monotone within text"),
+            ({"words": ["ab", 7], "char_offsets": [[0, 2], [3]]},
+             "not enough values to unpack (expected 2, got 1)"),
+            ({"words": [7, "cd"], "char_offsets": [[0, 2], [3]]},
+             "word 7 at (0, 2): expected a string and two ints"),
+            # a pair that is no iterable fails before any field is checked
+            ({"text": 5, "char_offsets": [[0, 2], 5]}, "'int' object is not iterable"),
+            ({"text": 5, "char_offsets": [[0, 2], [3]]}, "text must be a string"),
+            ({"is_su": 1, "char_offsets": [[0, 2], [3]]}, "is_su must be true or false, got 1"),
+            ({"char_offsets": [[0, 2], "ab"]}, "word 'cd' at ('a', 'b'): expected a string and two ints"),
+            ({"char_offsets": [[0, 2], {"3": 0, "5": 1}]},
+             "word 'cd' at ('3', '5'): expected a string and two ints"),
+            ({"char_offsets": [[0, 2], [3, 5.0]]}, "word 'cd' at (3, 5.0): expected a string and two ints"),
+            ({"char_offsets": [[0, 2], [3, True]]}, "word 'cd' at (3, True): expected a string and two ints"),
+            ({"char_offsets": [[0, 2], [1, 5]]}, "offset (1, 5) not monotone within text"),
+            ({"char_offsets": [[0, 2], [5, 3]]}, "offset (5, 3) not monotone within text"),
+            ({"char_offsets": [[0, 2], [3, 6]]}, "offset (3, 6) not monotone within text"),
+            ({"char_offsets": [[0, 2, 3, 5]]}, "words and char_offsets must align"),
+            ({"char_offsets": [[0, 2], [3, 5], [5, 5]]}, "words and char_offsets must align"),
+            ({"char_offsets": [[0, 2], []], "words": ["ab"]}, "words and char_offsets must align"),
+            ({"char_offsets": "ab"}, "words and char_offsets must be lists"),
+        ],
+    )
+    def test_malformed_pair_message(self, change, message):
+        new, old, path = _load_outcomes(json.dumps(_AB_CD) + "\n" + json.dumps({**_AB_CD, **change}))
+        assert new == old == (ValueError, f"{path}: bad corpus record on line 2: {message}")
+
+    @given(st.lists(_GOOD_UNIT.filter(lambda rec: rec["words"]), max_size=5))  # " " has none
+    @example([_AB_CD])
+    def test_save_of_load_is_byte_identical(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus.jsonl")
+            with open(path, "w", encoding="utf-8") as f:
+                f.writelines(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+            self.assert_saves_back(path)
+
+    def test_saved_corpora_save_back_byte_identical(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        for corpus in (
+            convert_treebank(parse_conllu(THANK_YOU + FILE_METADATA + HOVER + SELL)),
+            synthetic_corpus(200, seed=4),
+        ):
+            corpus.save(path)
+            self.assert_saves_back(path)
+
+    @staticmethod
+    def assert_saves_back(path):
+        with open(path, "rb") as f:
+            before = f.read()
+        Corpus.load(path).save(path)
+        with open(path, "rb") as f:
+            assert f.read() == before
+
+    def test_load_memory_bound(self, tmp_path):
+        # 2,000 units, 11,142 words; traced after the load: 1.16 MB with one
+        # (start, end) tuple per word, 0.74 MB with one flat tuple per unit
+        path = tmp_path / "corpus.jsonl"
+        synthetic_corpus(2000, seed=0).save(path)
+        tracemalloc.start()
+        try:
+            corpus = Corpus.load(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 950_000
+        for u in corpus.units:
+            assert type(u.offsets) is tuple and len(u.offsets) == 2 * len(u.words)
+            assert all(type(x) is int for x in u.offsets)

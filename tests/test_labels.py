@@ -100,7 +100,7 @@ class TestGoldCharLabels:
 
     def test_su_then_nsu_no_internal_space(self):
         # SpaceAfter=No in the text does not reach the gold: words are joined by one space
-        su = Unit(text="Hi.", words=("Hi", "."), is_su=True, char_offsets=((0, 2), (2, 3)))
+        su = Unit(text="Hi.", words=("Hi", "."), is_su=True, offsets=(0, 2, 2, 3))
         units = [su, unit_from_words(["***"], False)]
         self.assert_gold_chars(units, "BIII" + "O" + "OOO")
 

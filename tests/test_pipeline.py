@@ -164,6 +164,28 @@ class TestConfig:
             config_from_dict({"seeds": [0, 1, 0]})
 
     @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"eval": {"p_cc_values": [0.5, 0.0, 0.5]}}, "eval.p_cc_values: p_cc 0.5"),
+            # compared as numbers: 1 and 1.0 are one setting
+            ({"eval": {"p_cc_values": [1, 1.0]}}, "eval.p_cc_values: p_cc 1.0"),
+            ({"eval": {"p_cc_values": [0, 0.0]}}, "eval.p_cc_values: p_cc 0.0"),
+            ({"granularities": ["word", "char", "word"]}, "granularities: granularity 'word'"),
+        ],
+    )
+    def test_repeated_setting_rejected(self, data, message):
+        # a repeated setting used to run twice, the second pass overwriting the first's files
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"seeds": [1], **data})
+        assert str(info.value) == f"{message} is given more than once"
+
+    def test_bad_setting_reported_before_repeat(self):
+        with pytest.raises(ConfigError, match="^granularities: unknown granularity 'x'$"):
+            config_from_dict({"seeds": [1], "granularities": ["word", "word", "x"]})
+        with pytest.raises(ConfigError, match=r"^eval.p_cc_values: 2 not in \[0, 1\]$"):
+            config_from_dict({"seeds": [1], "eval": {"p_cc_values": [0.5, 0.5, 2]}})
+
+    @pytest.mark.parametrize(
         "model", [{"epochs": 0}, {"learning_rate": -0.5}, {"lr_decay": 1.5}],
         ids=["zero-epochs", "negative-lr", "lr-decay-above-one"],
     )
