@@ -27,8 +27,8 @@ UNBOUNDED_LENGTH = sys.maxsize
 DEFAULT_PUNCT = ".?!\")'"
 DEFAULT_END_PUNCT = ".?!"
 
-CASING_TRANSFORMS = {"lower": str.lower, "upper": str.upper, "title": str.capitalize}
-TRANSFORMS = (*CASING_TRANSFORMS, "strip_punct")
+CASING_TRANSFORMS = ("lower", "upper", "title")
+TRANSFORMS = CASING_TRANSFORMS + ("strip_punct",)
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,12 @@ def _rebuild_unit(words, gaps, is_su: bool) -> Unit:
 
 def _apply_transform(unit: Unit, name: str, cfg: AugmentConfig) -> Unit:
     gaps = _word_gaps(unit)
-    if name in CASING_TRANSFORMS:
-        words = list(map(CASING_TRANSFORMS[name], unit.words))
+    if name == "lower":
+        words = [w.lower() for w in unit.words]
+    elif name == "upper":
+        words = [w.upper() for w in unit.words]
+    elif name == "title":
+        words = [w.capitalize() for w in unit.words]
     else:  # strip_punct: operates on the final word only (a unit has at least one)
         stripped = strip_end_punctuation(unit.words[-1], cfg.punct_set, cfg.end_punct_set)
         if stripped == unit.words[-1]:

@@ -93,7 +93,9 @@ class ConlluSentence:
 
 
 def _misc_space_after(misc: str) -> bool:
-    return "SpaceAfter=No" not in misc.split("|")
+    if misc == "_":
+        return True
+    return all(attr != "SpaceAfter=No" for attr in misc.split("|"))
 
 
 def _finish_sentence(rows, mwts, first_line):
@@ -267,12 +269,6 @@ class Corpus:
         return cls(units=read_json_lines(path, "corpus", _unit_of_record))
 
 
-# The loader sets fields through the slot descriptors: the frozen __init__ calls object.__setattr__
-_set_text, _set_words, _set_is_su, _set_offsets = (
-    getattr(Unit, f.name).__set__ for f in fields(Unit)
-)
-
-
 def _unit_of_record(rec) -> Unit:
     words = rec["words"]
     if type(words) is not list or type(rec["char_offsets"]) is not list:
@@ -304,12 +300,7 @@ def _unit_of_record(rec) -> Unit:
         if not (prev_end <= s <= e <= n_chars):
             raise ValueError(f"offset ({s}, {e}) not monotone within text")
         prev_end = e
-    unit = object.__new__(Unit)
-    _set_text(unit, text)
-    _set_words(unit, words)
-    _set_is_su(unit, is_su)
-    _set_offsets(unit, offsets)
-    return unit
+    return Unit(text=text, words=words, is_su=is_su, offsets=offsets)
 
 
 def convert_treebank(
