@@ -21,76 +21,62 @@ _MIX_C = 0x94D049BB133111EB
 # State per position boundary i: best log-probability of a partial labeling
 # of tokens [0, i) that ends inside an open span (cur_is) or outside
 # (cur_os).  Each token first passes a begin-flag update, then an end-flag
-# update.  Skipped positions (candidate masks 0) leave the state untouched,
-# which is exactly equivalent to pinning that flag's probability to 0.  A
-# position with both masks 0 changes neither the state nor the backtrack, so
-# both loops visit candidate positions only, on Python floats: the same IEEE
-# double operations, in the same order, as numpy scalars would perform.
+# update.  A flag pruned by the candidate threshold comes with its open/close
+# term at -inf and its stay term at 0.0: the update then adds 0.0 to each
+# state and never takes the -inf branch (the outside state is always finite),
+# so the state passes through unchanged.  A position with both flags pruned
+# changes nothing, so the loop visits candidate positions only, on Python
+# floats: the same IEEE double operations, in the same order, as numpy
+# scalars would perform.  Each close records the span it ends, and the
+# backtrack picks the spans of the argmax out of those records.
 # ---------------------------------------------------------------------------
 
 
-def dp_decode(lb1, lb0, le1, le0, bos_ok, eos_ok):
-    """(best objective, begin flags, end flags) of the argmax labeling."""
-    n = lb1.shape[0]
-    cand = np.flatnonzero(bos_ok | eos_ok)
-    # opened[k]: the open state after candidate k was reached by opening a span there
-    # closed[k]: the outside state after candidate k was reached by closing a span there
-    opened = []
-    closed = []
+def dp_decode(lb1, lb0, le1, le0):
+    """(best objective, half-open spans) of the argmax labeling."""
+    cand = np.flatnonzero((lb1 > NEG_INF) | (le1 > NEG_INF))
+    start = None  # the candidate where the span of the best open state opened
+    # first and last candidate of every close the outside state takes; two int
+    # lists, as a tuple per close would wake the garbage collector in the loop
+    starts = []
+    ends = []
     cur_is = NEG_INF
     cur_os = 0.0
-    for b_ok, e_ok, b1, b0, e1, e0 in zip(
-        bos_ok[cand].tolist(), eos_ok[cand].tolist(),
+    # the term lists die with the loop, before the backtrack allocates
+    for k, b1, b0, e1, e0 in zip(
+        range(len(cand)),
         lb1[cand].tolist(), lb0[cand].tolist(), le1[cand].tolist(), le0[cand].tolist(),
     ):
-        if b_ok:
-            keep = cur_is + b0
-            open_ = cur_os + b1
-            if open_ > keep:
-                is_p = open_
-                opened.append(True)
-            else:
-                is_p = keep
-                opened.append(False)
-            os_p = cur_os + b0
+        keep = cur_is + b0
+        open_ = cur_os + b1
+        if open_ > keep:  # open only when strictly better
+            is_p = open_
+            start = k
         else:
-            is_p = cur_is
-            os_p = cur_os
-            opened.append(False)
-        if e_ok:
-            cur_is = is_p + e0
-            close = is_p + e1
-            stay = os_p + e0
-            if close >= stay:
-                cur_os = close
-                closed.append(True)
-            else:
-                cur_os = stay
-                closed.append(False)
+            is_p = keep
+        os_p = cur_os + b0
+        cur_is = is_p + e0
+        close = is_p + e1
+        stay = os_p + e0
+        if close >= stay:  # close when at least as good
+            cur_os = close
+            starts.append(start)
+            ends.append(k)
         else:
-            cur_is = is_p
-            cur_os = os_p
-            closed.append(False)
+            cur_os = stay
 
-    bos_at = []
-    eos_at = []
-    inside = False  # state while walking backwards: True = open-span state
-    for k in range(len(cand) - 1, -1, -1):
-        if not inside:
-            if not closed[k]:
-                continue
-            eos_at.append(k)
-        # the open state after candidate k descends from the one after its begin update
-        if opened[k]:
-            bos_at.append(k)
-            inside = False
-        else:
-            inside = True
-    bos_flags = np.zeros(n, np.uint8)
-    eos_flags = np.zeros(n, np.uint8)
-    bos_flags[cand[bos_at]] = 1
-    eos_flags[cand[eos_at]] = 1
-    return cur_os, bos_flags, eos_flags
+    # The final outside state descends from the latest close; the outside
+    # state that a span opened from descends from the latest close before the
+    # span's first candidate.
+    pos = cand.tolist()
+    spans = []
+    bound = len(pos)
+    for s, e in zip(reversed(starts), reversed(ends)):
+        if e < bound:
+            spans.append((pos[s], pos[e] + 1))
+            bound = s
+    spans.reverse()
+    return cur_os, tuple(spans)
 
 
 # ---------------------------------------------------------------------------

@@ -245,9 +245,6 @@ class Unit:
 class Corpus:
     units: list
 
-    def __len__(self) -> int:
-        return len(self.units)
-
     def records(self) -> Iterator[str]:
         """One JSON line per unit, as written by save()."""
         for u in self.units:
@@ -394,13 +391,16 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
     Inter-unit separator characters belong to no unit and are excluded, so
     stats of concatenated corpora are exactly the field-wise sums.
     """
-    stats = CorpusStats()
-    for u in corpus.units:
-        nw, nc = len(u.words), len(u.text)
-        if u.is_su:
-            stats += CorpusStats(
-                su_count=1, word_b=1, word_i=nw - 1, char_b=1, char_i=nc - 1
-            )
-        else:
-            stats += CorpusStats(nsu_count=1, word_o=nw, char_o=nc)
-    return stats
+    su = [u for u in corpus.units if u.is_su]
+    nsu = [u for u in corpus.units if not u.is_su]
+    # an SU unit's first word and first char are B, the rest I
+    return CorpusStats(
+        su_count=len(su),
+        nsu_count=len(nsu),
+        word_b=len(su),
+        word_i=sum(len(u.words) for u in su) - len(su),
+        word_o=sum(len(u.words) for u in nsu),
+        char_b=len(su),
+        char_i=sum(len(u.text) for u in su) - len(su),
+        char_o=sum(len(u.text) for u in nsu),
+    )

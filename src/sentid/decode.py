@@ -6,13 +6,13 @@ the analogous end-flag term.  Begin/end flags must alternate, starting with
 a begin and ending with an end; a token may open and close a span at once
 (one-token span).  The DP keeps two accumulators (inside / outside an open
 span), applies a begin-flag update then an end-flag update per token, and
-backtracks the argmax.  Positions whose probability falls below the
-candidate threshold skip their update, which equals forcing that flag's
-probability to zero.
+backtracks the argmax straight into spans.
 
 Probabilities enter the objective as log(max(p, eps)) and
-log(max(1 - p, eps)), so a forced-zero flag contributes exactly 0.0 to every
-labeling that omits it.
+log(max(1 - p, eps)).  A flag whose probability falls below the candidate
+threshold is forced to probability zero instead: its open/close term is
+-inf, so no span uses it, and its stay term is exactly 0.0.  `_dp_inputs`
+folds this in once, and the DP visits only positions with a flag left.
 """
 
 import json
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .fileio import atomic_open, read_json_lines
-from .labels import LabelSeq, flags_to_spans, spans_to_labels
+from .labels import LabelSeq, spans_to_labels
 
 
 @dataclass(frozen=True)
@@ -85,20 +85,21 @@ def segment_eos_only(
 
 
 def _dp_inputs(m, cfg: DecoderConfig):
-    p_bos = np.asarray(m.p_bos, dtype=np.float64)
-    p_eos = np.asarray(m.p_eos, dtype=np.float64)
-    lb1, lb0 = clamped_logs(p_bos, cfg.prob_floor)
-    le1, le0 = clamped_logs(p_eos, cfg.prob_floor)
-    c = cfg.candidate_threshold
-    bos_ok = (p_bos >= c).astype(np.uint8)
-    eos_ok = (p_eos >= c).astype(np.uint8)
-    return lb1, lb0, le1, le0, bos_ok, eos_ok
+    """(lb1, lb0, le1, le0), each flag below the candidate threshold forced to probability 0."""
+    terms = []
+    for p in (m.p_bos, m.p_eos):
+        p = np.asarray(p, dtype=np.float64)
+        one, zero = clamped_logs(p, cfg.prob_floor)
+        pruned = p < cfg.candidate_threshold
+        one[pruned] = -np.inf
+        zero[pruned] = 0.0
+        terms += (one, zero)
+    return terms
 
 
 def identify(m, cfg: DecoderConfig = DecoderConfig()) -> SpanResult:
     """Argmax span extraction over begin/end flag assignments."""
-    logp, bos, eos = _kernels.dp_decode(*_dp_inputs(m, cfg))
-    spans = flags_to_spans(bos, eos)
+    logp, spans = _kernels.dp_decode(*_dp_inputs(m, cfg))
     return SpanResult(
         su_spans=spans, log_prob=float(logp), labels=spans_to_labels(m.n, spans)
     )

@@ -9,6 +9,7 @@ tab-separated probability files instead.
 """
 
 import json
+import re
 import warnings
 import zlib
 from dataclasses import asdict, dataclass
@@ -480,12 +481,21 @@ def load_model(path) -> ClassifierModel:
 # ---------------------------------------------------------------------------
 
 
+# The probability reader's column and line separators, which no token may hold.
+_SEPARATOR = re.compile("[\t\n\r]")
+
+
 def write_prob_documents(path, docs: Iterable[tuple[Sequence[str], ProbMatrix]]) -> None:
     docs = list(docs)
     uni = bool(docs) and all(m.has_uni for _, m in docs)
     with atomic_open(path) as f:
         f.write(f"#probs v1 uni={1 if uni else 0}\n")
         for d, (tokens, m) in enumerate(docs):
+            if _SEPARATOR.search("".join(tokens)):  # one scan per document
+                i = next(i for i, tok in enumerate(tokens) if _SEPARATOR.search(tok))
+                raise ValueError(
+                    f"document {d} row {i}: token {tokens[i]!r} holds a tab or line break"
+                )
             if d:
                 f.write("\n")
             columns = [getattr(m, name).tolist() for name in _PROB_COLUMNS[: 4 if uni else 2]]

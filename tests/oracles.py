@@ -13,7 +13,7 @@ end featurize, score and train one document at a time, on dense heads
 (`densify` rebuilds them from a model's row map and columns, and
 `model_from_dense` compacts them into a model); they share the
 token hasher and the kernels with the package, so grouped results and compact
-models must equal theirs bit for bit.  Eleven references are earlier versions of package code:
+models must equal theirs bit for bit.  Twelve references are earlier versions of package code:
 `evaluate_documents_rendered`, which scores char labels by rendering each
 document with `render_granularity` (the char body of `to_granularity`
 until counting replaced it), `span_counts_sets`, the span counting of
@@ -29,7 +29,8 @@ words and multiword tokens through separate offset paths and kept each
 word's head, `assemble_select_then_build` and `truncate_edges_two_branches`,
 the example assembly that chose its units before building and cut each
 edge in its own branch, and `example_stream_two_paths` and
-`generate_examples_loop`, the streams built on them.  The package must match each
+`generate_examples_loop`, the streams built on them, and `compute_stats_per_unit`,
+which added one `CorpusStats` per unit.  The package must match each
 exactly; its readers must return equal records or raise the same message.
 """
 
@@ -51,7 +52,13 @@ from sentid.augment import (
     example_stream,
     sample_length,
 )
-from sentid.corpus import ConlluParseError, ConlluStructureError, Unit, gold_word_labels
+from sentid.corpus import (
+    ConlluParseError,
+    ConlluStructureError,
+    CorpusStats,
+    Unit,
+    gold_word_labels,
+)
 from sentid.decode import SpanResult
 from sentid.evaluation import EvalError, EvalReport, Evaluator
 from sentid.labels import LabelError, LabelSeq, coarse_to_chars
@@ -398,6 +405,20 @@ def gold_word_labels_loop(units) -> str:
     return "".join(parts)
 
 
+def compute_stats_per_unit(corpus) -> CorpusStats:
+    """`compute_stats` as one `CorpusStats` per unit, added field by field."""
+    stats = CorpusStats()
+    for u in corpus.units:
+        nw, nc = len(u.words), len(u.text)
+        if u.is_su:
+            stats += CorpusStats(
+                su_count=1, word_b=1, word_i=nw - 1, char_b=1, char_i=nc - 1
+            )
+        else:
+            stats += CorpusStats(nsu_count=1, word_o=nw, char_o=nc)
+    return stats
+
+
 def offset_pairs(offsets) -> tuple:
     """A unit's flat offsets (s0, e0, s1, e1, ...) as ((s0, e0), (s1, e1), ...)."""
     return tuple(zip(offsets[::2], offsets[1::2]))
@@ -503,8 +524,9 @@ def label_counts(gold: str, pred: str):
 def dp_decode_loop(lb1, lb0, le1, le0, bos_ok, eos_ok):
     """The span DP visiting every position, on numpy scalars.
 
-    Positions whose candidate masks are both 0 pass through unchanged; the
-    kernel skips them, so its results must equal these bit for bit.
+    Positions whose candidate masks are both 0 pass through unchanged.  The
+    kernel takes the masks folded into its log terms and skips those
+    positions, so its results must equal these bit for bit.
     """
     n = lb1.shape[0]
     # bp_bos[i]: open-state at i was reached by opening a span at i

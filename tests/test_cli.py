@@ -16,11 +16,12 @@ from sentid import model as model_mod
 from sentid import pipeline as pipeline_mod
 from sentid.augment import AugmentConfig
 from sentid.cli import build_parser, main
+from sentid.corpus import Corpus
 from sentid.decode import DecoderConfig
 from sentid.model import InterpConfig, ModelConfig
 
 from oracles import model_from_dense, zero_heads
-from synth import synthetic_corpus
+from synth import synthetic_corpus, unit_from_words
 
 CONLLU = """\
 1\tThank\t_\t_\t_\t_\t0\troot\t_\t_
@@ -451,6 +452,30 @@ class TestPipelineCommand:
         for extra in ([], ["--parallel-seeds"]):
             assert run("pipeline", "--config", str(cfg_path), *extra) == 2
             assert capsys.readouterr().err == expected
+
+    def test_token_with_a_tab_fails_predict_with_exit_2(self, tmp_path, capsys):
+        # the run used to exit 0 with a probability file that `decode --probs` refused
+        evalc = tmp_path / "eval.jsonl"
+        units = synthetic_corpus(19, seed=23).units
+        Corpus([unit_from_words(["a\tb", "c", "."], True), *units]).save(evalc)
+        train = tmp_path / "train.jsonl"
+        synthetic_corpus(40, seed=24).save(train)
+        out_dir = tmp_path / "runs"
+        cfg = {
+            "seeds": [0],
+            "paths": {"train_corpus": str(train), "eval_corpus": str(evalc),
+                      "output_dir": str(out_dir)},
+            "model": {"window_radius": 1, "hash_dim": 2**10, "epochs": 1},
+            "eval": {"p_cc_values": [0.5]},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("pipeline", "--config", str(cfg_path)) == 2
+        assert capsys.readouterr().err == (
+            "data error: stage 'predict' failed: "
+            "document 0 row 0: token 'a\\tb' holds a tab or line break\n"
+        )
+        assert not list(out_dir.glob("probs_*"))
 
     def test_seed_override_runs_single_seed(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"

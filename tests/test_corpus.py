@@ -31,6 +31,7 @@ from sentid.corpus import (
 
 from oracles import (
     PairUnit,
+    compute_stats_per_unit,
     corpus_load_lines,
     gold_documents_walk,
     gold_word_labels_loop,
@@ -431,6 +432,22 @@ class TestStats:
         right = Corpus(corp.units[2:])
         assert compute_stats(left) + compute_stats(right) == compute_stats(corp)
 
+    @given(
+        st.lists(
+            st.builds(
+                Unit,
+                text=st.text("ab .", max_size=12),
+                words=st.lists(st.text("ab", max_size=3), max_size=4).map(tuple),
+                is_su=st.booleans(),
+                offsets=st.just(()),
+            ),
+            max_size=8,
+        )
+    )
+    @example(synthetic_corpus(300, seed=41).units)
+    def test_sums_equal_the_per_unit_loop(self, units):
+        assert compute_stats(Corpus(units)) == compute_stats_per_unit(Corpus(units))
+
     def test_to_dict(self):
         d = CorpusStats(su_count=1, word_b=1, word_i=2, char_b=1, char_i=3).to_dict()
         assert d["word"] == {"B": 1, "I": 2, "O": 0}
@@ -601,7 +618,7 @@ def _unit_record(text, n_words, is_su):
 
 _GOOD_UNIT = st.builds(
     _unit_record,
-    st.text("ab .\u2028\x85é", max_size=8).filter(str.split),  # \u2028 and \x85 end no line
+    st.text("ab .\u2028\x85é", max_size=8).filter(lambda t: t.split()),  # \u2028 and \x85 end no line
     st.integers(1, 4),
     st.booleans(),
 )
@@ -761,7 +778,7 @@ class TestFlatOffsetLoader:
         new, old, path = _load_outcomes(json.dumps(_AB_CD) + "\n" + json.dumps({**_AB_CD, **change}))
         assert new == old == (ValueError, f"{path}: bad corpus record on line 2: {message}")
 
-    @given(st.lists(_GOOD_UNIT.filter(lambda rec: rec["words"]), max_size=5))  # " " has none
+    @given(st.lists(_GOOD_UNIT, max_size=5))
     @example([_AB_CD])
     def test_save_of_load_is_byte_identical(self, records):
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,6 +1,6 @@
 """The kernels against the plain loop references in ``oracles``.
 
-Integer outputs (feature indices, flag vectors) must match exactly; float
+Integer outputs (feature indices, spans) must match exactly; float
 accumulations may differ in the last ulps where the kernels sum pairwise.
 """
 
@@ -29,6 +29,19 @@ def random_csr(rng, nrows, dim):
     return indices, indptr
 
 
+def folded(lb1, lb0, le1, le0, bos_ok, eos_ok):
+    """The kernel's four log terms: a masked-out flag's open/close term is -inf, its stay term 0.0."""
+    return (
+        np.where(bos_ok, lb1, -np.inf), np.where(bos_ok, lb0, 0.0),
+        np.where(eos_ok, le1, -np.inf), np.where(eos_ok, le0, 0.0),
+    )
+
+
+def flag_spans(bos, eos):
+    """Half-open spans of an oracle's alternating begin/end flag vectors."""
+    return tuple(zip(np.flatnonzero(bos).tolist(), (np.flatnonzero(eos) + 1).tolist()))
+
+
 class TestDpDecodeParity:
     def test_matches_fallback(self):
         rng = np.random.default_rng(31)
@@ -39,11 +52,10 @@ class TestDpDecodeParity:
             le1, le0 = np.log(np.maximum(p_eos, 1e-12)), np.log(np.maximum(1 - p_eos, 1e-12))
             ok_b = (p_bos >= 0.1).astype(np.uint8)
             ok_e = (p_eos >= 0.1).astype(np.uint8)
-            got = _kernels.dp_decode(lb1, lb0, le1, le0, ok_b, ok_e)
+            got = _kernels.dp_decode(*folded(lb1, lb0, le1, le0, ok_b, ok_e))
             ref = span_dp(lb1, lb0, le1, le0, ok_b, ok_e)
             assert got[0] == pytest.approx(ref[0], abs=1e-12)
-            assert np.array_equal(got[1], ref[1])
-            assert np.array_equal(got[2], ref[2])
+            assert got[1] == flag_spans(ref[1], ref[2])
 
 
 def dp_inputs(p_bos, p_eos, c):
@@ -57,21 +69,21 @@ _PROB = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9
 
 
 class TestDpDecodeMatchesLoop:
-    """The candidate-only DP against the every-position loop, bit for bit."""
+    """The candidate-only DP on folded terms against the every-position loop, bit for bit."""
 
     def assert_identical(self, args):
-        got = _kernels.dp_decode(*args)
+        logp, spans = _kernels.dp_decode(*folded(*args))
         ref = dp_decode_loop(*args)
-        assert float(got[0]).hex() == float(ref[0]).hex()
-        for g, r in zip(got[1:], ref[1:]):
-            assert g.dtype == np.uint8 and np.array_equal(g, r)
-        return got
+        assert float(logp).hex() == float(ref[0]).hex()
+        assert type(spans) is tuple and all(type(x) is int for sp in spans for x in sp)
+        assert spans == flag_spans(ref[1], ref[2])
+        return logp, spans
 
     def test_every_position_pruned(self):
         p = np.random.default_rng(35).random((2, 30)) * 0.099
-        logp, bos, eos = self.assert_identical(dp_inputs(p[0], p[1], 0.1))
-        # no flags, and only candidate positions add their zero-flag terms
-        assert logp == 0.0 and not bos.any() and not eos.any()
+        logp, spans = self.assert_identical(dp_inputs(p[0], p[1], 0.1))
+        # no spans, and the pruned flags add nothing
+        assert logp == 0.0 and spans == ()
 
     def test_no_position_pruned(self):
         rng = np.random.default_rng(36)

@@ -821,6 +821,17 @@ class TestProbFiles:
         untranslated = io.StringIO(path.read_bytes().decode("utf-8"))
         assert _outcome(iter_prob_documents, untranslated) == expected
 
+    @pytest.mark.parametrize("sep", ["\t", "\n", "\r", "\r\n"])
+    def test_token_holding_a_reader_separator_is_refused(self, tmp_path, sep):
+        # such a file used to be written, and its own reader refused it: "expected 4 columns"
+        y = ProbMatrix(np.array([0.5]), np.array([0.5]))
+        m = ProbMatrix(np.array([0.5, 0.25, 1.0]), np.array([0.125, 0.0, 0.75]))
+        token = f"a{sep}b"
+        message = f"document 1 row 2: token {token!r} holds a tab or line break"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_prob_documents(tmp_path / "probs.tsv", [(["y"], y), (["x", "z", token], m)])
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("uni, n", [(False, 40), (True, 40), (True, 5000)])
     def test_written_files_never_take_the_row_by_row_path(self, tmp_path, uni, n):
         # a silent fall to the slow path would keep every value and lose the speed
