@@ -27,9 +27,14 @@ _MIX_C = 0x94D049BB133111EB
 # so the state passes through unchanged.  A position with both flags pruned
 # changes nothing, so the loop visits candidate positions only, on Python
 # floats: the same IEEE double operations, in the same order, as numpy
-# scalars would perform.  Each close records the span it ends, and the
-# backtrack picks the spans of the argmax out of those records.
+# scalars would perform.  It walks them a chunk at a time, so the Python
+# float lists of the terms hold one chunk, however long the document.  Each
+# close records the span it ends, and the backtrack picks the spans of the
+# argmax out of those records.
 # ---------------------------------------------------------------------------
+
+# candidates per chunk of the DP's term lists
+_DP_CHUNK = 1024
 
 
 def dp_decode(lb1, lb0, le1, le0):
@@ -42,38 +47,40 @@ def dp_decode(lb1, lb0, le1, le0):
     ends = []
     cur_is = NEG_INF
     cur_os = 0.0
-    # the term lists die with the loop, before the backtrack allocates
-    for k, b1, b0, e1, e0 in zip(
-        range(len(cand)),
-        lb1[cand].tolist(), lb0[cand].tolist(), le1[cand].tolist(), le0[cand].tolist(),
-    ):
-        keep = cur_is + b0
-        open_ = cur_os + b1
-        if open_ > keep:  # open only when strictly better
-            is_p = open_
-            start = k
-        else:
-            is_p = keep
-        os_p = cur_os + b0
-        cur_is = is_p + e0
-        close = is_p + e1
-        stay = os_p + e0
-        if close >= stay:  # close when at least as good
-            cur_os = close
-            starts.append(start)
-            ends.append(k)
-        else:
-            cur_os = stay
+    for lo in range(0, len(cand), _DP_CHUNK):
+        chunk = cand[lo : lo + _DP_CHUNK]
+        # one tolist() per term: stacking the four first costs more on short documents
+        for k, b1, b0, e1, e0 in zip(
+            range(lo, lo + len(chunk)),
+            lb1[chunk].tolist(), lb0[chunk].tolist(), le1[chunk].tolist(), le0[chunk].tolist(),
+        ):
+            keep = cur_is + b0
+            open_ = cur_os + b1
+            if open_ > keep:  # open only when strictly better
+                is_p = open_
+                start = k
+            else:
+                is_p = keep
+            os_p = cur_os + b0
+            cur_is = is_p + e0
+            close = is_p + e1
+            stay = os_p + e0
+            if close >= stay:  # close when at least as good
+                cur_os = close
+                starts.append(start)
+                ends.append(k)
+            else:
+                cur_os = stay
 
     # The final outside state descends from the latest close; the outside
     # state that a span opened from descends from the latest close before the
-    # span's first candidate.
-    pos = cand.tolist()
+    # span's first candidate.  Positions are looked up for the kept spans only.
+    position = cand.item
     spans = []
-    bound = len(pos)
+    bound = len(cand)
     for s, e in zip(reversed(starts), reversed(ends)):
         if e < bound:
-            spans.append((pos[s], pos[e] + 1))
+            spans.append((position(s), position(e) + 1))
             bound = s
     spans.reverse()
     return cur_os, tuple(spans)

@@ -33,6 +33,8 @@ TRANSFORMS = CASING_TRANSFORMS + ("strip_punct",)
 
 @dataclass(frozen=True)
 class AugmentConfig:
+    """Concatenation, augmentation and truncation probabilities, and the example token cap."""
+
     p_cc: float = 0.5
     p_da: float = 0.3
     p_tr: float = 0.1
@@ -54,6 +56,8 @@ class AugmentConfig:
 
 @dataclass(frozen=True)
 class UnitProvenance:
+    """The corpus unit behind a run of an example's tokens, with its SU flag and transforms."""
+
     unit_index: int
     token_count: int
     is_su: bool
@@ -65,6 +69,8 @@ class UnitProvenance:
 
 @dataclass(frozen=True)
 class TrainingExample:
+    """One training or evaluation example: its words and the provenance of each unit in them."""
+
     words: tuple
     provenance: tuple
 

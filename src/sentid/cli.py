@@ -179,7 +179,7 @@ def cmd_evaluate(args) -> int:
     results = decode_mod.read_span_file(args.pred)
     gold_docs = corpus_mod.gold_documents(corp.units, [r.n for r in results])
     report = evaluation.evaluate_documents(
-        [(gold, res.labels, words) for (gold, words), res in zip(gold_docs, results)],
+        ((gold, res.labels, words) for (gold, words), res in zip(gold_docs, results)),
         args.granularity,
     )
     print(format_report(report))

@@ -10,10 +10,8 @@ non-sentential unit.
 import io
 import json
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, fields
-from itertools import accumulate, chain
-from operator import attrgetter
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from . import labels as labels_mod
@@ -40,6 +38,8 @@ class ConlluStructureError(ConlluError):
 
 @dataclass(frozen=True)
 class RelationRuleSet:
+    """The dependency relations that make a unit sentential."""
+
     core_arguments: frozenset = CORE_ARGUMENTS
     noncore_dependents: frozenset = NONCORE_DEPENDENTS
 
@@ -189,14 +189,23 @@ def parse_conllu(data) -> list[ConlluSentence]:
                 start, end = (int(x) for x in tok_id.split("-", 1))
             except ValueError:
                 raise ConlluParseError(f"line {lineno}: bad token range id {tok_id!r}") from None
+            # a range stands just before its first word
+            if start != len(rows) + 1:
+                raise ConlluParseError(
+                    f"line {lineno}: token range {tok_id!r} does not start at the next word id"
+                    f" {len(rows) + 1}"
+                )
             mwts.append((start, end, form, _misc_space_after(misc), lineno))
             continue
         if "." in tok_id:
             continue  # empty node
         try:
-            int(tok_id)
+            word_id = int(tok_id)
         except ValueError:
             raise ConlluParseError(f"line {lineno}: bad token id {tok_id!r}") from None
+        # a sentence numbers its words 1, 2, 3, ... in order
+        if word_id != len(rows) + 1:
+            raise ConlluParseError(f"line {lineno}: word id {tok_id!r}, expected {len(rows) + 1}")
         try:
             head = int(cols[6])
         except ValueError:
@@ -232,6 +241,8 @@ def classify_unit(sent: ConlluSentence, rules: RelationRuleSet = DEFAULT_RULES) 
 
 @dataclass(frozen=True, slots=True)
 class Unit:
+    """One corpus unit: a treebank sentence's text, words, SU flag and word offsets."""
+
     text: str
     words: tuple
     is_su: bool
@@ -243,6 +254,8 @@ class Unit:
 
 @dataclass
 class Corpus:
+    """Units in corpus order, saved and loaded as JSON lines."""
+
     units: list
 
     def records(self) -> Iterator[str]:
@@ -334,34 +347,37 @@ def gold_word_labels(units: Sequence) -> labels_mod.LabelSeq:
     return labels_mod.spans_to_labels(sum(map(len, units)), unit_spans(units))
 
 
-def gold_documents(units, doc_lengths) -> list[tuple[labels_mod.LabelSeq, list[str]]]:
-    """Gold word labels and words of each document, aligned to consecutive units."""
-    # ends[j]: the words of units[0..j]; a document ends at the first unit
-    # end that reaches its last word
-    ends = list(accumulate(map(len, map(attrgetter("words"), units))))
-    docs = []
+def gold_documents(units, doc_lengths) -> Iterator[tuple[labels_mod.LabelSeq, list[str]]]:
+    """Gold word labels and words of each document, aligned to consecutive units.
+
+    Yields one document at a time.  A document takes units in order until
+    they hold its tokens, so an empty unit after its last word goes to the
+    next document.
+    """
     k = 0
     for target in doc_lengths:
-        start, base, total = k, ends[k - 1] if k else 0, 0
-        if target > 0:
-            k = bisect_left(ends, base + target, lo=k)
+        words = []
+        spans = []
+        while len(words) < target:
             if k == len(units):
                 raise ValueError("predictions cover more tokens than the corpus")
-            total = ends[k] - base
+            u = units[k]
+            n = len(u.words)  # not len(u): Unit.__len__ is a Python call
+            if u.is_su:
+                spans.append((len(words), len(words) + n))
+            words += u.words
             k += 1
-        if total != target:
+        if len(words) != target:
             raise ValueError(f"document of {target} tokens does not align with unit boundaries")
-        chunk = units[start:k]
-        # gold_word_labels(chunk), whose word count is known
-        labels = labels_mod.spans_to_labels(target, unit_spans(chunk))
-        docs.append((labels, list(chain.from_iterable(map(attrgetter("words"), chunk)))))
+        yield labels_mod.spans_to_labels(target, spans), words
     if k != len(units):
         raise ValueError("predictions cover fewer tokens than the corpus")
-    return docs
 
 
 @dataclass(frozen=True)
 class CorpusStats:
+    """Unit counts, and word and char label counts, of a corpus."""
+
     su_count: int = 0
     nsu_count: int = 0
     word_b: int = 0

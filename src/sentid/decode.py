@@ -28,6 +28,8 @@ from .labels import LabelSeq, spans_to_labels
 
 @dataclass(frozen=True)
 class DecoderConfig:
+    """Candidate threshold c and the probability floor of the log terms."""
+
     candidate_threshold: float = 0.1
     prob_floor: float = 1e-12
 
@@ -40,6 +42,8 @@ class DecoderConfig:
 
 @dataclass(frozen=True)
 class SpanResult:
+    """A decoded document: its spans, their objective and its word labels."""
+
     su_spans: tuple
     log_prob: float
     labels: LabelSeq

@@ -37,6 +37,8 @@ class EvalError(ValueError):
 
 @dataclass(frozen=True)
 class LabelScore:
+    """Precision, recall, F1, gold support and predicted count of one label."""
+
     precision: float
     recall: float
     f1: float
@@ -46,6 +48,8 @@ class LabelScore:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """The pooled scores of one run at one granularity."""
+
     granularity: str
     per_label: dict
     macro_f1: float
@@ -133,12 +137,40 @@ class Evaluator:
 
     `cells[k * g + p]` counts the positions of gold label g and predicted
     label p (k labels, as indices into LABELS); every label count and span
-    total follows from it.  `span_tp` counts the matched spans.
+    total follows from it.  `span_tp` counts the matched spans.  At char
+    granularity, `add_document` holds documents of word labels back in
+    `pending` until they hold `_CHAR_GROUP_TOKENS` tokens, then counts them
+    together (`_add_char_group`); `report` counts the rest.
     """
 
     granularity: str = "word"
     cells: list = field(default_factory=lambda: [0] * len(LABELS) ** 2)
     span_tp: int = 0
+    # (gold labels, predicted labels, word lengths) of the documents not yet counted
+    pending: list = field(default_factory=list, init=False)
+    pending_tokens: int = field(default=0, init=False)
+
+    def add_document(self, gold: LabelSeq, pred: LabelSeq, words) -> None:
+        """Pool one document of gold labels, predicted labels and words.
+
+        Word labels are counted at char level from the word lengths.  Labels
+        at the evaluator's granularity pass through `to_granularity` to
+        `add_labels`.
+        """
+        gran = self.granularity
+        if gran != "char" or "word" not in (gold.granularity, pred.granularity):
+            self.add_labels(to_granularity(gold, gran), to_granularity(pred, gran))
+            return
+        self.pending.append((gold.labels, pred.labels, _char_widths(gold, pred, words)))
+        self.pending_tokens += len(words)
+        if self.pending_tokens >= _CHAR_GROUP_TOKENS:
+            self._count_pending()
+
+    def _count_pending(self) -> None:
+        if self.pending:
+            _add_char_group(self, self.pending)
+            self.pending = []
+            self.pending_tokens = 0
 
     def add_labels(self, gold: LabelSeq, pred: LabelSeq) -> None:
         """Pool the label and span counts of one document's gold and predicted labels."""
@@ -152,6 +184,7 @@ class Evaluator:
         _pool(self, np.bincount(codes[:-1], minlength=len(LABELS) ** 2), codes)
 
     def report(self) -> EvalReport:
+        self._count_pending()
         k, c = len(LABELS), self.cells
         # per label: (gold, predicted, both); each side has one span per B
         counts = [(sum(c[k * i : k * i + k]), sum(c[i::k]), c[k * i + i]) for i in range(k)]
@@ -214,29 +247,23 @@ def to_granularity(labels: LabelSeq, granularity: str) -> LabelSeq:
     return labels
 
 
-def evaluate_documents(docs, granularity: str = "word") -> EvalReport:
-    """Pooled report over (gold labels, predicted labels, words) documents.
+def score_documents(docs, granularities) -> dict:
+    """{granularity: pooled report} of (gold labels, predicted labels, words) documents.
 
-    Word labels are counted at char level from the word lengths, a group of
-    documents at a time (`_add_char_group`).  Labels at `granularity` pass
-    through `to_granularity` to `Evaluator.add_labels`.
+    Reads `docs` once, one document at a time, and adds each document to
+    one Evaluator per granularity, so an iterator of documents is scored
+    without holding them all.
     """
-    ev = Evaluator(granularity=granularity)
-    group = []
-    tokens = 0
+    evaluators = [Evaluator(granularity=g) for g in granularities]
     for gold, pred, words in docs:
-        if granularity != "char" or "word" not in (gold.granularity, pred.granularity):
-            ev.add_labels(to_granularity(gold, granularity), to_granularity(pred, granularity))
-            continue
-        group.append((gold.labels, pred.labels, _char_widths(gold, pred, words)))
-        tokens += len(words)
-        if tokens >= _CHAR_GROUP_TOKENS:
-            _add_char_group(ev, group)
-            group = []
-            tokens = 0
-    if group:
-        _add_char_group(ev, group)
-    return ev.report()
+        for ev in evaluators:
+            ev.add_document(gold, pred, words)
+    return {ev.granularity: ev.report() for ev in evaluators}
+
+
+def evaluate_documents(docs, granularity: str = "word") -> EvalReport:
+    """Pooled report over (gold labels, predicted labels, words) documents (`score_documents`)."""
+    return score_documents(docs, (granularity,))[granularity]
 
 
 def _char_widths(gold: LabelSeq, pred: LabelSeq, words) -> list:
@@ -329,12 +356,16 @@ def _pool(ev: Evaluator, cells, codes) -> None:
 
 @dataclass(frozen=True)
 class MetricStat:
+    """Mean and sample standard deviation of a score across runs."""
+
     mean: float
     std: float
 
 
 @dataclass(frozen=True)
 class AggregateReport:
+    """The scores of several runs at one granularity, as MetricStats."""
+
     granularity: str
     n_runs: int
     metrics: dict

@@ -33,6 +33,8 @@ class LabelError(ValueError):
 
 @dataclass(frozen=True)
 class LabelSeq:
+    """A B/I/O label string at word or char granularity."""
+
     granularity: str
     labels: str
 

@@ -50,6 +50,8 @@ _PROB_COLUMNS = ("p_bos", "p_eos", "p_bos_uni", "p_eos_uni")
 
 @dataclass(frozen=True)
 class ProbMatrix:
+    """Per-token begin and end probabilities of one document, with optional unidirectional ones."""
+
     p_bos: np.ndarray
     p_eos: np.ndarray
     p_bos_uni: Optional[np.ndarray] = None
@@ -103,6 +105,8 @@ def interpolate(m: ProbMatrix, cfg: InterpConfig) -> ProbMatrix:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Feature window, hashing and training settings of the probability model."""
+
     window_radius: int = 5
     ngram_orders: tuple = (1, 2, 3, 4)
     hash_dim: int = 2**18

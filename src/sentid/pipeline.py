@@ -50,6 +50,8 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelinePaths:
+    """Input files and output directory of a pipeline run."""
+
     train_corpus: str = ""
     eval_corpus: str = ""
     treebank_train: str = ""
@@ -67,6 +69,8 @@ def _no_repeats(key: str, what: str, values: tuple) -> None:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A pipeline run: seeds, decoding method, granularities, paths and every stage's config."""
+
     seeds: tuple
     method: str = "bos_eos"
     granularities: tuple = ("word", "char")
@@ -280,10 +284,10 @@ def _run_seed(cfg: PipelineConfig, seed: int, inputs: tuple) -> dict:
     Returns {(p_cc, granularity): EvalReport}.
     """
     eval_corpus, train_corpus, matrices = inputs
+    # a run on paths.probs has one seed: decoding empties its matrices
     if matrices is not None:
         return _decode_and_score(
-            cfg, seed, "ext", matrices,
-            lambda: gold_documents(eval_corpus.units, [m.n for m in matrices]),
+            cfg, seed, "ext", matrices, lambda lengths: gold_documents(eval_corpus.units, lengths)
         )
 
     out_dir = cfg.paths.output_dir
@@ -310,24 +314,34 @@ def _run_seed(cfg: PipelineConfig, seed: int, inputs: tuple) -> dict:
 
         reports.update(_decode_and_score(
             cfg, seed, p_cc, matrices,
-            lambda: [(gold_word_labels(ex.provenance), ex.words) for ex in docs],
+            lambda _: ((gold_word_labels(ex.provenance), ex.words) for ex in docs),
         ))
     return reports
 
 
-def decode_documents(matrices, method: str, decoder: DecoderConfig, interp: InterpConfig) -> list:
-    """Decode each document, mixing in its unidirectional columns when it has them."""
-    return [
-        decode_document(interpolate(m, interp) if m.has_uni else m, method, decoder)
-        for m in matrices
-    ]
+def decode_documents(
+    matrices: list, method: str, decoder: DecoderConfig, interp: InterpConfig
+) -> list:
+    """Decode each document, mixing in its unidirectional columns when it has them.
+
+    Empties `matrices` as it goes: each matrix, with its interpolated copy,
+    is released once its document is decoded.
+    """
+    matrices.reverse()
+    results = []
+    while matrices:
+        m = matrices.pop()
+        results.append(decode_document(interpolate(m, interp) if m.has_uni else m, method, decoder))
+    return results
 
 
 def _decode_and_score(cfg: PipelineConfig, seed: int, setting, matrices, gold_docs) -> dict:
     """Decode and write the span file, then score it at each granularity.
 
-    `gold_docs()` returns the (gold word labels, words) of each document; it
-    is called only once the span file is written.  Returns {(setting, granularity): EvalReport}.
+    `matrices` is emptied by `decode_documents`.  `gold_docs(lengths)`
+    returns the (gold word labels, words) of documents of those token
+    counts, which are scored one at a time; it is called only once the span
+    file is written.  Returns {(setting, granularity): EvalReport}.
     """
     out_dir = cfg.paths.output_dir
     tag = f"seed{seed}_{_setting_tag(setting)}"
@@ -335,10 +349,12 @@ def _decode_and_score(cfg: PipelineConfig, seed: int, setting, matrices, gold_do
         results = decode_documents(matrices, cfg.method, cfg.decoder, cfg.interp)
         write_span_file(os.path.join(out_dir, f"spans_{tag}_{cfg.method}.jsonl"), results)
     with _stage("evaluate"):
-        scored = [(gold, res.labels, words) for (gold, words), res in zip(gold_docs(), results)]
+        golds = gold_docs([res.n for res in results])
+        # the gold walk comes first, so that zip asks it for a document past
+        # the last, and it checks that the corpus holds no more tokens
+        scored = ((gold, res.labels, words) for (gold, words), res in zip(golds, results))
         reports = {}
-        for gran in cfg.granularities:
-            report = evaluation.evaluate_documents(scored, gran)
+        for gran, report in evaluation.score_documents(scored, cfg.granularities).items():
             reports[(setting, gran)] = report
             write_json(
                 os.path.join(out_dir, f"report_{tag}_{gran}_{cfg.method}.json"), report.to_dict()

@@ -566,6 +566,14 @@ class TestExitCodes:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_word_ids_out_of_order_are_data_error(self, tmp_path, capsys):
+        # ids 1 and 3 used to convert, with exit code 0, to the SU unit "He runs"
+        src = tmp_path / "ids.conllu"
+        src.write_text("1\tHe\t_\t_\t_\t_\t3\tnsubj\t_\t_\n3\truns\t_\t_\t_\t_\t0\troot\t_\t_\n")
+        assert run("convert", "--input", str(src), "--output", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"data error: {src}: line 2: word id '3', expected 2\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "case", ["decode", "decode-stdin", "pipeline-probs", "pipeline-config", "convert-rules"]
     )

@@ -123,18 +123,62 @@ class TestParseConllu:
     @pytest.mark.parametrize(
         "ranges, message",
         [
-            (("1-2", "2-3"), "line 2: token range 2-3 overlaps token range 1-2"),
-            (("1-3", "2-2"), "line 2: token range 2-2 overlaps token range 1-3"),
-            (("2-3", "1-3"), "line 2: token range 1-3 overlaps token range 2-3"),
+            (("1-2", "2-3"), "line 3: token range 2-3 overlaps token range 1-2"),
+            (("1-3", "2-2"), "line 3: token range 2-2 overlaps token range 1-3"),
+            (("1-3", "3-3"), "line 4: token range 3-3 overlaps token range 1-3"),
             (("1-2", "1-2"), "line 2: token range 1-2 overlaps token range 1-2"),
         ],
     )
     def test_overlapping_token_ranges_rejected(self, ranges, message):
         # a later range used to take over the earlier one's words, dropping a form
-        rows = [f"{r}\tmw{k}\t_\t_\t_\t_\t_\t_\t_\t_" for k, r in enumerate(ranges)]
         words = [tok(1, "a", 0, "root"), tok(2, "b", 1, "obj"), tok(3, "c", 1, "obj")]
+        rows = []
+        for i, word in enumerate(words, start=1):
+            # each range stands just before its first word
+            rows += [
+                f"{r}\tmw{k}\t_\t_\t_\t_\t_\t_\t_\t_"
+                for k, r in enumerate(ranges)
+                if r.startswith(f"{i}-")
+            ]
+            rows.append(word)
         with pytest.raises(ConlluStructureError) as info:
-            parse_conllu(block(*rows, *words))
+            parse_conllu(block(*rows))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ((1, 3), "line 2: word id '3', expected 2"),  # a skipped id
+            ((2, 1), "line 1: word id '2', expected 1"),  # ids out of order
+        ],
+    )
+    def test_word_ids_must_count_up_from_one(self, ids, message):
+        # both used to convert to the SU unit "He runs"
+        rows = [tok(ids[0], "He", ids[1], "nsubj"), tok(ids[1], "runs", 0, "root")]
+        with pytest.raises(ConlluParseError) as info:
+            parse_conllu(block(*rows))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a range before a word it does not cover
+            (
+                ["2-3\tbc\t_\t_\t_\t_\t_\t_\t_\t_"],
+                "line 1: token range '2-3' does not start at the next word id 1",
+            ),
+            # a range after its first word
+            (
+                [tok(1, "a", 0, "root"), "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_"],
+                "line 2: token range '1-2' does not start at the next word id 2",
+            ),
+        ],
+    )
+    def test_token_range_must_start_at_the_next_word(self, rows, message):
+        words = [tok(1, "a", 0, "root"), tok(2, "b", 1, "obj"), tok(3, "c", 1, "obj")]
+        rows = rows + [w for w in words if w not in rows]
+        with pytest.raises(ConlluParseError) as info:
+            parse_conllu(block(*rows))
         assert str(info.value) == message
 
     def test_adjacent_token_ranges(self):
@@ -281,21 +325,26 @@ def _ranged_block(draw):
         _row(str(i), draw(_FIELD), str(0 if i == root else draw(st.integers(1, n))), draw(_MISC))
         for i in range(1, n + 1)
     ]
-    ranges = []
+    ranges = []  # (word the range stands before, range id)
     tid = 1
     while tid <= n:
         if draw(st.booleans()):
             end = min(n, tid + draw(st.integers(0, 2)))
-            ranges.append(f"{tid}-{end}")
+            ranges.append((tid, f"{tid}-{end}"))
             tid = end + 1
         else:
             tid += 1
     if draw(st.booleans()):
         start = draw(st.integers(0, n + 1))
-        ranges.append(f"{start}-{draw(st.integers(start - 1, n + 1))}")
-    for r in ranges:
-        rows.insert(draw(st.integers(0, len(rows))), _row(r, draw(_FIELD), "_", draw(_MISC)))
-    return rows
+        # mostly before its first word, as CoNLL-U places a range; sometimes anywhere
+        at = start if draw(st.integers(0, 3)) else draw(st.integers(1, n + 1))
+        ranges.append((at, f"{start}-{draw(st.integers(start - 1, n + 1))}"))
+    out = []
+    for i, row in enumerate([*rows, None], start=1):
+        out += [_row(r, draw(_FIELD), "_", draw(_MISC)) for at, r in ranges if max(at, 1) == i]
+        if row is not None:
+            out.append(row)
+    return out
 
 
 _RANGED_TEXT = st.builds(
@@ -303,6 +352,24 @@ _RANGED_TEXT = st.builds(
     st.lists(st.one_of(_ranged_block(), _sentence_block(), _OTHER_LINES), max_size=4),
     st.sampled_from(["", "\n", "\n\n"]),
 )
+
+
+def _ids_out_of_order(text):
+    """True when a sentence's word ids do not count up from 1, or a multiword range
+    does not stand just before its first word."""
+    words = 0
+    for line in text.split("\n"):
+        cols = line.split("\t")
+        if not line.strip():
+            words = 0
+        elif len(cols) == 10 and not line.startswith("#") and not re.fullmatch(r"\d+\.\d+", cols[0]):
+            try:
+                if int(cols[0].split("-", 1)[0]) != words + 1:
+                    return True
+            except ValueError:
+                continue
+            words += "-" not in cols[0]
+    return False
 
 
 def _ranges_overlap(text):
@@ -337,9 +404,12 @@ class TestOneOffsetLoop:
         except ConlluError as exc:
             old = type(exc), str(exc)
         if new != old:
-            # overlapping ranges are the one input the old parser took silently
-            assert new[0] is ConlluStructureError and " overlaps token range " in new[1]
-            assert _ranges_overlap(text)
+            # the old parser took overlapping ranges, and word ids out of order, silently
+            if new[0] is ConlluParseError:
+                assert _ids_out_of_order(text)
+            else:
+                assert new[0] is ConlluStructureError and " overlaps token range " in new[1]
+                assert _ranges_overlap(text)
 
 
 class TestClassifyUnit:
@@ -566,7 +636,7 @@ class TestGoldLabels:
 
     def test_gold_documents_align_to_units(self):
         units = _units([(2, True), (1, False), (3, True)])
-        docs = gold_documents(units, [3, 3])
+        docs = list(gold_documents(units, [3, 3]))
         assert [labels.labels for labels, _ in docs] == ["BIO", "BII"]
         assert [words for _, words in docs] == [["w0", "w1", "w0"], ["w0", "w1", "w2"]]
         for lengths, message in (
@@ -575,7 +645,7 @@ class TestGoldLabels:
             ([3], "predictions cover fewer tokens than the corpus"),
         ):
             with pytest.raises(ValueError) as info:
-                gold_documents(units, lengths)
+                list(gold_documents(units, lengths))
             assert str(info.value) == message
 
     @given(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sentid import evaluation
 from sentid.evaluation import (
     AggregateReport,
     EvalError,
@@ -13,10 +14,11 @@ from sentid.evaluation import (
     aggregate,
     bio_f1,
     evaluate_documents,
+    score_documents,
     span_f1,
     to_granularity,
 )
-from sentid.labels import LabelSeq
+from sentid.labels import GRANULARITIES, LabelSeq
 
 from oracles import (
     evaluate_documents_rendered,
@@ -416,6 +418,26 @@ class TestCharCountsMatchRendering:
         ]
         ours = char_outcome(evaluate_documents, docs)
         assert isinstance(ours, dict) and ours == char_outcome(evaluate_documents_rendered, docs)
+
+    @given(st.lists(documents(min_length=0), max_size=6), st.integers(1, 10))
+    @example(docs_of(("BIO", "BIO", ["ab", "c", "d"]), ("OB", "OB", ["a", "b"])), 3)
+    @example(docs_of(("BI", "BI", ["a", ""]), ("B", "O", [""]), ("BI", "OO", ["a", "b"])), 1)
+    def test_documents_scored_one_at_a_time(self, docs, group_tokens):
+        """Every granularity at once, from a generator, equals each one over the whole list.
+
+        A small char group size puts the drawn documents on both sides of it.
+        """
+        whole = {g: char_outcome(evaluate_documents, docs, g) for g in GRANULARITIES}
+        # only char scoring can refuse these documents
+        expected = whole["char"] if isinstance(whole["char"], str) else whole
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_CHAR_GROUP_TOKENS", group_tokens)
+            try:
+                reports = score_documents((doc for doc in docs), GRANULARITIES)
+                streamed = {g: r.to_dict() for g, r in reports.items()}
+            except EvalError as exc:
+                streamed = f"EvalError: {exc}"
+        assert streamed == expected
 
     @pytest.mark.parametrize(
         "docs, message",

@@ -4,6 +4,8 @@ Integer outputs (feature indices, spans) must match exactly; float
 accumulations may differ in the last ulps where the kernels sum pairwise.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -104,6 +106,82 @@ class TestDpDecodeMatchesLoop:
         p_eos = data.draw(st.lists(_PROB, min_size=n, max_size=n))
         c = data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.99]))
         self.assert_identical(dp_inputs(p_bos, p_eos, c))
+
+
+def interleaved(n_cand, rng):
+    """Flag probabilities of a document whose candidates at c = 0.1 are its odd positions."""
+    n = 2 * n_cand + 1
+    p = rng.random((2, n)) * 0.099  # every flag pruned ...
+    p[:, 1::2] = 0.1 + 0.9 * rng.random((2, n_cand))  # ... but at the odd positions
+    return p[0], p[1]
+
+
+class TestDpDecodeChunks:
+    """The DP walks its candidates a chunk at a time; chunk edges change no bit of its result."""
+
+    @pytest.fixture(params=["module", 4])
+    def chunk(self, request, monkeypatch):
+        """The module's chunk size, or a small one that the explicit search can check."""
+        if request.param != "module":
+            monkeypatch.setattr(_kernels, "_DP_CHUNK", request.param)
+        return _kernels._DP_CHUNK
+
+    def assert_matches_oracles(self, args, chunk):
+        logp, spans = _kernels.dp_decode(*folded(*args))
+        ref = dp_decode_loop(*args)
+        assert float(logp).hex() == float(ref[0]).hex()
+        assert type(spans) is tuple and all(type(x) is int for sp in spans for x in sp)
+        assert spans == flag_spans(ref[1], ref[2])
+        if chunk < 64:  # the explicit search is cubic in the document length
+            best, bos, eos = span_dp(*args)
+            assert logp == pytest.approx(best, abs=1e-12)
+            assert spans == flag_spans(bos, eos)
+        return logp, spans
+
+    @pytest.mark.parametrize("chunks, plus", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_candidate_counts_around_a_chunk(self, chunk, chunks, plus):
+        n_cand = chunks * chunk + plus
+        rng = np.random.default_rng(n_cand)
+        for _ in range(3):
+            p_bos, p_eos = interleaved(n_cand, rng)
+            args = dp_inputs(p_bos, p_eos, 0.1)
+            assert np.count_nonzero(args[4] | args[5]) == n_cand
+            self.assert_matches_oracles(args, chunk)
+
+    @pytest.mark.parametrize("opens", [1, 2, "chunk"])
+    def test_span_across_a_chunk_edge(self, chunk, opens):
+        # every position is a candidate; the one span that pays opens `opens`
+        # positions before the first chunk ends and closes at the second's first
+        opens = chunk if opens == "chunk" else opens
+        n = 2 * chunk + 1
+        p_bos, p_eos = np.full(n, 0.02), np.full(n, 0.02)
+        p_bos[chunk - opens] = p_eos[chunk] = 0.99
+        _, spans = self.assert_matches_oracles(dp_inputs(p_bos, p_eos, 0.0), chunk)
+        assert spans == ((chunk - opens, chunk + 1),)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_no_candidate(self, chunk, n):
+        p = np.full(n, 0.05)
+        logp, spans = self.assert_matches_oracles(dp_inputs(p, p, 0.1), chunk)
+        assert logp == 0.0 and spans == ()
+
+    def test_holds_one_chunk_of_terms(self):
+        # 60,000 candidates, none of which closes a span, so the DP records no
+        # close: its working set is the candidate index array (8 bytes a
+        # candidate), the masks that find it (3 bytes a position) and one chunk
+        # of terms.  Term lists of the whole document took ~144 bytes a candidate.
+        n = 60_000
+        p = np.full(n, 0.2)
+        args = folded(*dp_inputs(p, p, 0.1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logp, spans = _kernels.dp_decode(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert spans == () and logp < 0.0
+        assert peak < 16 * n
 
 
 class TestWindowIndicesParity:

@@ -358,6 +358,58 @@ class TestRunPipeline:
         assert info.value.stage == "evaluate"
         assert (tmp_path / "runs" / "spans_seed0_ext_bos_eos.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ("fewer", "predictions cover fewer tokens than the corpus"),
+            ("more", "predictions cover more tokens than the corpus"),
+            ("inside", "document of {cut} tokens does not align with unit boundaries"),
+        ],
+    )
+    def test_misaligned_gold_keeps_the_walks_message(self, tmp_path, capsys, shape, message):
+        """Documents are scored as the gold walk yields them; its errors stay those of
+        the whole-list walk, at stage evaluate, after the span file is written, and
+        `sentid evaluate` of that span file exits 2 with the same message."""
+        evalc = synthetic_corpus(12, seed=5)
+        eval_path = tmp_path / "eval.jsonl"
+        evalc.save(eval_path)
+        units = evalc.units
+        words = [w for u in units for w in u.words]
+        lengths = [len(u.words) for u in units]  # one document per unit
+        cut = lengths[0] + 1
+        assert lengths[1] > 1
+        if shape == "fewer":
+            lengths.pop()
+        elif shape == "more":
+            lengths.append(2)
+            words += ["x", "y"]
+        else:  # the first document ends inside the second unit
+            lengths[:2] = [cut, sum(lengths[:2]) - cut]
+        rng = np.random.default_rng(0)
+        docs = []
+        for n in lengths:
+            docs.append((words[:n], ProbMatrix(rng.random(n), rng.random(n))))
+            words = words[n:]
+        write_prob_documents(tmp_path / "ext.tsv", docs)
+        out = tmp_path / "runs"
+        data = {
+            "seeds": [0],
+            "paths": {"eval_corpus": str(eval_path), "probs": str(tmp_path / "ext.tsv"),
+                      "output_dir": str(out)},
+        }
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(config_from_dict(data))
+        assert info.value.stage == "evaluate"
+        assert str(info.value.cause) == message.format(cut=cut)
+        assert sorted(os.listdir(out)) == ["spans_seed0_ext_bos_eos.jsonl"]
+        capsys.readouterr()
+        for granularity in GRANULARITIES:
+            assert cli_main([
+                "evaluate", "--gold", str(eval_path), "--pred",
+                str(out / "spans_seed0_ext_bos_eos.jsonl"), "--granularity", granularity,
+            ]) == 2
+            assert capsys.readouterr().err == f"data error: {message.format(cut=cut)}\n"
+
     def test_treebank_only_cache_keyed_on_config(self, tmp_path, monkeypatch):
         # with no train_corpus path the cache key once was the literal "mem",
         # so a changed epochs count reloaded the old model
