@@ -216,13 +216,17 @@ def example_stream(corpus: Corpus, cfg: AugmentConfig, seed: int, epoch: int = 0
 
     Each step draws L, joins the next L units (augmented per-unit when
     `augment`), truncates edges, and yields the example; the cursor advances
-    by the number of units actually used.
+    by the number of units actually used.  An unbounded L takes at most
+    `max_tokens` units: each holds a word, so no later unit fits.
     """
     rng = np.random.default_rng((seed, epoch))
     units = corpus.units
     cursor = 0
     while cursor < len(units):
-        window = units[cursor : cursor + sample_length(cfg, rng)]
+        length = sample_length(cfg, rng)
+        if length == UNBOUNDED_LENGTH:
+            length = cfg.max_tokens
+        window = units[cursor : cursor + length]
         transforms = None
         if augment:
             window, transforms = zip(*(augment_unit(u, cfg, rng) for u in window))

@@ -1,14 +1,18 @@
 """Scoring: per-label F1, macro/weighted averages, exact span F1, seed stats.
 
 Confusion counts and span matches are pooled over all documents of a run
-(corpus-level micro aggregation), then turned into scores once.  A predicted
-span is correct only when both endpoints equal a gold span's.  Multi-seed
-results are summarized as mean and sample standard deviation.
+(corpus-level micro aggregation), then turned into scores once.  One counter,
+`Evaluator.add_labels`, counts both granularities: word scoring is char
+scoring with every label one char wide and no separator chars.
+`score_documents` gathers consecutive documents into groups of about
+`_GROUP_TOKENS` tokens and hands each group to one Evaluator per
+granularity, which keeps only the counts.  A predicted span is correct only
+when both endpoints equal a gold span's.  Multi-seed results are summarized
+as mean and sample standard deviation.
 """
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from operator import add
 
 import numpy as np
@@ -21,14 +25,29 @@ SCORE_NAMES = ("macro_f1", "weighted_f1", "span_precision", "span_recall", "span
 # label byte -> index in LABELS, as a bytes.translate table
 _TO_INDEX = bytes.maketrans("".join(LABELS).encode("ascii"), bytes(range(len(LABELS))))
 _B, _I, _O = (LABELS.index(lab) for lab in "BIO")
-# confusion cells k * gold + pred (k labels) with the same label on both sides, and those
-# where neither side holds an I, so a span on either side ends there
+# the (gold, pred) label indices of each confusion cell k * gold + pred (k labels)
+_PAIRS = [divmod(c, len(LABELS)) for c in range(len(LABELS) ** 2)]
+# the cells with the same label on both sides, and those where neither side
+# holds an I, so a span on either side ends there
 _BOTH_B, _BOTH_I = (len(LABELS) * x + x for x in (_B, _I))
-_BOTH_STOP = np.zeros(len(LABELS) ** 2, bool)
-_BOTH_STOP[[len(LABELS) * g + p for g in (_B, _O) for p in (_B, _O)]] = True
-# char scoring counts consecutive documents together until they hold this many
-# tokens, so each numpy call serves many short documents and memory stays bounded
-_CHAR_GROUP_TOKENS = 4096
+_BOTH_STOP = np.array([_I not in pair for pair in _PAIRS])
+# by a token's cell: the cell of its tail chars, I after a B or an I, else O
+_TAIL_CELL = np.array([len(LABELS) * max(g, _I) + max(p, _I) for g, p in _PAIRS], np.uint8)
+# by the cells c and d of two neighbouring tokens, at k * k * c + d: the cell of the
+# separator chars between them, I on each side where c is B or I and d is I, else O
+_SEP_CELL = np.array(
+    [
+        len(LABELS) * (_I if g != _O and h == _I else _O) + (_I if p != _O and q == _I else _O)
+        for g, p in _PAIRS
+        for h, q in _PAIRS
+    ],
+    np.uint8,
+)
+# scoring counts consecutive documents together until they hold this many tokens,
+# so each numpy call serves many short documents and memory stays bounded
+_GROUP_TOKENS = 4096
+# the width of the pad token after each document
+_PAD_WIDTH = np.zeros(1, np.int32)
 
 
 class EvalError(ValueError):
@@ -135,56 +154,74 @@ def _prf(tp: int, pred: int, gold: int) -> tuple[float, float, float]:
 class Evaluator:
     """Pools confusion and span counts over documents, then scores once.
 
-    `cells[k * g + p]` counts the positions of gold label g and predicted
-    label p (k labels, as indices into LABELS); every label count and span
-    total follows from it.  `span_tp` counts the matched spans.  At char
-    granularity, `add_document` holds documents of word labels back in
-    `pending` until they hold `_CHAR_GROUP_TOKENS` tokens, then counts them
-    together (`_add_char_group`); `report` counts the rest.
+    `cells[k * g + p]` counts the chars of gold label g and predicted label
+    p (k labels, as indices into LABELS); every label count and span total
+    follows from it.  `span_tp` counts the matched spans.  `add_labels`
+    counts a list of documents into both; the evaluator holds nothing else.
     """
 
     granularity: str = "word"
     cells: list = field(default_factory=lambda: [0] * len(LABELS) ** 2)
     span_tp: int = 0
-    # (gold labels, predicted labels, word lengths) of the documents not yet counted
-    pending: list = field(default_factory=list, init=False)
-    pending_tokens: int = field(default=0, init=False)
 
-    def add_document(self, gold: LabelSeq, pred: LabelSeq, words) -> None:
-        """Pool one document of gold labels, predicted labels and words.
+    def add_labels(self, docs) -> None:
+        """Pool the counts of a list of (gold labels, predicted labels, words) documents.
 
-        Word labels are counted at char level from the word lengths.  Labels
-        at the evaluator's granularity pass through `to_granularity` to
-        `add_labels`.
+        Every document is checked before any is counted.  Labels at the
+        evaluator's granularity pass through `to_granularity` and count one
+        char each, with no separator chars; word labels scored at char level
+        count the word lengths of `_char_widths`, with one separator char
+        between words.  A token of n >= 1 chars holds one char of its own
+        label, then n - 1 chars of I (of O after an O).  A token of 0 chars
+        holds one char when it is B on both sides, else none.  A separator
+        char after a token is I when the token is B or I and the next token
+        is I, else O.  The documents are laid end to end, each followed by a
+        pad token of label O, which holds no char and ends every span.  Each
+        side has one span per B: a span runs from its B up to the next B or
+        O.  A gold and a predicted span match when both start at one token
+        and the next token at which either side holds no I holds no I on both
+        sides: then both spans end there.  Word spans map one-to-one onto
+        char spans, so the span counts are the tokens'.
         """
         gran = self.granularity
-        if gran != "char" or "word" not in (gold.granularity, pred.granularity):
-            self.add_labels(to_granularity(gold, gran), to_granularity(pred, gran))
-            return
-        self.pending.append((gold.labels, pred.labels, _char_widths(gold, pred, words)))
-        self.pending_tokens += len(words)
-        if self.pending_tokens >= _CHAR_GROUP_TOKENS:
-            self._count_pending()
-
-    def _count_pending(self) -> None:
-        if self.pending:
-            _add_char_group(self, self.pending)
-            self.pending = []
-            self.pending_tokens = 0
-
-    def add_labels(self, gold: LabelSeq, pred: LabelSeq) -> None:
-        """Pool the label and span counts of one document's gold and predicted labels."""
-        if len(gold) != len(pred):
-            raise EvalError(f"length mismatch: gold {len(gold)} vs pred {len(pred)}")
-        if gold.granularity != pred.granularity:
-            raise EvalError("granularity mismatch between gold and prediction")
-        # an O after the labels on both sides ends the last spans, and is not counted
-        g, p = (_label_indices(s.labels + "O") for s in (gold, pred))
-        codes = len(LABELS) * g + p
-        _pool(self, np.bincount(codes[:-1], minlength=len(LABELS) ** 2), codes)
+        # per document: labels with the pad's O, widths with the pad's 0, and
+        # the separator chars between two of its tokens
+        gold, pred, widths, gaps = [], [], [], []
+        for g, p, words in docs:
+            if g.granularity != p.granularity:
+                raise EvalError("granularity mismatch between gold and prediction")
+            if gran == "char" and g.granularity == "word":
+                widths += (_char_widths(g, p, words), _PAD_WIDTH)
+                gaps.append(1)
+            else:
+                g, p = to_granularity(g, gran), to_granularity(p, gran)
+                if len(g) != len(p):
+                    raise EvalError(f"length mismatch: gold {len(g)} vs pred {len(p)}")
+                widths += (np.ones(len(g), np.int32), _PAD_WIDTH)
+                gaps.append(0)
+            gold.append(g.labels + "O")
+            pred.append(p.labels + "O")
+        k = len(LABELS)
+        # per token, the confusion cell k * gold + pred of its labels, as uint8
+        heads = k * _label_indices("".join(gold)) + _label_indices("".join(pred))
+        width = np.concatenate(widths)
+        held = width > 0
+        # each token's separator chars: its document's, but none at or before a pad
+        sizes = list(map(len, gold))
+        in_doc = np.ones(len(heads), np.uint8)
+        in_doc[np.cumsum(sizes) - 1] = 0
+        sep_chars = np.repeat(np.array(gaps, np.uint8), sizes)[:-1] * in_doc[:-1] * in_doc[1:]
+        seps = _SEP_CELL.take(k * k * heads[:-1] + heads[1:])
+        confusion = (
+            np.bincount(heads[held | (heads == _BOTH_B)], minlength=k * k)
+            + np.bincount(_TAIL_CELL.take(heads), weights=width - held, minlength=k * k)
+            + np.bincount(seps, weights=sep_chars, minlength=k * k)
+        )
+        self.cells = list(map(add, self.cells, confusion.astype(np.int64).tolist()))
+        stops = heads[heads != _BOTH_I]  # where either side's span may end
+        self.span_tp += int(np.count_nonzero((stops[:-1] == _BOTH_B) & _BOTH_STOP[stops[1:]]))
 
     def report(self) -> EvalReport:
-        self._count_pending()
         k, c = len(LABELS), self.cells
         # per label: (gold, predicted, both); each side has one span per B
         counts = [(sum(c[k * i : k * i + k]), sum(c[i::k]), c[k * i + i]) for i in range(k)]
@@ -226,9 +263,7 @@ class Evaluator:
 
 def bio_f1(gold: LabelSeq, pred: LabelSeq) -> EvalReport:
     """Per-label precision/recall/F1 with macro and weighted averages."""
-    ev = Evaluator(granularity=gold.granularity)
-    ev.add_labels(gold, pred)
-    return ev.report()
+    return evaluate_documents([(gold, pred, None)], gold.granularity)
 
 
 def span_f1(gold_spans, pred_spans) -> tuple[float, float, float]:
@@ -250,14 +285,22 @@ def to_granularity(labels: LabelSeq, granularity: str) -> LabelSeq:
 def score_documents(docs, granularities) -> dict:
     """{granularity: pooled report} of (gold labels, predicted labels, words) documents.
 
-    Reads `docs` once, one document at a time, and adds each document to
-    one Evaluator per granularity, so an iterator of documents is scored
+    Reads `docs` once and gathers consecutive documents into groups of
+    about `_GROUP_TOKENS` tokens; each group is counted by one Evaluator
+    per granularity, then dropped, so an iterator of documents is scored
     without holding them all.
     """
     evaluators = [Evaluator(granularity=g) for g in granularities]
-    for gold, pred, words in docs:
-        for ev in evaluators:
-            ev.add_document(gold, pred, words)
+    group, tokens = [], 0
+    for doc in docs:
+        group.append(doc)
+        tokens += len(doc[0])
+        if tokens >= _GROUP_TOKENS:
+            for ev in evaluators:
+                ev.add_labels(group)
+            group, tokens = [], 0
+    for ev in evaluators if group else ():
+        ev.add_labels(group)
     return {ev.granularity: ev.report() for ev in evaluators}
 
 
@@ -266,92 +309,34 @@ def evaluate_documents(docs, granularity: str = "word") -> EvalReport:
     return score_documents(docs, (granularity,))[granularity]
 
 
-def _char_widths(gold: LabelSeq, pred: LabelSeq, words) -> list:
-    """The word lengths by which `_add_char_group` counts a document of word labels.
+def _char_widths(gold: LabelSeq, pred: LabelSeq, words) -> np.ndarray:
+    """The word lengths by which `Evaluator.add_labels` counts a document of word labels.
 
-    Raises EvalError unless both sides are word labels, one per word, whose
-    char totals (lengths, plus one per empty B, plus one per gap) are equal,
-    and unless every empty word is B on both sides or on neither: one that
-    is B on one side only holds a char on that side only.
+    Raises EvalError unless both sides hold one label per word and equal
+    char totals (lengths, plus one per empty B, plus one per gap), and
+    unless every empty word is B on both sides or on neither: one that is B
+    on one side only holds a char on that side only.
     """
-    if gold.granularity != pred.granularity:
-        raise EvalError("granularity mismatch between gold and prediction")
     if words is None:
         raise EvalError("char-level scoring needs the document words")
     for labels in (gold, pred):
         if len(words) != len(labels):
             raise EvalError(f"word count {len(words)} does not match labels {len(labels)}")
-    widths = list(map(len, words))
-    if 0 in widths:
-        empty = [i for i, n in enumerate(widths) if n == 0]
+    widths = np.fromiter(map(len, words), np.int32, len(words))
+    if not widths.all():
+        empty = np.flatnonzero(widths == 0).tolist()
         gold_b, pred_b = ({i for i in empty if side.labels[i] == "B"} for side in (gold, pred))
         if gold_b != pred_b:
-            g, p = (sum(widths) + len(widths) - 1 + len(b) for b in (gold_b, pred_b))
+            g, p = (int(widths.sum()) + len(widths) - 1 + len(b) for b in (gold_b, pred_b))
             if g != p:
                 raise EvalError(f"length mismatch: gold {g} vs pred {p}")
             raise EvalError(f"empty word {min(gold_b ^ pred_b)} is B on one side only")
     return widths
 
 
-def _add_char_group(ev: Evaluator, group) -> None:
-    """Pool into `ev` the char-level counts of (gold, pred, word lengths) documents.
-
-    A token of n >= 1 chars holds one char of its own label, then n - 1
-    chars of I (of O after an O).  A token of 0 chars holds one char when
-    it is B on both sides, else none.  The separator after a token is I
-    when it is B or I and the next token is I, else O; a document's last
-    token has none.  The documents are laid end to end, each followed by a
-    pad token of label O, which holds no char and ends every span.  Word
-    spans map one-to-one onto char spans, so the span counts are the word
-    spans'.
-    """
-    gold = "".join(g + "O" for g, _, _ in group)
-    pred = "".join(p + "O" for _, p, _ in group)
-    widths = np.fromiter(
-        chain.from_iterable(part for _, _, n in group for part in (n, (0,))), np.int64, len(gold)
-    )
-    pad = np.zeros(len(gold), bool)
-    pad[np.cumsum([len(n) + 1 for _, _, n in group]) - 1] = True
-    has_sep = ~pad[:-1] & ~pad[1:]
-    k = len(LABELS)
-    # per token, the confusion cell k * gold + pred of its head, tail and
-    # separator, as uint8; B < I < O, so np.maximum(x, _I) is the tail's label
-    heads, tails, seps = 0, 0, 0
-    for labels, scale in ((gold, k), (pred, 1)):
-        x = _label_indices(labels)
-        sep = np.full(len(x) - 1, _O, np.uint8)
-        sep[(x[:-1] != _O) & (x[1:] == _I)] = _I
-        heads = heads + scale * x
-        tails = tails + scale * np.maximum(x, _I)
-        seps = seps + scale * sep
-    held = widths > 0
-    confusion = (
-        np.bincount(heads[held | (heads == _BOTH_B)], minlength=k * k)
-        + np.bincount(tails, weights=widths - held, minlength=k * k).astype(np.int64)
-        + np.bincount(seps[has_sep], minlength=k * k)
-    )
-    # the char spans are the word spans, counted on the heads; a pad ends the last
-    _pool(ev, confusion, heads)
-
-
 def _label_indices(labels: str):
     """The index in LABELS of each label of a B/I/O string, as uint8."""
     return np.frombuffer(labels.encode("ascii").translate(_TO_INDEX), np.uint8)
-
-
-def _pool(ev: Evaluator, cells, codes) -> None:
-    """Pool into `ev` the confusion `cells` and the span matches of the cell `codes`.
-
-    `cells` is laid out as `Evaluator.cells`.  `codes` holds the cell
-    k * g + p of each position in order, and ends with an O on both sides.
-    A span runs from its B up to the next B or O, so each side has one span
-    per B.  A gold and a predicted span match when both start at one
-    position and the next position at which either side holds no I holds
-    no I on both sides: then both spans end there.
-    """
-    ev.cells = list(map(add, ev.cells, cells.tolist()))
-    stops = codes[codes != _BOTH_I]  # where either side's span may end
-    ev.span_tp += int(np.count_nonzero((stops[:-1] == _BOTH_B) & _BOTH_STOP[stops[1:]]))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ import numpy as np
 
 from sentid import _kernels
 from sentid.augment import (
+    UNBOUNDED_LENGTH,
     TrainingExample,
     UnitProvenance,
     augment_unit,
@@ -297,8 +298,13 @@ def evaluate_documents_rendered(docs, granularity: str = "word") -> EvalReport:
     ev = Evaluator(granularity=granularity)
     for gold, pred, words in docs:
         ev.add_labels(
-            render_granularity(gold, granularity, words),
-            render_granularity(pred, granularity, words),
+            [
+                (
+                    render_granularity(gold, granularity, words),
+                    render_granularity(pred, granularity, words),
+                    words,
+                )
+            ]
         )
     return ev.report()
 
@@ -988,6 +994,8 @@ def example_stream_two_paths(corpus, cfg, seed: int, epoch: int = 0, augment: bo
     cursor = 0
     while cursor < len(units):
         L = sample_length(cfg, rng)
+        if L == UNBOUNDED_LENGTH:
+            L = cfg.max_tokens  # no unit past the cap can join
         stop = min(cursor + L, len(units))
         window = units[cursor:stop]
         transforms = None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sentid import augment
 from sentid.augment import (
     UNBOUNDED_LENGTH,
     AugmentConfig,
@@ -309,6 +310,25 @@ class TestStream:
         cfg = AugmentConfig(p_cc=0.5, p_da=0.0, p_tr=0.0)
         seen = [p.unit_index for ex in example_stream(corpus, cfg, 3, 0) for p in ex.provenance]
         assert seen == [0, 1, 2, 3]
+
+    def test_unbounded_length_augments_at_most_the_cap(self, monkeypatch):
+        # each unit holds a word, so an example never joins more than max_tokens
+        # units; a window of every remaining unit made an epoch quadratic
+        corpus = synthetic_corpus(2000, seed=5)
+        cfg = AugmentConfig(p_cc=0.0, max_tokens=8)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return augment_unit(*args)
+
+        monkeypatch.setattr(augment, "augment_unit", counted)
+        per_example = []
+        for _ in example_stream(corpus, cfg, seed=0):
+            per_example.append(len(calls))
+            calls.clear()
+        assert len(per_example) >= 2000 // cfg.max_tokens
+        assert max(per_example) <= cfg.max_tokens
 
     def test_generate_examples_wraps(self, tmp_path):
         corpus = small_corpus()

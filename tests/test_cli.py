@@ -582,7 +582,8 @@ class TestExitCodes:
     ):
         bad = tmp_path / "bad.txt"
         probs = b"#probs v1 uni=0\n0\tHi\xff\t0.9\t0.2\n"
-        config = {"seeds": [1], "paths": {"eval_corpus": str(corpus_path), "probs": str(bad)}}
+        paths = {"eval_corpus": str(corpus_path), "probs": str(bad), "output_dir": str(tmp_path)}
+        config = {"seeds": [1], "paths": paths}
         treebank = tmp_path / "tb.conllu"
         treebank.write_text(CONLLU)
         data, argv, prefix = {

@@ -147,7 +147,7 @@ class TestLabelCounts:
         expected = tuple({lab: 0 for lab in "BIO"} for _ in range(3))
         for gold in golds:
             pred = data.draw(st.text("BIO", min_size=len(gold), max_size=len(gold)))
-            ev.add_labels(LabelSeq("word", gold), LabelSeq("word", pred))
+            ev.add_labels([(LabelSeq("word", gold), LabelSeq("word", pred), None)])
             for total, counts in zip(expected, label_counts(gold, pred)):
                 for lab in total:
                     total[lab] += counts[lab]
@@ -164,7 +164,7 @@ class TestLabelCounts:
 def _pooled_spans(docs) -> tuple:
     ev = Evaluator()
     for gold, pred in docs:
-        ev.add_labels(LabelSeq("word", gold), LabelSeq("word", pred))
+        ev.add_labels([(LabelSeq("word", gold), LabelSeq("word", pred), None)])
     # each side has one span per B: the cells of gold B, and those of predicted B
     return ev.span_tp, sum(ev.cells[0:3]), sum(ev.cells[0::3])
 
@@ -210,7 +210,7 @@ class TestSpanCounts:
     )
     def test_errors(self, gold, pred, message):
         with pytest.raises(EvalError) as info:
-            Evaluator().add_labels(gold, pred)
+            Evaluator().add_labels([(gold, pred, None)])
         assert str(info.value) == message
 
 
@@ -226,7 +226,7 @@ class TestPooling:
             ev = Evaluator()
             for k in order:
                 g, p = docs[k]
-                ev.add_labels(LabelSeq("word", g), LabelSeq("word", p))
+                ev.add_labels([(LabelSeq("word", g), LabelSeq("word", p), None)])
             return ev.report()
 
         a = pooled(range(10))
@@ -235,8 +235,8 @@ class TestPooling:
 
     def test_pooling_differs_from_averaging(self):
         ev = Evaluator()
-        ev.add_labels(LabelSeq("word", "B"), LabelSeq("word", "B"))
-        ev.add_labels(LabelSeq("word", "BIII"), LabelSeq("word", "BBBB"))
+        ev.add_labels([(LabelSeq("word", "B"), LabelSeq("word", "B"), None)])
+        ev.add_labels([(LabelSeq("word", "BIII"), LabelSeq("word", "BBBB"), None)])
         r = ev.report()
         assert r.per_label["B"].support == 2
         assert r.per_label["B"].predicted == 5
@@ -402,11 +402,12 @@ class TestCharCountsMatchRendering:
             evaluate_documents(docs, "char")
         assert str(info.value) == "empty word 0 is B on one side only"
 
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
     @given(st.lists(st.integers(1, 3000), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
     @example([4095, 1, 1], 0)
     @example([4096, 2], 1)
     @example([2047, 2049, 3000], 2)
-    def test_groups_straddle_the_group_size(self, sizes, seed):
+    def test_groups_straddle_the_group_size(self, granularity, sizes, seed):
         rng = np.random.default_rng(seed)
         docs = [
             (
@@ -416,28 +417,32 @@ class TestCharCountsMatchRendering:
             )
             for n in sizes
         ]
-        ours = char_outcome(evaluate_documents, docs)
-        assert isinstance(ours, dict) and ours == char_outcome(evaluate_documents_rendered, docs)
+        ours = char_outcome(evaluate_documents, docs, granularity)
+        rendered = char_outcome(evaluate_documents_rendered, docs, granularity)
+        assert isinstance(ours, dict) and ours == rendered
 
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
     @given(st.lists(documents(min_length=0), max_size=6), st.integers(1, 10))
     @example(docs_of(("BIO", "BIO", ["ab", "c", "d"]), ("OB", "OB", ["a", "b"])), 3)
     @example(docs_of(("BI", "BI", ["a", ""]), ("B", "O", [""]), ("BI", "OO", ["a", "b"])), 1)
-    def test_documents_scored_one_at_a_time(self, docs, group_tokens):
-        """Every granularity at once, from a generator, equals each one over the whole list.
+    def test_documents_scored_one_at_a_time(self, granularity, docs, group_tokens):
+        """`granularity` alone, and every granularity at once, from a generator in small
+        groups, equal `granularity` over the whole list in one group.
 
-        A small char group size puts the drawn documents on both sides of it.
+        A small group size puts the drawn documents on both sides of it.
         """
         whole = {g: char_outcome(evaluate_documents, docs, g) for g in GRANULARITIES}
-        # only char scoring can refuse these documents
-        expected = whole["char"] if isinstance(whole["char"], str) else whole
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluation, "_CHAR_GROUP_TOKENS", group_tokens)
+            mp.setattr(evaluation, "_GROUP_TOKENS", group_tokens)
+            alone = char_outcome(evaluate_documents, (doc for doc in docs), granularity)
             try:
-                reports = score_documents((doc for doc in docs), GRANULARITIES)
-                streamed = {g: r.to_dict() for g, r in reports.items()}
+                together = score_documents((doc for doc in docs), GRANULARITIES)
+                together = together[granularity].to_dict()
             except EvalError as exc:
-                streamed = f"EvalError: {exc}"
-        assert streamed == expected
+                together = f"EvalError: {exc}"
+        assert alone == whole[granularity]
+        # only char scoring can refuse these documents
+        assert together == (whole["char"] if isinstance(whole["char"], str) else alone)
 
     @pytest.mark.parametrize(
         "docs, message",

@@ -90,14 +90,15 @@ def test_timed_readers_are_whole_file_calls(tmp_path):
 
 
 def test_word_scoring_calls_the_declared_evaluation_layers(monkeypatch):
-    """Word scoring records calls in both evaluation layers.
+    """Word scoring records calls in both evaluation layers, char scoring in add_labels.
 
     Every workload declares ``evaluation.add_labels`` and
     ``evaluation.to_granularity`` as layers, and a traced job fails when a
     declared layer records no call.  Every workload scores at word and at
-    char level, and char scoring counts the labels that ``to_granularity``
-    would render without calling either function.  So word scoring must
-    pass each document through both, or every traced job fails.
+    char level, and both count each group of documents in one
+    ``add_labels`` call.  Char scoring of word labels takes the word lengths
+    instead of calling ``to_granularity``, so word scoring must pass each
+    document through it, or every traced job fails.
     """
     from sentid import evaluation
     from sentid.labels import LabelSeq
@@ -117,9 +118,12 @@ def test_word_scoring_calls_the_declared_evaluation_layers(monkeypatch):
 
         monkeypatch.setattr(owner, attr, counted)
     docs = [(LabelSeq("word", "BIO"), LabelSeq("word", "BOO"), ["a", "b", "c"])] * 2
-    evaluation.evaluate_documents(docs, "word")
-    # per document: one add_labels, and to_granularity of the gold and the predicted labels
-    assert calls == dict(zip(layers, (2, 4)))
+    # one add_labels per group (these two documents make one), and at word
+    # level to_granularity of the gold and the predicted labels of each document
+    for granularity, expected in (("word", (1, 4)), ("char", (1, 0))):
+        calls.update(dict.fromkeys(layers, 0))
+        evaluation.evaluate_documents(docs, granularity)
+        assert calls == dict(zip(layers, expected))
 
 
 def _count_calls(monkeypatch, layers) -> dict:
